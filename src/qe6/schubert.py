@@ -8,6 +8,7 @@ Normal words are non-increasing in a fixed total order on generators; in the
 affine algebra every delta-shifted generator precedes every plain one.
 """
 
+from heapq import heapify, heappop, heappush
 from math import comb
 from itertools import product
 
@@ -178,30 +179,41 @@ def presentation(algebra_id):
     return _PRES[algebra_id]
 
 
-def relations_w():
-    return presentation("w")
-
-
-def relations_what():
-    return presentation("what")
-
-
 REWRITE_BUDGET = 10 ** 6
 
 
 def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
-    """Straighten to the PBW normal form; strategy picks which out-of-order
-    pair of a word is rewritten first (the result is strategy-independent)."""
+    """Straighten to the PBW normal form.
+
+    `strategy` picks which out-of-order pair of a word is rewritten: the
+    leftmost ("left") or the rightmost; the result is strategy-independent.
+
+    Pending words are taken smallest first in lexicographic order, their
+    coefficients summed in `pending` until then.  Every rule rewrites an
+    out-of-order pair (a, b), a < b, into pairs whose first letter exceeds a,
+    so each rewrite produces only words larger than the one it took.  The
+    words taken therefore increase strictly, each distinct word is rewritten
+    once with its full coefficient, and the loop ends because there are
+    finitely many words of each length.  Only the speed rests on this: a
+    word produced again after it was taken would be taken again.
+
+    `budget` bounds the number of words rewritten, which is the number of
+    distinct non-normal words reached; exceeding it raises RewriteDepthError.
+    """
     rules = pres.rules
     out = NCPoly()
+    # word -> summed coefficient; each key has exactly one entry in `heap`
     pending = {}
     for w, c in x.items():
         if c:
             pending[w] = pending.get(w, ZERO) + c
+    heap = list(pending)
+    heapify(heap)
     steps = 0
     left = strategy == "left"
-    while pending:
-        word, coeff = pending.popitem()
+    while heap:
+        word = heappop(heap)
+        coeff = pending.pop(word)
         if not coeff:
             continue
         idx = None
@@ -221,11 +233,11 @@ def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
         suf = word[idx + 2:]
         for rc, pair in rules[(word[idx], word[idx + 1])]:
             w2 = pre + pair + suf
-            acc = pending.get(w2, ZERO) + coeff * rc
-            if acc:
-                pending[w2] = acc
-            elif w2 in pending:
-                del pending[w2]
+            if w2 in pending:
+                pending[w2] = pending[w2] + coeff * rc
+            else:
+                pending[w2] = coeff * rc
+                heappush(heap, w2)
     return out
 
 
@@ -254,6 +266,8 @@ def hilbert_dim(pres, d):
 
 def normal_words(pres, d):
     """All degree-d normal words (non-increasing encoded tuples)."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
     n = pres.ngens
     if d == 0:
         yield ()
@@ -419,6 +433,8 @@ class _Parser:
         return self.toks[self.pos][0] if self.pos < len(self.toks) else None
 
     def take(self):
+        if self.pos == len(self.toks):
+            raise ValueError("unexpected end of expression")
         tok = self.toks[self.pos]
         self.pos += 1
         return tok

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qe6.cli import main
 
 
@@ -26,6 +28,18 @@ def test_nf_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "nf", "Y[12", "--algebra", "w")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("nf", "Y[12]*", "--algebra", "w"),
+    ("nf", "(", "--algebra", "w"),
+    ("nf", "q^", "--algebra", "w"),
+    ("decompose", "--algebra", "w", "--degree", "-1"),
+])
+def test_truncated_input_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exit_2(capsys):

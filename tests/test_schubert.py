@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qe6 import rootdata as rd
-from qe6.qcoeff import ONE, Q, QHAT, qpow
+from qe6.qcoeff import ONE, ZERO, Q, QHAT, LaurentPoly, qpow
 from qe6 import schubert as sc
 
 M = rd.mask_of
@@ -132,6 +133,16 @@ def test_rewrite_budget_guard():
         sc.normal_form(Y(M([1, 2, 3, 4])).free_mul(Y(0)), W, budget=1)
 
 
+def test_seed_105_termination_word_within_budget():
+    # the word `verify --seed 105` draws for termination-random; rewriting
+    # each word again whenever it reappeared took over 10**6 steps on it
+    text = "Z[45]*Z[2345]*Zd[12]*Zd[35]*Zd[12]*Zd[23]"
+    x = sc.NCPoly.from_word((3, 0, 30, 21, 30, 28))
+    assert sc.parse_expr(text, WH) == x
+    left = sc.normal_form(x, WH, "left", budget=10 ** 4)
+    assert left == sc.normal_form(x, WH, "right", budget=10 ** 4)
+
+
 def test_twist_factors():
     m12 = M([1, 2])
     assert sc.twist_factor(WH.gen_weight[WH.rank(0, True)],
@@ -168,6 +179,65 @@ def test_termination_witness_in_rules():
             h0 = rd.ht_pair(ia, jb)
             for _, (u, v) in items[1:]:
                 assert rd.ht_pair(pres.gen_mask[u], pres.gen_mask[v]) > h0
+
+
+def test_rules_raise_the_first_letter():
+    # normal_form's lexicographic work order rests on this: rewriting an
+    # out-of-order pair (a, b) yields only pairs whose first letter exceeds a
+    for pres in (W, WH):
+        for (a, b), items in pres.rules.items():
+            assert a < b
+            assert all(u > a for _, (u, _v) in items)
+
+
+def lifo_normal_form(x, pres, budget=10 ** 5):
+    """Reference rewriter: takes pending words last in, first out, and
+    rewrites the leftmost out-of-order pair."""
+    out = sc.NCPoly()
+    pending = dict(x)
+    steps = 0
+    while pending:
+        word, coeff = pending.popitem()
+        idx = next((i for i in range(len(word) - 1) if word[i] < word[i + 1]), None)
+        if idx is None:
+            out.iadd_term(word, coeff)
+            continue
+        steps += 1
+        assert steps <= budget
+        for rc, pair in pres.rules[(word[idx], word[idx + 1])]:
+            w2 = word[:idx] + pair + word[idx + 2:]
+            acc = pending.get(w2, ZERO) + coeff * rc
+            if acc:
+                pending[w2] = acc
+            else:
+                pending.pop(w2, None)
+    return out
+
+
+LAURENT = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), min_size=1,
+                          max_size=3).map(LaurentPoly)
+
+
+@st.composite
+def ncpolys(draw):
+    pres = draw(st.sampled_from((W, WH)))
+    words = st.lists(st.integers(0, pres.ngens - 1), min_size=0,
+                     max_size=5 if pres is W else 4).map(tuple)
+    x = sc.NCPoly()
+    for word, coeff in draw(st.lists(st.tuples(words, LAURENT), max_size=3)):
+        x.iadd_term(word, coeff)
+    return x, pres
+
+
+@settings(max_examples=200, deadline=None)
+@given(ncpolys())
+def test_normal_form_properties(case):
+    x, pres = case
+    left = sc.normal_form(x, pres, "left")
+    assert sc.normal_form(x, pres, "right") == left
+    assert sc.normal_form(left, pres) == left
+    assert all(pres.is_normal(w) for w in left)
+    assert lifo_normal_form(x, pres) == left
 
 
 def test_parse_and_format_round_trip():
