@@ -9,13 +9,14 @@ degree-by-degree decomposition reports.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .qcoeff import LaurentPoly, ONE, Q, QINV, qpow
 from . import rootdata as rd
 from .schubert import (NCPoly, presentation, normal_form, multiply, q_degree,
                        hilbert_dim)
-from .linalg import Echelon, EchelonMod, SparseMat
+from .linalg import Echelon, SparseMat, draw_points, rank_mod
 
 NEG_Q = LaurentPoly.term(-1, 1)
 NEG_QINV = LaurentPoly.term(-1, -1)
@@ -43,13 +44,9 @@ class _ActionTables:
             self.lowers[i] = tuple(down)
 
 
-_TABLES = {}
-
-
+@cache
 def _tables(pres):
-    if pres.algebra_id not in _TABLES:
-        _TABLES[pres.algebra_id] = _ActionTables(pres)
-    return _TABLES[pres.algebra_id]
+    return _ActionTables(pres)
 
 
 def ad_E(i, x, pres):
@@ -152,25 +149,16 @@ def _quad_pairs():
             ((m([2, 3]), m([1, 4])), LaurentPoly.term(-1, 3))]
 
 
-_THETA = None
-
-
+@cache
 def theta():
     """The degree-2 highest-weight vector of the 16-generator algebra."""
-    global _THETA
-    if _THETA is None:
-        pres = presentation("w")
-        _THETA = _printed_quadratic(_quad_pairs(), pres.rank, pres.rank, pres)
-    return _THETA
+    pres = presentation("w")
+    return _printed_quadratic(_quad_pairs(), pres.rank, pres.rank, pres)
 
 
-_OMEGas = {}
-
-
+@cache
 def build_omega(k):
     """The k-th conjectured highest-weight generator in the affine algebra."""
-    if k in _OMEGas:
-        return _OMEGas[k]
     pres = presentation("what")
     Zr = pres.rank
     Zdr = lambda m: pres.rank(m, delta=True)
@@ -240,7 +228,6 @@ def build_omega(k):
                + mul(aF([5, 6], o3), o11).scale(qpow(-2)))
     else:
         raise ValueError("omega index must be 1..13")
-    _OMEGas[k] = out
     return out
 
 
@@ -342,9 +329,6 @@ def identity_check(d):
 
 # --- degree-by-degree decomposition ------------------------------------------
 
-DEFAULT_PRIMES = ((1 << 61) - 1, 1000000007, 998244353)
-
-
 def _hw_rank_rows(words, pres):
     """Rows (one per word of the block) of the stacked raising operators."""
     index = {}
@@ -365,15 +349,7 @@ def _block_rank(rows, exact, rng):
         ech = Echelon()
         ech.add_all(rows)
         return ech.rank, "exact"
-    best = 0
-    for _ in range(3):
-        p = DEFAULT_PRIMES[rng.randrange(len(DEFAULT_PRIMES))]
-        q0 = rng.randrange(2, 10 ** 6)
-        ech = EchelonMod(p)
-        for row in rows:
-            ech.add({k: v.eval_mod(q0, p) for k, v in row.items()})
-        best = max(best, ech.rank)
-    return best, "modular"
+    return max(rank_mod(rows, q0, p) for q0, p in draw_points(rng)), "modular"
 
 
 def hw_candidates_w(d):

@@ -6,6 +6,8 @@ are pure given the seed; anything randomized draws from the seeded generator
 handed to the suite builder.
 """
 
+from functools import cache
+
 from .qcoeff import LaurentPoly, ONE, QHAT, Q, qpow
 from . import rootdata as rd
 from . import schubert as sc
@@ -554,23 +556,16 @@ def _chk_row_sweep():
         rep = frt.row_presentation(s)
         dims.append(rep["degree2_dim"])
         if not rep["ok"] or rep["degree2_dim"] != 126:
+            bad = [{k: b[k] for k in ("class_head", "rank", "stated_count")}
+                   for b in rep["blocks"] if not b["stated_ok"]]
             return FAIL, {"row": rd.label(s), "dim": rep["degree2_dim"],
-                          "blocks_bad": [b for b in rep["blocks"] if not b["stated_ok"]][:3]}
+                          "blocks_bad": bad[:3]}
     return PASS, {"rows": 16, "degree2_dims": sorted(set(dims))}
 
 
-def _psi_st_sweep(cache):
-    if "sweep" not in cache:
-        results = []
-        for s, t in frt.admissible_pairs():
-            results.append(frt.psi_ST_check(s, t))
-        cache["sweep"] = results
-    return cache["sweep"]
-
-
-def _chk_two_row_sweep(cache):
+def _chk_two_row_sweep(sweep):
     def run():
-        bad = [r for r in _psi_st_sweep(cache)
+        bad = [r for r in sweep()
                if not r["two_row_relations_match_stated"] or
                r["degree2_two_row_dim"] != 498]
         return _ok(not bad, {"pairs": 80, "failures": [r["rows"] for r in bad][:5]})
@@ -590,9 +585,9 @@ def _chk_psi_s_sweep(rng):
     return run
 
 
-def _chk_psi_st_sweep(cache, rng):
+def _chk_psi_st_sweep(sweep, rng):
     def run():
-        bad = [r for r in _psi_st_sweep(cache) if not r["ok"]]
+        bad = [r for r in sweep() if not r["ok"]]
         if bad:
             return FAIL, {"failures": [r["rows"] for r in bad][:5]}
         s, t = frt.admissible_pairs()[0]
@@ -603,7 +598,8 @@ def _chk_psi_st_sweep(cache, rng):
 
 
 def frt_checks(max_degree, mode, rng):
-    cache = {}
+    # the 80-pair sweep behind two checks, run once by whichever comes first
+    sweep = cache(lambda: [frt.psi_ST_check(s, t) for s, t in frt.admissible_pairs()])
     return [
         Check("proof-matrix-ranks",
               "the 8x8 straightening matrix has rank 5 and the 16x16 two-row "
@@ -614,7 +610,7 @@ def frt_checks(max_degree, mode, rng):
               "the published single-row relation set", _chk_row_sweep),
         Check("two-row-presentations",
               "for all 80 admissible row pairs the computed relation spaces "
-              "equal the published two-row relation sets", _chk_two_row_sweep(cache)),
+              "equal the published two-row relation sets", _chk_two_row_sweep(sweep)),
         Check("row-homomorphism-kernel",
               "the row map carries every cell-algebra relation, its kernel "
               "module lands in the relation span, and quotient dimensions "
@@ -624,7 +620,7 @@ def frt_checks(max_degree, mode, rng):
               "the twisted affine map carries every relation for all 80 pairs, "
               "the three kernel modules land in the relation span, and "
               "dimensions agree (exact at degree 2, modular at degree 3 for a "
-              "representative pair)", _chk_psi_st_sweep(cache, rng)),
+              "representative pair)", _chk_psi_st_sweep(sweep, rng)),
     ]
 
 

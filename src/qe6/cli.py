@@ -23,6 +23,8 @@ def _suite_rng(seed, name):
 
 
 def cmd_verify(args):
+    if args.max_degree < 0:
+        raise ValueError("--max-degree must be >= 0")
     names = SUITE_ORDER if args.suite == "all" else (args.suite,)
     all_checks = []
     passed = True
@@ -87,6 +89,8 @@ def cmd_relations(args):
                                 "vector": frt.relation_vector_json(vec)})
     else:
         s, t = (rd.parse_label(x) for x in args.frt_two_rows)
+        if not (frt.admissible(s, t) or frt.admissible(t, s)):
+            raise ValueError("rows must differ by one move (|S delta T| = 2)")
         doc = []
         for upper in ((s, t), (t, s)):
             for cls in rd.CLASSES:

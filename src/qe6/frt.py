@@ -10,37 +10,27 @@ tie the rows back to the (twisted) quantum Schubert cell algebras.
 
 import random
 
-from .qcoeff import ONE, ZERO, QHAT, Q, QINV, qpow, neg_qpow
+from .qcoeff import ONE, ZERO, QHAT, Q, QINV, qpow, neg_qpow, accumulate
 from . import rootdata as rd
-from .linalg import Echelon, EchelonMod, bareiss_rank, spans_equal
+from .linalg import Echelon, bareiss_rank, spans_equal, draw_points, rank_mod
 from .rmatrix import rhat_coeff
 from .schubert import (presentation, rule_relation_vectors, NCPoly, multiply,
                        hilbert_dim)
 from .adjoint import theta, submodule_span, build_omega
-
-DEFAULT_PRIMES = ((1 << 61) - 1, 1000000007, 998244353)
 
 
 def frt_relation(s, t, i, j):
     """One defining relation of the ambient bialgebra, as a sparse vector
     over degree-2 words ((row, col), (row, col))."""
     vec = {}
-
-    def iadd(word, coeff):
-        acc = vec.get(word, ZERO) + coeff
-        if acc:
-            vec[word] = acc
-        elif word in vec:
-            del vec[word]
-
     for (k, l), _ in rd.class_of(t, s):
         coeff = rhat_coeff(k, l, t, s)
         if coeff:
-            iadd(((k, i), (l, j)), coeff)
+            accumulate(vec, ((k, i), (l, j)), coeff)
     for (k, l), _ in rd.class_of(i, j):
         coeff = rhat_coeff(i, j, k, l)
         if coeff:
-            iadd(((s, l), (t, k)), -coeff)
+            accumulate(vec, ((s, l), (t, k)), -coeff)
     return vec
 
 
@@ -49,25 +39,17 @@ def frt_relation(s, t, i, j):
 def _straight_vector(i, j, row_a, row_b, mixed):
     """Stated straightening relation with rows attached to each factor."""
     vec = {((row_a, i), (row_b, j)): ONE}
-
-    def isub(word, coeff):
-        acc = vec.get(word, ZERO) - coeff
-        if acc:
-            vec[word] = acc
-        elif word in vec:
-            del vec[word]
-
     power = rd.INNER_WT[(i, j)] - (1 if mixed else 0)
-    isub(((row_b, j), (row_a, i)), qpow(power))
+    accumulate(vec, ((row_b, j), (row_a, i)), -qpow(power))
     h0 = rd.HT_PAIR[(i, j)]
     for (l, m), h in rd.class_of(i, j):
         if l == i or not rd.LEQ[(i, l)]:
             continue
         if not mixed and rd.LEXCODE[m] > rd.LEXCODE[l]:
             continue
-        isub(((row_a, l), (row_b, m)), QHAT * neg_qpow(h - h0 - 1))
+        accumulate(vec, ((row_a, l), (row_b, m)), -QHAT * neg_qpow(h - h0 - 1))
     if mixed and rd.EPS[(i, j)]:
-        isub(((row_a, j), (row_b, i)), QHAT * QINV)
+        accumulate(vec, ((row_a, j), (row_b, i)), -QHAT * QINV)
     return vec
 
 
@@ -126,47 +108,40 @@ def row_presentation(s):
             "ok": all(b["stated_ok"] for b in blocks)}
 
 
+def admissible(s, t):
+    """True when rows S and T differ by one move (|S delta T| = 2) and S < T."""
+    return s != t and bin(s ^ t).count("1") == 2 and rd.LEQ[(s, t)]
+
+
 def admissible_pairs():
-    """All (S, T) with symmetric difference of size 2 and S < T."""
-    out = []
-    for s in rd.ALL_MASKS:
-        for t in rd.ALL_MASKS:
-            if bin(s ^ t).count("1") == 2 and rd.LEQ[(s, t)] and s != t:
-                out.append((s, t))
-    return out
+    """All admissible (S, T)."""
+    return [(s, t) for s in rd.ALL_MASKS for t in rd.ALL_MASKS if admissible(s, t)]
 
 
 def two_row_presentation(s, t):
     """Blockwise relation bases of a two-row subalgebra and the span-equality
-    verdict against the published set; requires |S delta T| = 2 and S < T."""
-    if bin(s ^ t).count("1") != 2 or not rd.LEQ[(s, t)] or s == t:
+    verdict against the published set; requires an admissible (S, T).  The S
+    and T groups are the blocks of the two row presentations."""
+    if not admissible(s, t):
         raise ValueError("rows must differ by one move with S < T")
-    groups = {}
-    dim = 0
-    all_ok = True
-    for tag, rows in (("S", (s, s)), ("T", (t, t)), ("mixed", (s, t))):
-        blocks = []
-        for ci, cls in enumerate(rd.CLASSES):
-            if tag == "mixed":
-                computed = [frt_relation(s, t, i, j) for (i, j), _ in cls]
-                computed += [frt_relation(t, s, i, j) for (i, j), _ in cls]
-                stated = stated_mixed_relations(s, t, cls)
-                nmono = 2 * cls.size
-            else:
-                rr = rows[0]
-                computed = [frt_relation(rr, rr, i, j) for (i, j), _ in cls]
-                stated = stated_row_relations(rr, cls)
-                nmono = cls.size
-            ech = Echelon()
-            ech.add_all(computed)
-            ok = spans_equal([v for v in computed if v], stated)
-            all_ok = all_ok and ok
-            dim += nmono - ech.rank
-            blocks.append({"class_index": ci, "rank": ech.rank,
-                           "stated_ok": ok, "echelon": ech})
-        groups[tag] = blocks
+    row_s, row_t = row_presentation(s), row_presentation(t)
+    dim = row_s["degree2_dim"] + row_t["degree2_dim"]
+    all_ok = row_s["ok"] and row_t["ok"]
+    mixed = []
+    for ci, cls in enumerate(rd.CLASSES):
+        computed = [frt_relation(s, t, i, j) for (i, j), _ in cls]
+        computed += [frt_relation(t, s, i, j) for (i, j), _ in cls]
+        ech = Echelon()
+        ech.add_all(computed)
+        ok = spans_equal([v for v in computed if v],
+                         stated_mixed_relations(s, t, cls))
+        all_ok = all_ok and ok
+        dim += 2 * cls.size - ech.rank
+        mixed.append({"class_index": ci, "rank": ech.rank,
+                      "stated_ok": ok, "echelon": ech})
     return {"rows": (rd.label(s), rd.label(t)), "degree2_dim": dim,
-            "groups": groups, "ok": all_ok}
+            "groups": {"S": row_s["blocks"], "T": row_t["blocks"], "mixed": mixed},
+            "ok": all_ok}
 
 
 # --- the published proof matrices --------------------------------------------
@@ -326,14 +301,14 @@ def _class_index_of_words(vec):
     return rd._CLASS_KEY[(i, j)]
 
 
-def psi_S_check(s, degree3=False, rng=None, mode="modular"):
+def psi_S_check(s, degree3=False, rng=None):
     """Row homomorphism and kernel checks.
 
     (a) every straightening relation of the 16-generator algebra, transported
     along Y -> X[s, .], lies in the computed row relation span; (b) so do the
     ten vectors of the degree-2 kernel module; (c) quotient dimensions match:
-    exactly at degree 2, and at degree 3 by modular evaluation (or exactly
-    with mode="exact").
+    exactly at degree 2, and optionally at degree 3 at three modular
+    evaluation points (evidence, reported as probabilistic-pass).
     """
     pres = presentation("w")
     row = row_presentation(s)
@@ -365,79 +340,61 @@ def psi_S_check(s, degree3=False, rng=None, mode="modular"):
         "row_relations_match_stated": row["ok"],
     }
     if degree3:
-        result["degree3"] = _degree3_row_comparison(s, rng, mode)
+        result["degree3"] = _degree3_row_comparison(s, rng)
     result["ok"] = (not hom_fails and kernel_fails == 0 and
                     result["degree2_equal"] and row["ok"] and
                     result.get("degree3", {}).get("equal", True))
     return result
 
 
-def _eval_rows_mod(rows, q0, p):
-    for row in rows:
-        spec = {}
-        for k, v in row.items():
-            x = v.eval_mod(q0, p)
-            if x:
-                spec[k] = x
-        yield spec
+def _degree3_comparison(pres, module, row_pairs, rows, rng, dims_key):
+    """Degree-3 quotient dimensions on both sides at three modular points.
 
-
-def _quotient_dim_mod(nmono, rows, q0, p):
-    ech = EchelonMod(p)
-    for row in _eval_rows_mod(rows, q0, p):
-        ech.add(row)
-    return nmono - ech.rank
-
-
-def _degree3_row_comparison(s, rng, mode):
-    """Degree-3 kernel evidence: dim of the cell algebra modulo the kernel
-    ideal versus the row subalgebra dimension, computed blockwise."""
-    pres = presentation("w")
-    rng = rng or random.Random(7)
-
-    # ideal side: all products generator * kernel-vector (both orders), in
-    # normal-word coordinates of the degree-3 component
+    Ideal side: the cell algebra's degree-3 component modulo the products
+    generator * module vector, in both orders.  Row side: the monomials in
+    generators of `rows`, modulo the degree-2 relations of `row_pairs`
+    extended by one generator of `rows` on either side.  A modular rank is a
+    lower bound on the exact rank, so equality at every point is evidence,
+    reported as probabilistic-pass.
+    """
     gens = [NCPoly.gen(g) for g in range(pres.ngens)]
     ideal_rows = []
-    module = submodule_span(theta(), pres)
     for vec in module:
         for g in gens:
             ideal_rows.append(dict(multiply(g, vec, pres)))
             ideal_rows.append(dict(multiply(vec, g, pres)))
     n3 = hilbert_dim(pres, 3)
 
-    # row side: extend the degree-2 row relations by one generator on each side
     deg2 = []
     for cls in rd.CLASSES:
         for (i, j), _ in cls:
-            vec = frt_relation(s, s, i, j)
-            if vec:
-                deg2.append(vec)
-    row_rows = []
+            for a, b in row_pairs:
+                vec = frt_relation(a, b, i, j)
+                if vec:
+                    deg2.append(vec)
+    rel_rows = []
     for vec in deg2:
         for a in rd.ALL_MASKS:
-            row_rows.append({(((s, a),) + w): c for w, c in vec.items()})
-            row_rows.append({(w + ((s, a),)): c for w, c in vec.items()})
-    nrow3 = 16 ** 3
+            for r in rows:
+                rel_rows.append({(((r, a),) + w): c for w, c in vec.items()})
+                rel_rows.append({(w + ((r, a),)): c for w, c in vec.items()})
+    nmono3 = (16 * len(rows)) ** 3
 
-    points = []
-    quotients = []
-    rows_dims = []
-    for _ in range(3 if mode == "modular" else 1):
-        p = DEFAULT_PRIMES[rng.randrange(len(DEFAULT_PRIMES))]
-        q0 = rng.randrange(2, 10 ** 6)
-        points.append((q0, p))
-        quotients.append(_quotient_dim_mod(n3, ideal_rows, q0, p))
-        rows_dims.append(_quotient_dim_mod(nrow3, row_rows, q0, p))
-    equal = all(a == b for a, b in zip(quotients, rows_dims))
-    return {
-        "points": points,
-        "quotient_dims": quotients,
-        "row_dims": rows_dims,
-        "equal": equal,
-        "status": "probabilistic-pass" if equal and mode == "modular" else
-                  ("pass" if equal else "fail"),
-    }
+    points = draw_points(rng or random.Random(7))
+    quotients = [n3 - rank_mod(ideal_rows, q0, p) for q0, p in points]
+    dims = [nmono3 - rank_mod(rel_rows, q0, p) for q0, p in points]
+    equal = quotients == dims
+    return {"points": points, "quotient_dims": quotients, dims_key: dims,
+            "equal": equal,
+            "status": "probabilistic-pass" if equal else "fail"}
+
+
+def _degree3_row_comparison(s, rng):
+    """Degree-3 kernel evidence: dim of the cell algebra modulo the kernel
+    ideal versus the row subalgebra dimension."""
+    pres = presentation("w")
+    return _degree3_comparison(pres, submodule_span(theta(), pres), [(s, s)],
+                               [s], rng, "row_dims")
 
 
 def psi_ST_check(s, t, degree3=False, rng=None):
@@ -508,46 +465,9 @@ def _degree3_two_row_comparison(s, t, rng):
     has the same graded dimensions as the untwisted one computed here.
     """
     pres = presentation("what")
-    rng = rng or random.Random(7)
-    modules = [v for k in (3, 4, 5) for v in
-               (submodule_span(build_omega(k), pres))]
-    gens = [NCPoly.gen(g) for g in range(pres.ngens)]
-    ideal_rows = []
-    for vec in modules:
-        for g in gens:
-            ideal_rows.append(dict(multiply(g, vec, pres)))
-            ideal_rows.append(dict(multiply(vec, g, pres)))
-    n3 = hilbert_dim(pres, 3)
-
-    deg2 = []
-    for cls in rd.CLASSES:
-        for (i, j), _ in cls:
-            for rows in ((s, s), (t, t), (s, t), (t, s)):
-                vec = frt_relation(rows[0], rows[1], i, j)
-                if vec:
-                    deg2.append(vec)
-    two_rows = []
-    for vec in deg2:
-        for a in rd.ALL_MASKS:
-            for r in (s, t):
-                two_rows.append({(((r, a),) + w): c for w, c in vec.items()})
-                two_rows.append({(w + ((r, a),)): c for w, c in vec.items()})
-    # monomials with all rows in {s, t}: 32^... rows choose from {s,t} per factor
-    nmono3 = (2 * 16) ** 3
-
-    points = []
-    lhs = []
-    rhs = []
-    for _ in range(3):
-        p = DEFAULT_PRIMES[rng.randrange(len(DEFAULT_PRIMES))]
-        q0 = rng.randrange(2, 10 ** 6)
-        points.append((q0, p))
-        lhs.append(_quotient_dim_mod(n3, ideal_rows, q0, p))
-        rhs.append(_quotient_dim_mod(nmono3, two_rows, q0, p))
-    equal = all(a == b for a, b in zip(lhs, rhs))
-    return {"points": points, "quotient_dims": lhs, "two_row_dims": rhs,
-            "equal": equal,
-            "status": "probabilistic-pass" if equal else "fail"}
+    module = [v for k in (3, 4, 5) for v in submodule_span(build_omega(k), pres)]
+    return _degree3_comparison(pres, module, [(s, s), (t, t), (s, t), (t, s)],
+                               [s, t], rng, "two_row_dims")
 
 
 def relation_vector_json(vec):

@@ -3,13 +3,20 @@
 Rank and span questions are answered fraction-free: rows are cross-multiplied
 during elimination and re-normalized by their integer content and a power of q
 (both units or contents, so row spans over the fraction field are preserved).
-Dense Bareiss elimination is provided for the small proof matrices, and a
-modular specialization handles the heavy degree-3 comparisons.
+Dense Bareiss elimination is provided for the small proof matrices.
+
+The heavy rank questions (degree-3 comparisons, large highest-weight blocks)
+are answered over GF(p) by one path: rank_mod specializes rows at q = q0 and
+ranks them, at evaluation points drawn by draw_points.  Such a rank is a lower
+bound on the exact rank, so callers treat agreement as evidence, not proof.
 """
 
 from math import gcd
 
-from .qcoeff import LaurentPoly, ONE, ZERO, RatFunc
+from .qcoeff import LaurentPoly, ONE, ZERO, RatFunc, accumulate
+
+# the primes rank_mod evaluates over, drawn by draw_points
+PRIMES = ((1 << 61) - 1, 1000000007, 998244353)
 
 
 class SparseMat:
@@ -51,21 +58,13 @@ class SparseMat:
     def add(self, other):
         out = dict(self.entries)
         for k, v in other.entries.items():
-            w = out.get(k, ZERO) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
+            accumulate(out, k, v)
         return SparseMat._raw(self.nrows, self.ncols, out)
 
     def sub(self, other):
         out = dict(self.entries)
         for k, v in other.entries.items():
-            w = out.get(k, ZERO) - v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
+            accumulate(out, k, -v)
         return SparseMat._raw(self.nrows, self.ncols, out)
 
     def scale(self, s):
@@ -82,12 +81,7 @@ class SparseMat:
         out = {}
         for (r, k), v in self.entries.items():
             for c, w in by_row.get(k, ()):
-                key = (r, c)
-                acc = out.get(key, ZERO) + v * w
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
+                accumulate(out, (r, c), v * w)
         return SparseMat._raw(self.nrows, other.ncols, out)
 
     def kron(self, other):
@@ -104,11 +98,7 @@ class SparseMat:
         for (r, c), v in self.entries.items():
             x = vec.get(c)
             if x:
-                acc = out.get(r, ZERO) + v * x
-                if acc:
-                    out[r] = acc
-                elif r in out:
-                    del out[r]
+                accumulate(out, r, v * x)
         return out
 
     def commutes_with(self, other):
@@ -121,16 +111,6 @@ class SparseMat:
         ents = [{"r": row_label(r), "c": col_label(c), "value": v.to_json()}
                 for (r, c), v in sorted(self.entries.items())]
         return {"rows": self.nrows, "cols": self.ncols, "entries": ents}
-
-
-def mat_eval_mod(mat, q0, p):
-    """Specialize a SparseMat at q = q0 over GF(p); returns {(r, c): int}."""
-    out = {}
-    for k, v in mat.entries.items():
-        x = v.eval_mod(q0, p)
-        if x:
-            out[k] = x
-    return out
 
 
 # --- sparse row utilities ---------------------------------------------------
@@ -272,9 +252,20 @@ def spans_equal(rows_a, rows_b):
     return all(ea.contains(r) for r in rows_b) and all(eb.contains(r) for r in rows_a)
 
 
+def draw_points(rng):
+    """Three evaluation points (q0, p), each a prime of PRIMES and then
+    q0 in [2, 10^6), drawn from rng in that order."""
+    points = []
+    for _ in range(3):
+        p = PRIMES[rng.randrange(len(PRIMES))]
+        points.append((rng.randrange(2, 10 ** 6), p))
+    return points
+
+
 def rank_mod(rows, q0, p):
     """Rank of Laurent rows specialized at q = q0 over GF(p) (a lower bound
-    on the exact rank, with equality for all but finitely many q0)."""
+    on the exact rank, with equality for all but finitely many q0).  This is
+    the only place rows are specialized."""
     ech = EchelonMod(p)
     for row in rows:
         spec = {}

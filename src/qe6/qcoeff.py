@@ -134,26 +134,6 @@ class LaurentPoly:
     def max_exp(self):
         return max(self.c) if self.c else 0
 
-    def content(self):
-        """gcd of the integer coefficients, signed by the leading coefficient."""
-        if not self.c:
-            return 0
-        g = 0
-        for v in self.c.values():
-            g = gcd(g, abs(v))
-        if self.c[max(self.c)] < 0:
-            g = -g
-        return g
-
-    def divide_int(self, n):
-        out = {}
-        for e, v in self.c.items():
-            w, r = divmod(v, n)
-            if r:
-                raise ValueError("inexact integer division of coefficients")
-            out[e] = w
-        return LaurentPoly._raw(out)
-
     def exact_div(self, other):
         """Exact division in the Laurent ring; raises ValueError if inexact."""
         if not other:
@@ -254,19 +234,18 @@ def qhat():
 QHAT = qhat()
 
 
-def lp_arith(a, b, kind):
-    """Dispatch form of the ring operations (add/sub/mul)."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    raise ValueError("unknown arithmetic kind %r" % (kind,))
+def accumulate(terms, key, value):
+    """Add value into terms[key], deleting the key when the sum is zero.
 
-
-def lp_eval_mod(a, q0, p):
-    return a.eval_mod(q0, p)
+    `terms` is a sparse vector {key: coefficient} that stores no zero
+    coefficient; the coefficients may be LaurentPoly or RatFunc values.
+    """
+    if key in terms:
+        value = terms[key] + value
+    if value:
+        terms[key] = value
+    elif key in terms:
+        del terms[key]
 
 
 # -- ordinary (non-Laurent) polynomial helpers used for gcd and fractions --

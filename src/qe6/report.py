@@ -14,7 +14,6 @@ REPORT_VERSION = 1
 PASS = "pass"
 FAIL = "fail"
 PROBABILISTIC = "probabilistic-pass"
-SKIPPED = "skipped"
 
 
 class Check:
@@ -58,11 +57,6 @@ def render_report(report, seed, max_degree, mode):
         "passed": report["passed"],
         "checks": report["checks"],
     }
-
-
-def print_lines(report, stream):
-    for check in report["checks"]:
-        stream.write("%-12s %s\n" % (check["status"], check["claim_id"]))
 
 
 def dumps(obj):

@@ -8,7 +8,9 @@ table, the braid identity, module-map equivariance, and the eigenspace that
 recovers the quadratic relations of the 16-generator cell algebra.
 """
 
-from .qcoeff import ONE, ZERO, QHAT, Q, qpow, neg_qpow
+from functools import cache
+
+from .qcoeff import ONE, ZERO, QHAT, Q, RatFunc, qpow, neg_qpow, accumulate
 from . import rootdata as rd
 from .linalg import SparseMat, Echelon, bareiss_rank, ratfunc_inverse
 from .spinrep import SPIN_BASIS, SPIN_INDEX, DIM, rho_matrix, chevalley_action, phi_scalars
@@ -46,14 +48,9 @@ def phi_factor(i, j, primed):
 _FACTOR_ORDER = [(4, 5), (3, 5), (2, 5), (1, 5), (3, 4), (2, 4), (1, 4),
                  (2, 3), (1, 3), (1, 2)]
 
-_RHAT = None
-
-
+@cache
 def build_rhat():
     """The exact 256x256 braiding matrix on the lex-ordered pair basis."""
-    global _RHAT
-    if _RHAT is not None:
-        return _RHAT
     acc = SparseMat.identity(TDIM)
     # rightmost factor acts first: all primed factors, then the plain ones
     for primed in (True, False):
@@ -65,8 +62,7 @@ def build_rhat():
         a, b = tensor_masks(r)
         scaled = v * qpow(rd.INNER_WT[(a, b)])
         entries[(tensor_index(b, a), c)] = scaled
-    _RHAT = SparseMat(TDIM, TDIM, entries)
-    return _RHAT
+    return SparseMat(TDIM, TDIM, entries)
 
 
 def rhat_coeff(mask_i, mask_j, mask_k, mask_l):
@@ -208,19 +204,13 @@ def equivariance_check():
                     inv_entries[(r, c)] = v
     if inverse_ok:
         # verify the assembled inverse exactly, over the fraction field
-        from .qcoeff import RatFunc
         prod = {}
         by_row = {}
         for (r, c), v in inv_entries.items():
             by_row.setdefault(r, []).append((c, v))
         for (r, k), v in rhat.entries.items():
             for c, w in by_row.get(k, ()):
-                key = (r, c)
-                acc = prod.get(key, RatFunc(0)) + RatFunc.from_poly(v) * w
-                if acc:
-                    prod[key] = acc
-                else:
-                    prod.pop(key, None)
+                accumulate(prod, (r, c), RatFunc.from_poly(v) * w)
         ident = {(i, i): RatFunc(1) for i in range(TDIM)}
         inverse_ok = prod == ident
     return {"ok": not failures and inverse_ok,

@@ -8,11 +8,12 @@ Normal words are non-increasing in a fixed total order on generators; in the
 affine algebra every delta-shifted generator precedes every plain one.
 """
 
+from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb
 from itertools import product
 
-from .qcoeff import LaurentPoly, ONE, ZERO, QHAT, qpow, neg_qpow
+from .qcoeff import LaurentPoly, ONE, ZERO, QHAT, qpow, neg_qpow, accumulate
 from . import rootdata as rd
 
 
@@ -51,12 +52,7 @@ class NCPoly(dict):
     def one(cls):
         return cls.from_word((), ONE)
 
-    def iadd_term(self, word, coeff):
-        acc = self.get(word, ZERO) + coeff
-        if acc:
-            self[word] = acc
-        elif word in self:
-            del self[word]
+    iadd_term = accumulate
 
     def __add__(self, other):
         out = NCPoly(self)
@@ -170,13 +166,9 @@ def _build_what():
         "what", 32, order + order, (False,) * 16 + (True,) * 16, rules)
 
 
-_PRES = {}
-
-
+@cache
 def presentation(algebra_id):
-    if algebra_id not in _PRES:
-        _PRES[algebra_id] = _build_w() if algebra_id == "w" else _build_what()
-    return _PRES[algebra_id]
+    return _build_w() if algebra_id == "w" else _build_what()
 
 
 REWRITE_BUDGET = 10 ** 6
@@ -336,11 +328,7 @@ def rule_relation_vectors(pres, twisted=False):
     for (a, b), items in sorted(pres.rules.items()):
         vec = {(a, b): ONE}
         for rc, pair in items:
-            acc = vec.get(pair, ZERO) - rc
-            if acc:
-                vec[pair] = acc
-            elif pair in vec:
-                del vec[pair]
+            accumulate(vec, pair, -rc)
         if twisted:
             vec = {w: c * qpow(-pres.gen_weight[w[0]][0] * pres.gen_weight[w[1]][1])
                    for w, c in vec.items()}

@@ -9,7 +9,9 @@ relation of the rank-5 quantized enveloping algebra is then checked as an
 exact 16x16 matrix identity.
 """
 
-from .qcoeff import LaurentPoly, ONE, ZERO, QHAT, qpow, neg_qpow, Q, QINV
+from functools import cache
+
+from .qcoeff import LaurentPoly, ONE, QHAT, qpow, neg_qpow, Q, QINV, accumulate
 from . import rootdata as rd
 from .linalg import SparseMat
 
@@ -44,12 +46,7 @@ class ExtElement(dict):
             out[mask] = coeff
         return out
 
-    def iadd(self, mask, coeff):
-        acc = self.get(mask, ZERO) + coeff
-        if acc:
-            self[mask] = acc
-        elif mask in self:
-            del self[mask]
+    iadd = accumulate
 
     def __add__(self, other):
         out = ExtElement(self)
@@ -88,9 +85,7 @@ def _c_exp(i, j, mask):
     return _sign(i - j) * (i + j - 3 - 2 * bin(mask).count("1"))
 
 
-_RHO_CACHE = {}
-
-
+@cache
 def rho_matrix(kind, i, j=None):
     """Matrix of one root vector or group-like generator on the spin module.
 
@@ -99,9 +94,6 @@ def rho_matrix(kind, i, j=None):
     creates it when i > j.
     kind "K" with i in the acting index set: diagonal q-powers.
     """
-    key = (kind, i, j)
-    if key in _RHO_CACHE:
-        return _RHO_CACHE[key]
     entries = {}
     if kind == "K":
         if i not in rd.IPRIME:
@@ -143,9 +135,7 @@ def rho_matrix(kind, i, j=None):
                 entries[(SPIN_INDEX[mask | bit_i | bit_j], col)] = neg_qpow(exp)
     else:
         raise ValueError("unknown generator kind %r" % (kind,))
-    mat = SparseMat(DIM, DIM, entries)
-    _RHO_CACHE[key] = mat
-    return mat
+    return SparseMat(DIM, DIM, entries)
 
 
 def chevalley_action(kind, i):

@@ -35,6 +35,9 @@ def test_nf_parse_error_exit_2(capsys):
     ("nf", "(", "--algebra", "w"),
     ("nf", "q^", "--algebra", "w"),
     ("decompose", "--algebra", "w", "--degree", "-1"),
+    ("relations", "--frt-two-rows", "e", "e"),
+    ("relations", "--frt-two-rows", "e", "1234"),
+    ("verify", "--max-degree", "-5"),
 ])
 def test_truncated_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -1,7 +1,9 @@
+import json
 import random
 
 import pytest
 
+from qe6 import checks
 from qe6 import rootdata as rd
 from qe6.qcoeff import ONE, Q, QHAT
 from qe6.linalg import Echelon
@@ -144,6 +146,22 @@ def test_theta_image_supplies_the_extra_relations():
         assert ech.contains(carried)
 
 
+def test_row_sweep_failure_detail_is_json(monkeypatch):
+    computed = frt.row_presentation
+
+    def first_row_bad(s):
+        rep = computed(s)
+        rep["blocks"][0]["stated_ok"] = rep["ok"] = False
+        return rep
+
+    monkeypatch.setattr(frt, "row_presentation", first_row_bad)
+    status, details = checks._chk_row_sweep()
+    assert status == "fail"
+    assert details["blocks_bad"] == [{"class_head": ("e", "e"), "rank": 0,
+                                      "stated_count": 0}]
+    json.dumps(details)
+
+
 def test_psi_s_single_row():
     rep = frt.psi_S_check(0)
     assert rep["ok"]
@@ -159,6 +177,9 @@ def test_psi_s_degree3_modular():
     assert deg3["status"] == "probabilistic-pass"
     assert deg3["quotient_dims"] == deg3["row_dims"]
     assert deg3["quotient_dims"][0] == 672
+    # the points Random(4) draws: each a prime, then q0
+    assert deg3["points"] == [(318033, 2**61 - 1), (756252, 2**61 - 1),
+                              (502142, 1000000007)]
 
 
 def test_psi_st_single_pair():

@@ -3,17 +3,29 @@ import random
 import pytest
 
 from qe6.qcoeff import (LaurentPoly, RatFunc, ONE, ZERO, Q, QINV, QHAT,
-                        qpow, neg_qpow, qint, qhat, lp_arith, lp_eval_mod)
+                        qpow, neg_qpow, qint, qhat, accumulate)
 
 
 def test_ring_examples():
     a = Q + QINV
     b = Q - QINV
-    assert lp_arith(a, b, "add") == LaurentPoly({1: 2})
-    assert lp_arith(b, a, "mul") == LaurentPoly({2: 1, -2: -1})
-    assert lp_arith(ZERO, LaurentPoly({5: 1, 0: -3}), "mul") == ZERO
-    with pytest.raises(ValueError):
-        lp_arith(a, b, "div")
+    assert a + b == LaurentPoly({1: 2})
+    assert b * a == LaurentPoly({2: 1, -2: -1})
+    assert ZERO * LaurentPoly({5: 1, 0: -3}) == ZERO
+
+
+@pytest.mark.parametrize("value", [Q + QINV, RatFunc(QHAT, qint(2))],
+                         ids=["LaurentPoly", "RatFunc"])
+def test_accumulate_drops_zero_sums(value):
+    terms = {}
+    accumulate(terms, "x", value)
+    assert terms == {"x": value}
+    accumulate(terms, "x", value)
+    assert terms == {"x": value + value}
+    accumulate(terms, "x", -(value + value))
+    assert terms == {}
+    accumulate(terms, "y", value - value)
+    assert terms == {}
 
 
 def test_qint():
@@ -39,11 +51,11 @@ def test_qint_qhat_identity():
 
 def test_eval_mod():
     a = Q + QINV
-    assert lp_eval_mod(a, 2, 7) == 6
-    assert lp_eval_mod(ZERO, 3, 11) == 0
-    assert lp_eval_mod(Q - QINV, 1, 5) == 0
+    assert a.eval_mod(2, 7) == 6
+    assert ZERO.eval_mod(3, 11) == 0
+    assert (Q - QINV).eval_mod(1, 5) == 0
     with pytest.raises(ValueError):
-        lp_eval_mod(a, 7, 7)
+        a.eval_mod(7, 7)
 
 
 def test_eval_mod_is_ring_hom():
