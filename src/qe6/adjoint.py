@@ -94,21 +94,6 @@ def ad_K(i, x, pres, inverse=False):
     return out
 
 
-def ad_gen(kind, i, x, pres):
-    """Adjoint action of one Chevalley generator of the rank-5 subalgebra."""
-    if i not in rd.IPRIME:
-        raise ValueError("index %r is outside the acting subalgebra" % (i,))
-    if kind == "E":
-        return ad_E(i, x, pres)
-    if kind == "F":
-        return ad_F(i, x, pres)
-    if kind == "K":
-        return ad_K(i, x, pres)
-    if kind == "Kinv":
-        return ad_K(i, x, pres, inverse=True)
-    raise ValueError("unknown generator kind %r" % (kind,))
-
-
 def ad_F_word(indices, x, pres):
     """ad(F_{i1} ... F_{ik}) x; the rightmost index acts first."""
     for i in reversed(tuple(indices)):
@@ -510,39 +495,6 @@ def generator_matrices(pres):
         mats[("K", i)] = SparseMat(n, n, k)
         mats[("Kinv", i)] = SparseMat(n, n, kinv)
     return mats
-
-
-def operator_relation_failures(pres):
-    """Defining relations of the acting algebra, checked as matrix identities
-    on the generator span.  Returns a list of failed relation names."""
-    from .qcoeff import QHAT
-    mats = generator_matrices(pres)
-    n = pres.ngens
-    fails = []
-    for i in rd.IPRIME:
-        for j in rd.IPRIME:
-            ei, fj = mats[("E", i)], mats[("F", j)]
-            lhs = ei.mul(fj).sub(fj.mul(ei)).scale(QHAT)
-            rhs = mats[("K", i)].sub(mats[("Kinv", i)]) if i == j else SparseMat(n, n)
-            if lhs != rhs:
-                fails.append("commutator E%d F%d" % (i, j))
-            aij = rd.GRAM[i][j]
-            ki, ej = mats[("K", i)], mats[("E", j)]
-            if ki.mul(ej) != ej.mul(ki).scale(qpow(aij)):
-                fails.append("K%d E%d scaling" % (i, j))
-            if i != j:
-                for kind in ("E", "F"):
-                    a, b = mats[(kind, i)], mats[(kind, j)]
-                    if aij == 0:
-                        ok = a.mul(b) == b.mul(a)
-                    else:
-                        two = Q + QINV
-                        ok = (a.mul(a).mul(b)
-                              .sub(a.mul(b).mul(a).scale(two))
-                              .add(b.mul(a).mul(a))).is_zero()
-                    if not ok:
-                        fails.append("serre %s%d %s%d" % (kind, i, kind, j))
-    return fails
 
 
 def module_algebra_failures(pres, samples=200, rng=None, max_degree=3):

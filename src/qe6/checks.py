@@ -301,8 +301,8 @@ def _chk_module_algebra(rng):
 
 
 def _chk_operator_relations():
-    f1 = aj.operator_relation_failures(sc.presentation("w"))
-    f2 = aj.operator_relation_failures(sc.presentation("what"))
+    f1 = sp.relation_failures(aj.generator_matrices(sc.presentation("w")))
+    f2 = sp.relation_failures(aj.generator_matrices(sc.presentation("what")))
     return _ok(not f1 and not f2, {"failures": (f1 + f2)[:5]})
 
 
@@ -374,7 +374,7 @@ def _chk_omega_dependence():
     p410 = sc.multiply(aj.build_omega(4), aj.build_omega(10), pres)
     residual = p59 + p311.scale(qpow(-6)) - p410.scale(qpow(-4))
     printed_residual = p59 + p311.scale(qpow(-6)) - p410.scale(qpow(-2))
-    return _ok(residual.is_zero(),
+    return _ok(residual.is_zero() and not printed_residual.is_zero(),
                {"relation": "omega5*omega9 = -q^-6 omega3*omega11 + q^-4 omega4*omega10",
                 "holds": residual.is_zero(),
                 "printed_coefficient_note":
@@ -420,7 +420,7 @@ def adjoint_checks(max_degree, mode, rng):
 # --- spin representation --------------------------------------------------------
 
 def _chk_spin_relations():
-    fails = sp.relation_failures()
+    fails = sp.relation_failures(sp.generator_matrices())
     return _ok(not fails, {"failures": fails[:5]})
 
 
@@ -481,7 +481,7 @@ def _chk_coeff_table():
     detail["note"] = ("the published flip-case expression carries (-q)^d where "
                       "the construction forces q^d; the corrected table matches "
                       "every entry")
-    return _ok(rep["ok"], detail)
+    return _ok(rep["ok"] and rep["printed_flip_diff_count"] == 30, detail)
 
 
 def _chk_support():
@@ -545,8 +545,9 @@ def _chk_rank_facts():
                       "(row 4, column 6 reads 1 for q - q^-1); as printed its "
                       "rank would be %d, contradicting the stated rank 5"
                       % rep["display_rank_as_printed"])
-    ok = (rep["ok"] and rep["display_diffs"] == [
-        {"row": 4, "col": 6, "printed": "1", "derived": "q - q^-1"}])
+    ok = (rep["ok"] and rep["display_rank_as_printed"] == 6
+          and rep["display_diffs"] == [
+              {"row": 4, "col": 6, "printed": "1", "derived": "q - q^-1"}])
     return _ok(ok, detail)
 
 
@@ -579,7 +580,7 @@ def _chk_psi_s_sweep(rng):
             if not rep["ok"]:
                 return FAIL, {"row": rd.label(s), "report": {
                     k: v for k, v in rep.items() if k != "relation_failures"}}
-        deg3 = frt.psi_S_check(0, degree3=True, rng=rng)["degree3"]
+        deg3 = frt._degree3_row_comparison(0, rng)
         status = PROBABILISTIC if deg3["status"] == "probabilistic-pass" else FAIL
         return status, {"rows": 16, "degree2_quotient": 126, "degree3": deg3}
     return run

@@ -77,27 +77,22 @@ def cmd_relations(args):
                          "word": [pres.gen_label[u], pres.gen_label[v]]}
                         for c, (u, v) in items],
             })
-    elif args.frt_row is not None:
-        s = rd.parse_label(args.frt_row)
-        doc = []
-        for cls in rd.CLASSES:
-            for (i, j), _ in cls:
-                vec = frt.frt_relation(s, s, i, j)
-                if vec:
-                    doc.append({"rows": [rd.label(s), rd.label(s)],
-                                "cols": [rd.label(i), rd.label(j)],
-                                "vector": frt.relation_vector_json(vec)})
     else:
-        s, t = (rd.parse_label(x) for x in args.frt_two_rows)
-        if not (frt.admissible(s, t) or frt.admissible(t, s)):
-            raise ValueError("rows must differ by one move (|S delta T| = 2)")
+        if args.frt_row is not None:
+            s = rd.parse_label(args.frt_row)
+            row_pairs = [(s, s)]
+        else:
+            s, t = (rd.parse_label(x) for x in args.frt_two_rows)
+            if not (frt.admissible(s, t) or frt.admissible(t, s)):
+                raise ValueError("rows must differ by one move (|S delta T| = 2)")
+            row_pairs = [(s, t), (t, s)]
         doc = []
-        for upper in ((s, t), (t, s)):
+        for a, b in row_pairs:
             for cls in rd.CLASSES:
                 for (i, j), _ in cls:
-                    vec = frt.frt_relation(upper[0], upper[1], i, j)
+                    vec = frt.frt_relation(a, b, i, j)
                     if vec:
-                        doc.append({"rows": [rd.label(upper[0]), rd.label(upper[1])],
+                        doc.append({"rows": [rd.label(a), rd.label(b)],
                                     "cols": [rd.label(i), rd.label(j)],
                                     "vector": frt.relation_vector_json(vec)})
     sys.stdout.write(rp.dumps(doc))

@@ -8,8 +8,6 @@ rank facts from the published proofs, and the homomorphism/kernel checks that
 tie the rows back to the (twisted) quantum Schubert cell algebras.
 """
 
-import random
-
 from .qcoeff import ONE, ZERO, QHAT, Q, QINV, qpow, neg_qpow, accumulate
 from . import rootdata as rd
 from .linalg import Echelon, bareiss_rank, spans_equal, draw_points, rank_mod
@@ -76,15 +74,6 @@ def stated_mixed_relations(s, t, cls):
         vec = {((s, i), (t, j)): neg_qpow(h) for (i, j), h in cls}
         out.append(vec)
     return out
-
-
-def _class_words_row(s, cls):
-    return [((s, i), (s, j)) for (i, j), _ in cls]
-
-
-def _class_words_mixed(s, t, cls):
-    return ([((s, i), (t, j)) for (i, j), _ in cls]
-            + [((t, i), (s, j)) for (i, j), _ in cls])
 
 
 def row_presentation(s):
@@ -301,14 +290,13 @@ def _class_index_of_words(vec):
     return rd._CLASS_KEY[(i, j)]
 
 
-def psi_S_check(s, degree3=False, rng=None):
+def psi_S_check(s):
     """Row homomorphism and kernel checks.
 
     (a) every straightening relation of the 16-generator algebra, transported
     along Y -> X[s, .], lies in the computed row relation span; (b) so do the
-    ten vectors of the degree-2 kernel module; (c) quotient dimensions match:
-    exactly at degree 2, and optionally at degree 3 at three modular
-    evaluation points (evidence, reported as probabilistic-pass).
+    ten vectors of the degree-2 kernel module; (c) quotient dimensions match
+    exactly at degree 2.  The degree-3 comparison is _degree3_row_comparison.
     """
     pres = presentation("w")
     row = row_presentation(s)
@@ -339,11 +327,8 @@ def psi_S_check(s, degree3=False, rng=None):
         "degree2_equal": row["degree2_dim"] == deg2_quotient,
         "row_relations_match_stated": row["ok"],
     }
-    if degree3:
-        result["degree3"] = _degree3_row_comparison(s, rng)
     result["ok"] = (not hom_fails and kernel_fails == 0 and
-                    result["degree2_equal"] and row["ok"] and
-                    result.get("degree3", {}).get("equal", True))
+                    result["degree2_equal"] and row["ok"])
     return result
 
 
@@ -380,7 +365,7 @@ def _degree3_comparison(pres, module, row_pairs, rows, rng, dims_key):
                 rel_rows.append({(w + ((r, a),)): c for w, c in vec.items()})
     nmono3 = (16 * len(rows)) ** 3
 
-    points = draw_points(rng or random.Random(7))
+    points = draw_points(rng)
     quotients = [n3 - rank_mod(ideal_rows, q0, p) for q0, p in points]
     dims = [nmono3 - rank_mod(rel_rows, q0, p) for q0, p in points]
     equal = quotients == dims
@@ -397,13 +382,13 @@ def _degree3_row_comparison(s, rng):
                                [s], rng, "row_dims")
 
 
-def psi_ST_check(s, t, degree3=False, rng=None):
+def psi_ST_check(s, t):
     """Two-row homomorphism and kernel checks for an admissible pair.
 
     (a) every defining relation of the twisted affine cell algebra carries to
     the computed two-row relation span; (b) the three ten-dimensional kernel
-    modules carry into it; (c) degree-2 dimensions agree exactly; optionally
-    (d) degree-3 dimensions agree at modular evaluation points.
+    modules carry into it; (c) degree-2 dimensions agree exactly.  The
+    degree-3 comparison is _degree3_two_row_comparison.
     """
     pres = presentation("what")
     two = two_row_presentation(s, t)
@@ -450,11 +435,8 @@ def psi_ST_check(s, t, degree3=False, rng=None):
         "degree2_equal": two["degree2_dim"] == deg2_quotient,
         "two_row_relations_match_stated": two["ok"],
     }
-    if degree3:
-        result["degree3"] = _degree3_two_row_comparison(s, t, rng)
     result["ok"] = (not hom_fails and result["kernel_vectors_carried"] and
-                    result["degree2_equal"] and two["ok"] and
-                    result.get("degree3", {}).get("equal", True))
+                    result["degree2_equal"] and two["ok"])
     return result
 
 

@@ -235,12 +235,6 @@ class EchelonMod:
         return grew
 
 
-def span_rank(rows):
-    ech = Echelon()
-    ech.add_all(rows)
-    return ech.rank
-
-
 def spans_equal(rows_a, rows_b):
     """Exact equality of the two row spans over the fraction field."""
     ea = Echelon()

@@ -10,7 +10,7 @@ recovers the quadratic relations of the 16-generator cell algebra.
 
 from functools import cache
 
-from .qcoeff import ONE, ZERO, QHAT, Q, RatFunc, qpow, neg_qpow, accumulate
+from .qcoeff import ONE, ZERO, QHAT, Q, RatFunc, qpow, neg_qpow
 from . import rootdata as rd
 from .linalg import SparseMat, Echelon, bareiss_rank, ratfunc_inverse
 from .spinrep import SPIN_BASIS, SPIN_INDEX, DIM, rho_matrix, chevalley_action, phi_scalars
@@ -204,15 +204,10 @@ def equivariance_check():
                     inv_entries[(r, c)] = v
     if inverse_ok:
         # verify the assembled inverse exactly, over the fraction field
-        prod = {}
-        by_row = {}
-        for (r, c), v in inv_entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        for (r, k), v in rhat.entries.items():
-            for c, w in by_row.get(k, ()):
-                accumulate(prod, (r, c), RatFunc.from_poly(v) * w)
-        ident = {(i, i): RatFunc(1) for i in range(TDIM)}
-        inverse_ok = prod == ident
+        lifted = SparseMat(TDIM, TDIM, {k: RatFunc.from_poly(v)
+                                        for k, v in rhat.entries.items()})
+        prod = lifted.mul(SparseMat(TDIM, TDIM, inv_entries))
+        inverse_ok = prod.entries == {(i, i): RatFunc(1) for i in range(TDIM)}
     return {"ok": not failures and inverse_ok,
             "commutant_failures": failures,
             "invertible": inverse_ok}

@@ -156,13 +156,21 @@ def chevalley_action(kind, i):
     return rho_matrix("E", *pair)
 
 
-def relation_failures():
-    """Defining relations of the acting algebra as exact matrix identities."""
-    fails = []
-    mats = {(k, i): chevalley_action(k, i)
+def generator_matrices():
+    """Matrices of the Chevalley generators on the spin module, keyed by
+    (kind, i) with kind in E, F, K, Kinv."""
+    return {(k, i): chevalley_action(k, i)
             for k in ("E", "F", "K", "Kinv") for i in rd.IPRIME}
-    ident = SparseMat.identity(DIM)
-    zero = SparseMat(DIM, DIM)
+
+
+def relation_failures(mats):
+    """Defining relations of the acting algebra as exact matrix identities on
+    any module, given its generator matrices {(kind, i): SparseMat} (kind in
+    E, F, K, Kinv).  Returns the names of the failed relations."""
+    fails = []
+    n = mats[("K", rd.IPRIME[0])].nrows
+    ident = SparseMat.identity(n)
+    zero = SparseMat(n, n)
     for i in rd.IPRIME:
         if mats[("K", i)].mul(mats[("Kinv", i)]) != ident:
             fails.append("K%d inverse" % i)

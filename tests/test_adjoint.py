@@ -6,6 +6,7 @@ from qe6 import rootdata as rd
 from qe6.qcoeff import Q, QINV, qpow
 from qe6 import schubert as sc
 from qe6 import adjoint as aj
+from qe6 import spinrep as sp
 
 M = rd.mask_of
 W = sc.presentation("w")
@@ -17,9 +18,7 @@ def test_ad_on_generators():
     assert aj.ad_F(2, y0, W) == sc.NCPoly({(W.rank(M([1, 2])),): -QINV})
     assert aj.ad_E(2, y0, W).is_zero()
     assert aj.ad_K(2, y0, W) == sc.NCPoly({(W.rank(0),): Q})
-    assert aj.ad_gen("Kinv", 2, y0, W) == sc.NCPoly({(W.rank(0),): QINV})
-    with pytest.raises(ValueError):
-        aj.ad_gen("E", 1, y0, W)
+    assert aj.ad_K(2, y0, W, inverse=True) == sc.NCPoly({(W.rank(0),): QINV})
 
 
 def test_theta_is_highest_weight():
@@ -109,8 +108,8 @@ def test_module_algebra_sample():
 
 
 def test_operator_relations_on_spans():
-    assert aj.operator_relation_failures(W) == []
-    assert aj.operator_relation_failures(WH) == []
+    assert sp.relation_failures(aj.generator_matrices(W)) == []
+    assert sp.relation_failures(aj.generator_matrices(WH)) == []
 
 
 def test_decompose_finite_low_degrees():

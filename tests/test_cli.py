@@ -89,13 +89,17 @@ def test_relations_frt_row(capsys):
     code, out, _ = run(capsys, "relations", "--frt-row", "e")
     assert code == 0
     doc = json.loads(out)
-    assert doc and set(doc[0]) == {"rows", "cols", "vector"}
+    assert len(doc) == 240
+    assert set(doc[0]) == {"rows", "cols", "vector"}
+    assert all(item["rows"] == ["e", "e"] for item in doc)
 
 
 def test_relations_frt_two_rows(capsys):
     code, out, _ = run(capsys, "relations", "--frt-two-rows", "12", "e")
     assert code == 0
-    assert json.loads(out)
+    doc = json.loads(out)
+    assert len(doc) == 512
+    assert {tuple(item["rows"]) for item in doc} == {("12", "e"), ("e", "12")}
 
 
 def test_relations_requires_one_selector(capsys):

@@ -171,9 +171,7 @@ def test_psi_s_single_row():
 
 
 def test_psi_s_degree3_modular():
-    rep = frt.psi_S_check(0, degree3=True, rng=random.Random(4))
-    assert rep["ok"]
-    deg3 = rep["degree3"]
+    deg3 = frt._degree3_row_comparison(0, random.Random(4))
     assert deg3["status"] == "probabilistic-pass"
     assert deg3["quotient_dims"] == deg3["row_dims"]
     assert deg3["quotient_dims"][0] == 672

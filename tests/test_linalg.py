@@ -1,8 +1,8 @@
 import random
 
 from qe6.qcoeff import LaurentPoly, ONE, ZERO, Q, QINV, QHAT, qpow, RatFunc
-from qe6.linalg import (SparseMat, Echelon, EchelonMod, span_rank, spans_equal,
-                        rank_mod, bareiss_rank, ratfunc_inverse, row_normalize)
+from qe6.linalg import (SparseMat, Echelon, EchelonMod, spans_equal, rank_mod,
+                        bareiss_rank, ratfunc_inverse, row_normalize)
 
 
 def test_sparse_mat_ops():
@@ -20,9 +20,9 @@ def test_sparse_mat_ops():
 
 def test_echelon_rank_and_membership():
     rows = [{0: ONE, 1: Q}, {0: Q, 1: Q * Q}, {1: ONE, 2: QHAT}]
-    assert span_rank(rows) == 2
     ech = Echelon()
     ech.add_all(rows)
+    assert ech.rank == 2
     assert ech.contains({0: Q * Q, 1: qpow(3)})
     assert not ech.contains({2: ONE})
 
@@ -42,7 +42,9 @@ def test_bareiss_rank_matches_random_modular():
                 for _ in range(n)] for _ in range(n + 1)]
         rank = bareiss_rank(mat)
         rows = [{c: v for c, v in enumerate(row) if v} for row in mat]
-        assert rank == span_rank(rows)
+        ech = Echelon()
+        ech.add_all(rows)
+        assert rank == ech.rank
         assert rank_mod(rows, 12345, (1 << 61) - 1) <= rank
 
 

@@ -52,7 +52,14 @@ def test_chevalley_degrees():
 
 
 def test_defining_relations():
-    assert sp.relation_failures() == []
+    assert sp.relation_failures(sp.generator_matrices()) == []
+
+
+def test_defining_relations_detect_a_rescaled_generator():
+    # E2 -> q E2 keeps the K scaling and Serre relations but breaks [E2, F2]
+    mats = sp.generator_matrices()
+    mats[("E", 2)] = mats[("E", 2)].scale(Q)
+    assert sp.relation_failures(mats) == ["commutator E2 F2"]
 
 
 def test_weight_structure():
