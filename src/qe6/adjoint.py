@@ -8,6 +8,7 @@ thirteen Omegas), cyclic submodule spans, the Weyl dimension formula, and the
 degree-by-degree decomposition reports.
 """
 
+import random
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -15,8 +16,8 @@ from math import comb
 from .qcoeff import LaurentPoly, ONE, Q, QINV, qpow
 from . import rootdata as rd
 from .schubert import (NCPoly, presentation, normal_form, multiply, q_degree,
-                       hilbert_dim)
-from .linalg import Echelon, SparseMat, draw_points, rank_mod
+                       hilbert_dim, normal_words)
+from .linalg import Echelon, SparseMat, cyclic_span, draw_points, rank_mod
 
 NEG_Q = LaurentPoly.term(-1, 1)
 NEG_QINV = LaurentPoly.term(-1, -1)
@@ -229,59 +230,17 @@ OMEGA_EXPECTED = {
 
 
 def submodule_span(x, pres):
-    """Basis of the span of all lowering-word images of a vector.
-
-    Closure under every ad(F_i) with weight-blocked exact reduction; the
-    returned vectors are the images that enlarged the span (x first).
-    """
-    if not x:
-        return []
-    basis = []
-    echelons = {}
-
-    def try_add(v):
-        if not v:
-            return False
-        mu = q_degree(v, pres)
-        ech = echelons.setdefault(mu, Echelon())
-        if ech.add(v):
-            basis.append(v)
-            return True
-        return False
-
-    try_add(x)
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in rd.IPRIME:
-                w = ad_F(i, v, pres)
-                if try_add(w):
-                    nxt.append(w)
-        frontier = nxt
-    return basis
+    """Basis of the span of all lowering-word images of a vector: its cyclic
+    span under every ad(F_i), graded by q_degree (x first)."""
+    ops = [lambda v, i=i: ad_F(i, v, pres) for i in rd.IPRIME]
+    return cyclic_span(x, ops, lambda v: q_degree(v, pres))
 
 
 # --- Weyl dimension formula --------------------------------------------------
 
-def _d5_positive_roots():
-    roots = set(rd.ALPHA[i] for i in rd.IPRIME)
-    frontier = set(roots)
-    while frontier:
-        nxt = set()
-        for r in frontier:
-            for i in rd.IPRIME:
-                s = rd.wsub(r, tuple(rd.inner(r, rd.ALPHA[i]) * a for a in rd.ALPHA[i]))
-                if s not in roots and s not in nxt and any(s):
-                    nxt.add(s)
-        roots |= nxt
-        frontier = nxt
-    positives = sorted(r for r in roots if all(c >= 0 for c in r))
-    assert len(positives) == 20
-    return tuple(positives)
-
-
-D5_POSITIVE_ROOTS = _d5_positive_roots()
+D5_POSITIVE_ROOTS = tuple(sorted(r for r in rd.roots(rd.IPRIME)
+                                  if all(c >= 0 for c in r)))
+assert len(D5_POSITIVE_ROOTS) == 20
 
 
 def weyl_dim(lam):
@@ -385,7 +344,11 @@ def hw_candidates_what(d):
     return out
 
 
-def decompose_degree(algebra, d, mode="exact", rng=None, exact_limit=48):
+# blocks of at most this many words get an exact rank in mode "exact"
+EXACT_BLOCK_WORDS = 48
+
+
+def decompose_degree(algebra, d, mode="exact", rng=None):
     """Verify the degree-d module decomposition (or collect evidence for it).
 
     For the finite algebra the decomposition is a theorem; for the affine one
@@ -395,10 +358,8 @@ def decompose_degree(algebra, d, mode="exact", rng=None, exact_limit=48):
     of the raising operators (exact rank on small blocks, else a modular rank
     bound, which still certifies equality when the two bounds meet).
     """
-    import random
     rng = rng or random.Random(20260808)
     pres = presentation(algebra)
-    from .schubert import normal_words
     blocks = {}
     for word in normal_words(pres, d):
         blocks.setdefault(pres.weight_of_word(word), []).append(word)
@@ -424,7 +385,7 @@ def decompose_degree(algebra, d, mode="exact", rng=None, exact_limit=48):
         if expected_here:
             ech = Echelon()
             lower = sum(1 for _, vec, _ in expected_here if ech.add(vec))
-        exact = mode == "exact" and nwords <= exact_limit
+        exact = mode == "exact" and nwords <= EXACT_BLOCK_WORDS
         rows = _hw_rank_rows(words, pres)
         rank, how = _block_rank(rows, exact, rng)
         hw_dim = nwords - rank
@@ -497,15 +458,14 @@ def generator_matrices(pres):
     return mats
 
 
-def module_algebra_failures(pres, samples=200, rng=None, max_degree=3):
-    """Spot-check the module-algebra axiom on random pairs of elements."""
-    import random
-    rng = rng or random.Random(11)
+def module_algebra_failures(pres, samples, rng):
+    """Spot-check the module-algebra axiom on `samples` random pairs of words
+    of degree 1 or 2 (the first with a random q-power coefficient)."""
     fails = []
     n = pres.ngens
     for t in range(samples):
-        dx = rng.randrange(1, max_degree)
-        dy = rng.randrange(1, max_degree)
+        dx = rng.randrange(1, 3)
+        dy = rng.randrange(1, 3)
         x = NCPoly.from_word(tuple(rng.randrange(n) for _ in range(dx)),
                              qpow(rng.randrange(-2, 3)))
         y = NCPoly.from_word(tuple(rng.randrange(n) for _ in range(dy)))

@@ -51,24 +51,8 @@ def _ok(cond, details=None):
 
 # --- root data ----------------------------------------------------------------
 
-def _finite_roots():
-    roots = set(rd.ALPHA[i] for i in range(1, 7))
-    frontier = set(roots)
-    while frontier:
-        nxt = set()
-        for r in frontier:
-            for i in range(1, 7):
-                pairing = rd.inner(r, rd.ALPHA[i])
-                refl = tuple(a - pairing * b for a, b in zip(r, rd.ALPHA[i]))
-                if refl not in roots:
-                    nxt.add(refl)
-        roots |= nxt
-        frontier = nxt
-    return roots
-
-
 def _chk_radical_roots():
-    roots = _finite_roots()
+    roots = rd.roots(range(1, 7))
     positive = {r for r in roots if all(c >= 0 for c in r)}
     cominuscule = {r for r in positive if r[1] == 1}
     weights = {rd.WT[m] for m in rd.ALL_MASKS}
@@ -431,7 +415,8 @@ def _chk_spin_irreducible():
 
 
 def _chk_phi():
-    ok, fails = sp.phi_check()
+    pres = sc.presentation("w")
+    ok, fails = sp.phi_check(aj.generator_matrices(pres), pres.gen_mask)
     return _ok(ok, {"failures": fails})
 
 

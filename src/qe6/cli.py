@@ -49,14 +49,7 @@ def cmd_nf(args):
     if args.twisted:
         if args.algebra != "what":
             raise ValueError("the twisted product only applies to the affine algebra")
-        scaled = sc.NCPoly()
-        for word, coeff in free.items():
-            exp = 0
-            for a in range(len(word)):
-                for b in range(a + 1, len(word)):
-                    exp += pres.gen_weight[word[a]][0] * pres.gen_weight[word[b]][1]
-            scaled.iadd_term(word, coeff * sc.qpow(exp) if exp else coeff)
-        free = scaled
+        free = sc.twist(free, pres)
     nf = sc.normal_form(free, pres)
     sys.stdout.write(sc.format_poly(nf, pres) + "\n")
     return 0

@@ -13,7 +13,7 @@ from . import rootdata as rd
 from .linalg import Echelon, bareiss_rank, spans_equal, draw_points, rank_mod
 from .rmatrix import rhat_coeff
 from .schubert import (presentation, rule_relation_vectors, NCPoly, multiply,
-                       hilbert_dim)
+                       hilbert_dim, twist)
 from .adjoint import theta, submodule_span, build_omega
 
 
@@ -268,14 +268,10 @@ def _omega_module_vectors(k):
     pres = presentation("what")
     vecs = []
     for ncp in submodule_span(build_omega(k), pres):
-        out = {}
-        for (g, h), c in ncp.items():
-            key = ((pres.gen_delta[g], pres.gen_mask[g]),
-                   (pres.gen_delta[h], pres.gen_mask[h]))
-            # carry the inverse bicharacter factor of the twist
-            factor = qpow(-pres.gen_weight[g][0] * pres.gen_weight[h][1])
-            out[key] = c * factor
-        vecs.append(out)
+        # the module of the twisted algebra: undo the twist of each word
+        vecs.append({((pres.gen_delta[g], pres.gen_mask[g]),
+                      (pres.gen_delta[h], pres.gen_mask[h])): c
+                     for (g, h), c in twist(ncp, pres, inverse=True).items()})
     return vecs
 
 

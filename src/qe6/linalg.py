@@ -5,6 +5,8 @@ during elimination and re-normalized by their integer content and a power of q
 (both units or contents, so row spans over the fraction field are preserved).
 Dense Bareiss elimination is provided for the small proof matrices.
 
+Every cyclic submodule is closed by cyclic_span, one Echelon per weight.
+
 The heavy rank questions (degree-3 comparisons, large highest-weight blocks)
 are answered over GF(p) by one path: rank_mod specializes rows at q = q0 and
 ranks them, at evaluation points drawn by draw_points.  Such a rank is a lower
@@ -244,6 +246,26 @@ def spans_equal(rows_a, rows_b):
     if ea.rank != eb.rank:
         return False
     return all(ea.contains(r) for r in rows_b) and all(eb.contains(r) for r in rows_a)
+
+
+def cyclic_span(seed, ops, grade):
+    """Basis of the span of all images of `seed` under words in `ops`.
+
+    `ops` are linear maps on vectors (sparse dicts) that send homogeneous
+    vectors to homogeneous ones; `grade(v)` is the grade of a nonzero
+    homogeneous v.  Returns the vectors that enlarged the span, seed first,
+    in breadth-first order.
+    """
+    basis = []
+    echelons = {}
+    images = [seed]
+    while True:
+        grew = [v for v in images
+                if v and echelons.setdefault(grade(v), Echelon()).add(v)]
+        if not grew:
+            return basis
+        basis += grew
+        images = (op(v) for v in grew for op in ops)
 
 
 def draw_points(rng):

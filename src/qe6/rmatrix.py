@@ -12,7 +12,7 @@ from functools import cache
 
 from .qcoeff import ONE, ZERO, QHAT, Q, RatFunc, qpow, neg_qpow
 from . import rootdata as rd
-from .linalg import SparseMat, Echelon, bareiss_rank, ratfunc_inverse
+from .linalg import SparseMat, Echelon, bareiss_rank, cyclic_span, ratfunc_inverse
 from .spinrep import SPIN_BASIS, SPIN_INDEX, DIM, rho_matrix, chevalley_action, phi_scalars
 
 TDIM = DIM * DIM
@@ -246,35 +246,14 @@ def eigen_split():
         kernel_dim += len(idxs) - bareiss_rank(block)
     seed = generator_vector()
     seed_in = not mplus.apply(seed)
-    # closure of the seed under the tensor-square action
-    closure = []
-    echelons = {}
 
     def key_of(vec):
-        idx = min(vec)
-        a, b = tensor_masks(idx)
+        a, b = tensor_masks(min(vec))
         return rd.wadd(rd.WT[a], rd.WT[b])
 
-    def try_add(vec):
-        if not vec:
-            return False
-        ech = echelons.setdefault(key_of(vec), Echelon())
-        if ech.add(vec):
-            closure.append(vec)
-            return True
-        return False
-
-    try_add(seed)
-    ops = [coproduct_action(k, i) for k in ("E", "F") for i in rd.IPRIME]
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for op in ops:
-                w = op.apply(v)
-                if try_add(w):
-                    nxt.append(w)
-        frontier = nxt
+    # closure of the seed under the tensor-square action
+    ops = [coproduct_action(k, i).apply for k in ("E", "F") for i in rd.IPRIME]
+    closure = cyclic_span(seed, ops, key_of)
     closure_in_kernel = all(not mplus.apply(v) for v in closure)
 
     relations = transported_relation_vectors()

@@ -43,6 +43,20 @@ def wsub(x, y):
 
 ALPHA = tuple(tuple(1 if j == i else 0 for j in NODES) for i in NODES)
 
+
+def roots(nodes):
+    """Root system of the sub-diagram on `nodes`: the closure of its simple
+    roots under the simple reflections s_i, i in `nodes`."""
+    nodes = tuple(nodes)
+    found = set()
+    new = {ALPHA[i] for i in nodes}
+    while new:
+        found |= new
+        new = {wsub(r, tuple(inner(r, ALPHA[i]) * a for a in ALPHA[i]))
+               for r in new for i in nodes} - found
+    return frozenset(found)
+
+
 # --- Euclidean model (coordinates over e_1..e_5 and sqrt(3)*e_6) ------------
 
 _HALF = Fraction(1, 2)

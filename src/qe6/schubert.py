@@ -311,6 +311,22 @@ def twist_factor(deg_x, deg_y):
     return qpow(deg_x[0] * deg_y[1])
 
 
+def twist(x, pres, inverse=False):
+    """Rescale each word g_1 ... g_n of x by the twist cocycle
+    q^(sum_{a<b} a0(g_a) a1(g_b)) (the twist_factor of every ordered pair of
+    its letters), or by the inverse.  The normal form of twist(w) is the
+    twisted product of the letters of w."""
+    out = NCPoly()
+    for word, coeff in x.items():
+        exp = 0
+        left0 = 0
+        for g in word:
+            exp += left0 * pres.gen_weight[g][1]
+            left0 += pres.gen_weight[g][0]
+        out[word] = coeff * qpow(-exp if inverse else exp) if exp else coeff
+    return out
+
+
 def multiply_twisted(x, y, pres):
     """Product in the cocycle-twisted algebra (meaningful for 'what')."""
     f = twist_factor(q_degree(x, pres), q_degree(y, pres))
@@ -321,8 +337,8 @@ def rule_relation_vectors(pres, twisted=False):
     """The defining relations as free degree-2 vectors {word: coeff}.
 
     Each rule (a, b) -> rhs yields the vector (a, b) - rhs.  With twisted=True
-    every word (g, h) is rescaled by the inverse bicharacter value of its
-    factor degrees, giving the defining relations of the twisted algebra.
+    every word is rescaled by the inverse twist, giving the defining relations
+    of the twisted algebra.
     """
     out = []
     for (a, b), items in sorted(pres.rules.items()):
@@ -330,8 +346,7 @@ def rule_relation_vectors(pres, twisted=False):
         for rc, pair in items:
             accumulate(vec, pair, -rc)
         if twisted:
-            vec = {w: c * qpow(-pres.gen_weight[w[0]][0] * pres.gen_weight[w[1]][1])
-                   for w, c in vec.items()}
+            vec = twist(vec, pres, inverse=True)
         out.append(((a, b), vec))
     return out
 

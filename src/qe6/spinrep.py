@@ -3,17 +3,19 @@
 Basis vectors of the module are indexed by the even subsets in lex-code order.
 All sign/power bookkeeping of the exterior algebra lives in ext_mul: a
 descending adjacent pair contributes one factor of (-q), so a basis product
-picks up (-q)^(number of inversions).  The representing matrices are assembled
-from that normalization plus the displayed closed formulas, and every defining
-relation of the rank-5 quantized enveloping algebra is then checked as an
-exact 16x16 matrix identity.
+picks up (-q)^(number of inversions), counted by _inversions.  The
+representing matrices are assembled from that count plus the displayed closed
+formulas, and every defining relation of the rank-5 quantized enveloping
+algebra is then checked as an exact 16x16 matrix identity.  Irreducibility is
+the linalg.cyclic_span of the top vector; phi_check(mats, gen_mask) tests the
+module isomorphism against adjoint.generator_matrices on the generator span.
 """
 
 from functools import cache
 
-from .qcoeff import LaurentPoly, ONE, QHAT, qpow, neg_qpow, Q, QINV, accumulate
+from .qcoeff import ONE, QHAT, qpow, neg_qpow, Q, QINV, accumulate
 from . import rootdata as rd
-from .linalg import SparseMat
+from .linalg import SparseMat, cyclic_span
 
 SPIN_BASIS = rd.BSETS
 SPIN_INDEX = {m: i for i, m in enumerate(SPIN_BASIS)}
@@ -111,8 +113,8 @@ def rho_matrix(kind, i, j=None):
             if base & bit_i:
                 continue
             # u_mask = (-q)^{-a} u_base v_j;  u_base v_i = (-q)^b u_target
-            a = bin(base >> j).count("1")
-            b = bin(base >> i).count("1")
+            a = _inversions(base, bit_j)
+            b = _inversions(base, bit_i)
             exp = (i - j - _sign(i - j)) + b - a
             entries[(SPIN_INDEX[base | bit_i], col)] = neg_qpow(exp)
     elif kind == "Eprime":
@@ -123,14 +125,14 @@ def rho_matrix(kind, i, j=None):
             for col, mask in enumerate(SPIN_BASIS):
                 if mask & bit_i and mask & bit_j:
                     base = mask & ~(bit_i | bit_j)
-                    a = bin(base >> i).count("1") + bin(base >> j).count("1")
+                    a = _inversions(base, bit_i | bit_j)
                     exp = _c_exp(i, j, base) - a
                     entries[(SPIN_INDEX[base], col)] = neg_qpow(exp)
         else:
             for col, mask in enumerate(SPIN_BASIS):
                 if mask & (bit_i | bit_j):
                     continue
-                b = bin(mask >> i).count("1") + bin(mask >> j).count("1")
+                b = _inversions(mask, bit_i | bit_j)
                 exp = _c_exp(i, j, mask) + b
                 entries[(SPIN_INDEX[mask | bit_i | bit_j], col)] = neg_qpow(exp)
     else:
@@ -218,26 +220,15 @@ def weight_support_failures():
 
 def irreducibility_check():
     """Highest weight vector u_e is killed by raising operators and its
-    lowering closure fills all 16 dimensions."""
+    cyclic span under the lowering operators fills all 16 dimensions."""
     top = SPIN_INDEX[0]
     for i in rd.IPRIME:
-        col = [r for (r, c) in chevalley_action("E", i).entries if c == top]
-        if col:
-            fails = ["E%d does not kill the top vector" % i]
-            return False, fails
-    reached = {top}
-    frontier = [top]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in rd.IPRIME:
-                for (r, c) in chevalley_action("F", i).entries:
-                    if c == v and r not in reached:
-                        reached.add(r)
-                        nxt.append(r)
-        frontier = nxt
-    ok = len(reached) == DIM
-    return ok, [] if ok else ["lowering closure has dimension %d" % len(reached)]
+        if any(c == top for (_, c) in chevalley_action("E", i).entries):
+            return False, ["E%d does not kill the top vector" % i]
+    ops = [chevalley_action("F", i).apply for i in rd.IPRIME]
+    dim = len(cyclic_span({top: ONE}, ops, lambda v: rd.WT[SPIN_BASIS[min(v)]]))
+    ok = dim == DIM
+    return ok, [] if ok else ["lowering closure has dimension %d" % dim]
 
 
 def phi_scalars():
@@ -246,36 +237,19 @@ def phi_scalars():
     return {m: neg_qpow(top - rd.HEIGHT_B[m]) for m in SPIN_BASIS}
 
 
-def ad_generator_matrix(kind, i):
-    """Adjoint action on the span of the 16 cell generators, in spin order."""
-    entries = {}
-    for col, mask in enumerate(SPIN_BASIS):
-        if kind == "K":
-            entries[(col, col)] = qpow(rd.inner(rd.ALPHA[i], rd.WT[mask]))
-        elif kind == "E":
-            tgt = rd.RAISE[(mask, i)]
-            if tgt is not None:
-                entries[(SPIN_INDEX[tgt], col)] = LaurentPoly.term(-1, 1)
-        elif kind == "F":
-            tgt = rd.LOWER[(mask, i)]
-            if tgt is not None:
-                entries[(SPIN_INDEX[tgt], col)] = LaurentPoly.term(-1, -1)
-        else:
-            raise ValueError(kind)
-    return SparseMat(DIM, DIM, entries)
-
-
-def phi_check():
-    """The diagonal rescaling intertwines the adjoint action on the generator
-    span with the half-spin matrices, for every Chevalley generator."""
+def phi_check(mats, gen_mask):
+    """The diagonal rescaling phi intertwines the adjoint action on the span
+    of the 16 cell generators with the half-spin matrices, for every
+    Chevalley generator.  `mats` is that action as {(kind, i): SparseMat}
+    (adjoint.generator_matrices), and generator g spans the subset
+    gen_mask[g]; phi sends it to phi_scalars()[gen_mask[g]] u_gen_mask[g]."""
     scal = phi_scalars()
-    phi = SparseMat(DIM, DIM, {(i, i): scal[m] for i, m in enumerate(SPIN_BASIS)})
+    phi = SparseMat(DIM, len(gen_mask),
+                    {(SPIN_INDEX[m], g): scal[m] for g, m in enumerate(gen_mask)})
     fails = []
     for kind in ("E", "F", "K"):
         for i in rd.IPRIME:
-            lhs = chevalley_action(kind, i).mul(phi)
-            rhs = phi.mul(ad_generator_matrix(kind, i))
-            if lhs != rhs:
+            if chevalley_action(kind, i).mul(phi) != phi.mul(mats[(kind, i)]):
                 fails.append("%s%d does not intertwine" % (kind, i))
     return not fails, fails
 

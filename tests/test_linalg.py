@@ -2,7 +2,9 @@ import random
 
 from qe6.qcoeff import LaurentPoly, ONE, ZERO, Q, QINV, QHAT, qpow, RatFunc
 from qe6.linalg import (SparseMat, Echelon, EchelonMod, spans_equal, rank_mod,
-                        bareiss_rank, ratfunc_inverse, row_normalize)
+                        bareiss_rank, ratfunc_inverse, row_normalize, cyclic_span)
+from qe6 import rootdata as rd
+from qe6 import spinrep as sp
 
 
 def test_sparse_mat_ops():
@@ -80,3 +82,15 @@ def test_echelon_mod():
     assert ech.add({1: 1})
     assert not ech.add({0: 1, 1: 3})
     assert ech.rank == 2
+
+
+def test_cyclic_span():
+    grade = lambda v: rd.WT[sp.SPIN_BASIS[min(v)]]
+    lower = [sp.chevalley_action("F", i).apply for i in rd.IPRIME]
+    assert cyclic_span({}, lower, grade) == []
+    top = {sp.SPIN_INDEX[0]: ONE}
+    span = cyclic_span(top, lower, grade)
+    assert len(span) == 16 and span[0] == top
+    # swap: e0 -> q e1 -> q^2 e0, and q^2 e0 is already in the span
+    swap = lambda v: {1 - k: c * Q for k, c in v.items()}
+    assert cyclic_span({0: ONE}, [swap], lambda v: 0) == [{0: ONE}, {1: Q}]

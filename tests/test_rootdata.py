@@ -21,6 +21,15 @@ def test_weights_are_injective_roots_above_cominuscule_node():
         assert w[1] == 1 and w[0] == 0
 
 
+def test_roots_of_sub_diagrams():
+    e6 = rd.roots(range(1, 7))
+    d5 = rd.roots(rd.IPRIME)
+    assert len(e6) == 72 and len(d5) == 40 and d5 < e6
+    assert all(rd.inner(r, r) == 2 for r in e6)
+    # the radical roots are the positive E6 roots with alpha_1 coefficient 1
+    assert {r for r in e6 if r[1] == 1} == {rd.WT[m] for m in rd.ALL_MASKS}
+
+
 def test_inner_examples():
     for m in rd.ALL_MASKS:
         assert rd.inner(rd.wt(m), rd.wt(m)) == 2

@@ -170,6 +170,17 @@ def test_twisted_associativity_random():
                 == sc.multiply_twisted(x, sc.multiply_twisted(y, z, WH), WH))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, WH.ngens - 1), min_size=1, max_size=5).map(tuple))
+def test_twist_is_the_folded_twisted_product(word):
+    w = sc.NCPoly.from_word(word)
+    folded = sc.NCPoly.gen(word[0])
+    for g in word[1:]:
+        folded = sc.multiply_twisted(folded, sc.NCPoly.gen(g), WH)
+    assert sc.normal_form(sc.twist(w, WH), WH) == folded
+    assert sc.twist(sc.twist(w, WH), WH, inverse=True) == w
+
+
 def test_termination_witness_in_rules():
     # every correction term of every rule sits strictly higher in its class
     for pres in (W, WH):

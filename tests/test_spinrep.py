@@ -3,6 +3,8 @@ import pytest
 from qe6 import rootdata as rd
 from qe6.qcoeff import LaurentPoly, ONE, Q, qpow, neg_qpow
 from qe6 import spinrep as sp
+from qe6 import adjoint as aj
+from qe6 import schubert as sc
 
 M = rd.mask_of
 
@@ -78,8 +80,17 @@ def test_root_vector_squares_vanish():
 
 
 def test_phi_intertwines():
-    ok, fails = sp.phi_check()
+    pres = sc.presentation("w")
+    ok, fails = sp.phi_check(aj.generator_matrices(pres), pres.gen_mask)
     assert ok and not fails
+
+
+def test_phi_check_detects_a_rescaled_generator():
+    # E3 -> q E3 on the generator span breaks exactly the E3 intertwining
+    pres = sc.presentation("w")
+    mats = aj.generator_matrices(pres)
+    mats[("E", 3)] = mats[("E", 3)].scale(Q)
+    assert sp.phi_check(mats, pres.gen_mask) == (False, ["E3 does not intertwine"])
 
 
 def test_phi_scalars():
