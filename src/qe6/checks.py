@@ -481,8 +481,8 @@ def _chk_ybe():
 
 def _chk_equivariance():
     rep = rm.equivariance_check()
-    return _ok(rep["ok"], {"commutant_failures": rep["commutant_failures"],
-                           "invertible": rep["invertible"]})
+    return _ok(rep["ok"], {k: rep[k] for k in
+                           ("commutant_failures", "invertible", "eigenvalues")})
 
 
 def _chk_eigen_split():

@@ -8,6 +8,8 @@ rank facts from the published proofs, and the homomorphism/kernel checks that
 tie the rows back to the (twisted) quantum Schubert cell algebras.
 """
 
+from functools import cache
+
 from .qcoeff import ONE, ZERO, QHAT, Q, QINV, qpow, neg_qpow, accumulate
 from . import rootdata as rd
 from .linalg import Echelon, bareiss_rank, spans_equal, draw_points, rank_mod
@@ -264,6 +266,7 @@ def _theta_module_vectors():
     return vecs
 
 
+@cache
 def _omega_module_vectors(k):
     pres = presentation("what")
     vecs = []
@@ -419,13 +422,17 @@ def psi_ST_check(s, t):
                 bad += 1
         kernel_fails[k] = bad
 
-    deg2_quotient = hilbert_dim(pres, 2) - 30
+    # Omega 3, 4 and 5 share a highest weight: count their spans by rank
+    kernel_rank = Echelon().add_all(
+        vec for k in (3, 4, 5) for vec in _omega_module_vectors(k))
+    deg2_quotient = hilbert_dim(pres, 2) - kernel_rank
     result = {
         "rows": (rd.label(s), rd.label(t)),
         "relations_carried": not hom_fails,
         "relation_failures": hom_fails[:5],
         "kernel_vectors_carried": all(v == 0 for v in kernel_fails.values()),
         "kernel_failures": kernel_fails,
+        "kernel_module_rank": kernel_rank,
         "degree2_two_row_dim": two["degree2_dim"],
         "degree2_quotient_dim": deg2_quotient,
         "degree2_equal": two["degree2_dim"] == deg2_quotient,

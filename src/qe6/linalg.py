@@ -15,7 +15,7 @@ bound on the exact rank, so callers treat agreement as evidence, not proof.
 
 from math import gcd
 
-from .qcoeff import LaurentPoly, ONE, ZERO, RatFunc, accumulate
+from .qcoeff import LaurentPoly, ONE, ZERO, accumulate
 
 # the primes rank_mod evaluates over, drawn by draw_points
 PRIMES = ((1 << 61) - 1, 1000000007, 998244353)
@@ -335,26 +335,3 @@ def bareiss_echelon(mat):
 
 def bareiss_rank(mat):
     return bareiss_echelon(mat)[0]
-
-
-def ratfunc_inverse(mat):
-    """Exact inverse of a small dense LaurentPoly matrix via RatFunc pivoting.
-
-    Returns a list-of-lists of RatFunc, or None if the matrix is singular.
-    """
-    n = len(mat)
-    aug = [[RatFunc.from_poly(mat[r][c]) for c in range(n)] +
-           [RatFunc(1) if c == r else RatFunc(0) for c in range(n)]
-           for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inv()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]

@@ -1,10 +1,8 @@
-"""Exact coefficient arithmetic: Laurent polynomials in q over Z, and their fraction field.
+"""Exact coefficient arithmetic: Laurent polynomials in q over Z.
 
 Everything downstream (rewriting, representation matrices, R-matrix entries,
 relation spans) is computed over these coefficients; no floating point anywhere.
 """
-
-from math import gcd
 
 
 class LaurentPoly:
@@ -238,7 +236,7 @@ def accumulate(terms, key, value):
     """Add value into terms[key], deleting the key when the sum is zero.
 
     `terms` is a sparse vector {key: coefficient} that stores no zero
-    coefficient; the coefficients may be LaurentPoly or RatFunc values.
+    coefficient; the coefficients are LaurentPoly values.
     """
     if key in terms:
         value = terms[key] + value
@@ -246,192 +244,3 @@ def accumulate(terms, key, value):
         terms[key] = value
     elif key in terms:
         del terms[key]
-
-
-# -- ordinary (non-Laurent) polynomial helpers used for gcd and fractions --
-
-def _prune(c):
-    return {e: v for e, v in c.items() if v}
-
-
-def _poly_content(c):
-    g = 0
-    for v in c.values():
-        g = gcd(g, abs(v))
-    return g or 1
-
-
-def _poly_prem(a, b):
-    """Pseudo-remainder of a by b (dicts with exponents >= 0, b nonzero)."""
-    a = dict(a)
-    dmax = max(b)
-    dlead = b[dmax]
-    while a and max(a) >= dmax:
-        rmax = max(a)
-        lead = a[rmax]
-        # scale a by dlead so the leading terms cancel exactly
-        a = {e: v * dlead for e, v in a.items()}
-        sh = rmax - dmax
-        for e, v in b.items():
-            ee = e + sh
-            w = a.get(ee, 0) - lead * v
-            if w:
-                a[ee] = w
-            elif ee in a:
-                del a[ee]
-    return a
-
-
-def poly_gcd(a, b):
-    """gcd in Z[q] of two exponent dicts (exponents >= 0), up to sign.
-
-    Primitive PRS: contents are stripped at every step to keep coefficients
-    small; the result carries gcd of the contents and a positive leading
-    coefficient.
-    """
-    a, b = _prune(a), _prune(b)
-    if not a:
-        base = b
-    elif not b:
-        base = a
-    else:
-        ca, cb = _poly_content(a), _poly_content(b)
-        g = gcd(ca, cb)
-        a = {e: v // ca for e, v in a.items()}
-        b = {e: v // cb for e, v in b.items()}
-        while b:
-            r = _poly_prem(a, b)
-            a, b = b, r
-            if b:
-                cc = _poly_content(b)
-                b = {e: v // cc for e, v in b.items()}
-        base = {e: v * g for e, v in a.items()}
-    if not base:
-        return {}
-    if base[max(base)] < 0:
-        base = {e: -v for e, v in base.items()}
-    return base
-
-
-class RatFunc:
-    """Fraction num/den of Laurent polynomials in canonical form.
-
-    Canonical: den is an ordinary polynomial with nonzero constant term and
-    positive leading coefficient, and gcd(num, den) over Z[q] is trivial, so
-    equal values have identical representations.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=ONE):
-        if isinstance(num, int):
-            num = LaurentPoly.from_int(num)
-        if isinstance(den, int):
-            den = LaurentPoly.from_int(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num = ZERO
-            self.den = ONE
-            return
-        # make the denominator an honest polynomial with constant term != 0
-        k = den.min_exp()
-        den_c = {e - k: v for e, v in den.c.items()}
-        num = num.shift(-k)
-        # strip the gcd (num's own q-shift is a unit; factor it out first)
-        m = num.min_exp()
-        num_c = {e - m: v for e, v in num.c.items()}
-        g = poly_gcd(num_c, den_c)
-        if g != {0: 1}:
-            gp = LaurentPoly._raw(g)
-            num = LaurentPoly._raw(num_c).exact_div(gp).shift(m)
-            den_c = LaurentPoly._raw(den_c).exact_div(gp).c
-        if den_c[max(den_c)] < 0:
-            num = -num
-            den_c = {e: -v for e, v in den_c.items()}
-        self.num = num
-        self.den = LaurentPoly._raw(den_c)
-
-    @classmethod
-    def from_poly(cls, p):
-        self = cls.__new__(cls)
-        self.num = p
-        self.den = ONE
-        return self
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.den == ONE and self.num == other
-        if isinstance(other, LaurentPoly):
-            return self.den == ONE and self.num == other
-        return self.num == other.num and self.den == other.den
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = _as_ratfunc(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_ratfunc(other)
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __rsub__(self, other):
-        return _as_ratfunc(other).__sub__(self)
-
-    def __neg__(self):
-        r = RatFunc.__new__(RatFunc)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __mul__(self, other):
-        other = _as_ratfunc(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfunc(other)
-        if not other.num:
-            raise ZeroDivisionError("division by zero")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _as_ratfunc(other).__truediv__(self)
-
-    def inv(self):
-        return RatFunc(self.den, self.num)
-
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(LaurentPoly.from_json(obj["num"]), LaurentPoly.from_json(obj["den"]))
-
-    def __str__(self):
-        if self.den == ONE:
-            return str(self.num)
-        return "(%s)/(%s)" % (self.num, self.den)
-
-    __repr__ = __str__
-
-
-def _as_ratfunc(x):
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RatFunc.from_poly(x)
-    if isinstance(x, int):
-        return RatFunc.from_poly(LaurentPoly.from_int(x))
-    raise TypeError("cannot coerce %r to a rational function" % (x,))

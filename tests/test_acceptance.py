@@ -129,9 +129,13 @@ def test_criterion_6_r_matrix():
     eig = _details("rmatrix.negative-eigenspace")
     ok = ok and eig["kernel_dim"] == 120
     ok = ok and eig["seed_in_kernel"] and eig["relation_span_dim"] == 120
+    module_map = _details("rmatrix.module-map")
+    ok = ok and module_map["invertible"]
+    ok = ok and module_map["eigenvalues"] == ["-1", "q^2", "q^-6"]
     ok = ok and elapsed < 300
     _line(6, ok, "coefficient table on all 65536 entries, support condition, "
-                 "braid relation, module map, negative eigenspace", elapsed)
+                 "braid relation, module map with eigenvalues -1, q^2, q^-6, "
+                 "negative eigenspace", elapsed)
 
 
 def test_criterion_7_frt_presentations_and_ranks():

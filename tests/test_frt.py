@@ -187,6 +187,8 @@ def test_psi_st_single_pair():
     assert rep["degree2_two_row_dim"] == 498
     assert rep["degree2_quotient_dim"] == 498
     assert rep["kernel_failures"] == {3: 0, 5: 0, 4: 0}
+    # the three ten-dimensional kernel modules are independent
+    assert rep["kernel_module_rank"] == 30
 
 
 def test_omega4_image_supplies_the_mixed_extra_relation():

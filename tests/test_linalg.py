@@ -1,8 +1,8 @@
 import random
 
-from qe6.qcoeff import LaurentPoly, ONE, ZERO, Q, QINV, QHAT, qpow, RatFunc
+from qe6.qcoeff import LaurentPoly, ONE, Q, QINV, QHAT, qpow
 from qe6.linalg import (SparseMat, Echelon, EchelonMod, spans_equal, rank_mod,
-                        bareiss_rank, ratfunc_inverse, row_normalize, cyclic_span)
+                        bareiss_rank, row_normalize, cyclic_span)
 from qe6 import rootdata as rd
 from qe6 import spinrep as sp
 
@@ -55,17 +55,6 @@ def test_rank_mod_lower_bound_generically_tight():
     # q = 1 kills the first row: the modular rank dips below the true rank
     assert rank_mod(rows, 1, 97) == 1
     assert rank_mod(rows, 5, 97) == 2
-
-
-def test_ratfunc_inverse():
-    mat = [[Q, ONE], [ONE, QINV]]
-    assert ratfunc_inverse(mat) is None  # determinant q * q^-1 - 1 = 0
-    mat = [[Q, ONE], [ZERO, QHAT]]
-    inv = ratfunc_inverse(mat)
-    ident = [[RatFunc(1), RatFunc(0)], [RatFunc(0), RatFunc(1)]]
-    prod = [[sum((RatFunc.from_poly(mat[r][k]) * inv[k][c] for k in range(2)),
-                 RatFunc(0)) for c in range(2)] for r in range(2)]
-    assert prod == ident
 
 
 def test_row_normalize():

@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from qe6.qcoeff import (LaurentPoly, RatFunc, ONE, ZERO, Q, QINV, QHAT,
+from qe6.qcoeff import (LaurentPoly, ONE, ZERO, Q, QINV, QHAT,
                         qpow, neg_qpow, qint, qhat, accumulate)
+
+# Laurent polynomials with up to four terms, exponents in [-6, 6]
+laurent = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
+                          max_size=4).map(LaurentPoly)
 
 
 def test_ring_examples():
@@ -14,8 +19,8 @@ def test_ring_examples():
     assert ZERO * LaurentPoly({5: 1, 0: -3}) == ZERO
 
 
-@pytest.mark.parametrize("value", [Q + QINV, RatFunc(QHAT, qint(2))],
-                         ids=["LaurentPoly", "RatFunc"])
+@pytest.mark.parametrize("value", [Q + QINV, neg_qpow(3)],
+                         ids=["LaurentPoly", "unit"])
 def test_accumulate_drops_zero_sums(value):
     terms = {}
     accumulate(terms, "x", value)
@@ -69,22 +74,41 @@ def test_eval_mod_is_ring_hom():
         assert (a + b).eval_mod(q0, p) == (a.eval_mod(q0, p) + b.eval_mod(q0, p)) % p
 
 
-def test_commutativity_distributivity_random():
-    rng = random.Random(9)
-    for _ in range(30):
-        a, b, c = (LaurentPoly({rng.randrange(-5, 6): rng.randrange(-5, 6)
-                                for _ in range(3)}) for _ in range(3))
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) * c == a * c + b * c
-        assert (a * b) * c == a * (b * c)
+@settings(max_examples=200, deadline=None)
+@given(laurent, laurent, laurent)
+def test_commutativity_distributivity_random(a, b, c):
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert (a + b) * c == a * c + b * c
+    assert a + ZERO == a and a * ONE == a and a * ZERO == ZERO
+    assert a - b == a + (-b) and a - a == ZERO
 
 
-def test_exact_div():
+@settings(max_examples=200, deadline=None)
+@given(laurent, laurent)
+def test_exact_div(a, b):
+    assume(b)
+    assert (a * b).exact_div(b) == a
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent, laurent, st.integers(-8, 8))
+def test_inexact_division_raises(a, b, k):
+    # the units are +-q^k, so a non-unit b never divides a * b + q^k
+    assume(b and not (len(b.c) == 1 and abs(next(iter(b.c.values()))) == 1))
+    with pytest.raises(ValueError):
+        (a * b + qpow(k)).exact_div(b)
+
+
+def test_exact_div_examples():
     p = (Q + 3) * (QINV - 7) * (qpow(5) + Q - 2)
     assert p.exact_div(Q + 3) == (QINV - 7) * (qpow(5) + Q - 2)
     with pytest.raises(ValueError):
         (Q + ONE).exact_div(Q - ONE)
+    with pytest.raises(ZeroDivisionError):
+        Q.exact_div(ZERO)
 
 
 def test_neg_qpow():
@@ -94,47 +118,10 @@ def test_neg_qpow():
     assert neg_qpow(2) == qpow(2)
 
 
-def test_ratfunc_canonical():
-    x = RatFunc(QHAT, qint(2))
-    y = RatFunc(QHAT * (Q + QINV), qint(2) * (Q + QINV))
-    assert x == y
-    assert x.num == y.num and x.den == y.den
-    assert x.den.min_exp() == 0
-    # denominator leading coefficient is positive
-    assert x.den.c[x.den.max_exp()] > 0
-    assert RatFunc(ZERO, qint(7)) == 0
-    with pytest.raises(ZeroDivisionError):
-        RatFunc(ONE, ZERO)
-
-
-def test_ratfunc_cross_multiplication_random():
-    rng = random.Random(3)
-    for _ in range(25):
-        num = LaurentPoly({rng.randrange(-4, 5): rng.randrange(-6, 7) for _ in range(3)})
-        den = LaurentPoly({rng.randrange(-4, 5): rng.randrange(-6, 7) for _ in range(3)})
-        scale = LaurentPoly({rng.randrange(-3, 4): rng.randrange(1, 5)})
-        if not num or not den or not scale:
-            continue
-        a = RatFunc(num, den)
-        b = RatFunc(num * scale, den * scale)
-        assert a == b
-        assert a.num * b.den == b.num * a.den
-
-
-def test_ratfunc_field_ops():
-    x = RatFunc(ONE, Q + QINV)
-    assert x + x == RatFunc(LaurentPoly({0: 2}), Q + QINV)
-    assert x * x.inv() == 1
-    assert (x - x) == 0
-    assert (RatFunc(Q) / RatFunc(Q + ONE)) * RatFunc(Q + ONE) == RatFunc(Q)
-
-
 def test_json_round_trip():
     a = Q - QINV
     assert a.to_json() == {"-1": "-1", "1": "1"}
     assert LaurentPoly.from_json(a.to_json()) == a
-    r = RatFunc(QHAT, qint(2))
-    assert RatFunc.from_json(r.to_json()) == r
 
 
 def test_str_forms():

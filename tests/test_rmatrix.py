@@ -1,5 +1,6 @@
 from qe6 import rootdata as rd
 from qe6.qcoeff import ONE, Q, QHAT, qpow
+from qe6.linalg import SparseMat
 from qe6 import rmatrix as rm
 
 M = rd.mask_of
@@ -65,6 +66,34 @@ def test_equivariance_and_inverse():
     assert rep["ok"]
     assert rep["commutant_failures"] == []
     assert rep["invertible"]
+    assert rep["eigenvalues"] == ["-1", "q^2", "q^-6"]
+    # the inverse read off the cubic identity, over the Laurent ring
+    rhat = rm.build_rhat()
+    eye = SparseMat.identity(rm.TDIM)
+    inverse = (rhat.mul(rhat)
+               .add(rhat.scale(ONE - qpow(2) - qpow(-6)))
+               .add(eye.scale(qpow(-4) - qpow(2) - qpow(-6)))
+               .scale(-qpow(4)))
+    assert rhat.mul(inverse) == eye
+
+
+def test_one_entry_mutant_fails_the_cubic_identity(monkeypatch):
+    rhat = rm.build_rhat()
+    key = min(k for k in rhat.entries if k[0] != k[1])
+    mutant = rhat.add(SparseMat(rm.TDIM, rm.TDIM, {key: ONE}))
+    monkeypatch.setattr(rm, "build_rhat", lambda: mutant)
+    rep = rm.equivariance_check()
+    assert not rep["ok"]
+    assert not rep["invertible"]
+
+
+def test_eigenspace_dimensions():
+    # 120 + 126 + 10 = 256: the braiding is diagonalizable, one eigenvalue
+    # per summand of the multiplicity-free tensor square
+    rhat = rm.build_rhat()
+    eye = SparseMat.identity(rm.TDIM)
+    dims = [rm.class_kernel_dim(rhat.sub(eye.scale(lam))) for lam in rm.EIGENVALUES]
+    assert dims == [120, 126, 10]
 
 
 def test_eigen_split():
