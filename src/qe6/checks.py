@@ -542,10 +542,8 @@ def _chk_row_sweep():
         rep = frt.row_presentation(s)
         dims.append(rep["degree2_dim"])
         if not rep["ok"] or rep["degree2_dim"] != 126:
-            bad = [{k: b[k] for k in ("class_head", "rank", "stated_count")}
-                   for b in rep["blocks"] if not b["stated_ok"]]
             return FAIL, {"row": rd.label(s), "dim": rep["degree2_dim"],
-                          "blocks_bad": bad[:3]}
+                          "blocks_bad": frt.failing_blocks(rep["blocks"])[:3]}
     return PASS, {"rows": 16, "degree2_dims": sorted(set(dims))}
 
 
@@ -554,7 +552,9 @@ def _chk_two_row_sweep(sweep):
         bad = [r for r in sweep()
                if not r["two_row_relations_match_stated"] or
                r["degree2_two_row_dim"] != 498]
-        return _ok(not bad, {"pairs": 80, "failures": [r["rows"] for r in bad][:5]})
+        return _ok(not bad, {"pairs": 80, "failures": [
+            {"rows": r["rows"], "dim": r["degree2_two_row_dim"],
+             "blocks_bad": r["blocks_bad"][:3]} for r in bad[:5]]})
     return run
 
 

@@ -78,25 +78,32 @@ def stated_mixed_relations(s, t, cls):
     return out
 
 
+def _relation_block(cls, computed, stated):
+    """One column-class block: the echelon of the computed relations and the
+    verdict that they span the same space as the stated ones."""
+    ech = Echelon()
+    ech.add_all(computed)
+    return {"class_head": (rd.label(cls.members[0][0]), rd.label(cls.members[0][1])),
+            "size": cls.size, "rank": ech.rank, "stated_count": len(stated),
+            "stated_ok": spans_equal(ech, stated), "echelon": ech}
+
+
+def failing_blocks(blocks):
+    """The blocks whose computed span differs from the stated one, without
+    their echelons."""
+    return [{k: b[k] for k in ("class_head", "rank", "stated_count")}
+            for b in blocks if not b["stated_ok"]]
+
+
 def row_presentation(s):
     """Blockwise relation bases of one row subalgebra, with the span-equality
     verdict against the published relation set and the degree-2 dimension."""
-    blocks = []
-    dim = 0
-    for cls in rd.CLASSES:
-        computed = [frt_relation(s, s, i, j) for (i, j), _ in cls]
-        ech = Echelon()
-        ech.add_all(computed)
-        stated = stated_row_relations(s, cls)
-        ok = spans_equal([v for v in computed if v], stated)
-        dim += cls.size - ech.rank
-        blocks.append({"class_head": (rd.label(cls.members[0][0]),
-                                      rd.label(cls.members[0][1])),
-                       "size": cls.size, "rank": ech.rank,
-                       "stated_count": len(stated), "stated_ok": ok,
-                       "echelon": ech})
-    return {"row": rd.label(s), "degree2_dim": dim, "blocks": blocks,
-            "ok": all(b["stated_ok"] for b in blocks)}
+    blocks = [_relation_block(cls, [frt_relation(s, s, i, j) for (i, j), _ in cls],
+                              stated_row_relations(s, cls))
+              for cls in rd.CLASSES]
+    return {"row": rd.label(s),
+            "degree2_dim": sum(b["size"] - b["rank"] for b in blocks),
+            "blocks": blocks, "ok": all(b["stated_ok"] for b in blocks)}
 
 
 def admissible(s, t):
@@ -112,27 +119,20 @@ def admissible_pairs():
 def two_row_presentation(s, t):
     """Blockwise relation bases of a two-row subalgebra and the span-equality
     verdict against the published set; requires an admissible (S, T).  The S
-    and T groups are the blocks of the two row presentations."""
+    and T groups are the blocks of the two row presentations; the mixed group
+    has one block of the same form per column class."""
     if not admissible(s, t):
         raise ValueError("rows must differ by one move with S < T")
     row_s, row_t = row_presentation(s), row_presentation(t)
-    dim = row_s["degree2_dim"] + row_t["degree2_dim"]
-    all_ok = row_s["ok"] and row_t["ok"]
-    mixed = []
-    for ci, cls in enumerate(rd.CLASSES):
-        computed = [frt_relation(s, t, i, j) for (i, j), _ in cls]
-        computed += [frt_relation(t, s, i, j) for (i, j), _ in cls]
-        ech = Echelon()
-        ech.add_all(computed)
-        ok = spans_equal([v for v in computed if v],
-                         stated_mixed_relations(s, t, cls))
-        all_ok = all_ok and ok
-        dim += 2 * cls.size - ech.rank
-        mixed.append({"class_index": ci, "rank": ech.rank,
-                      "stated_ok": ok, "echelon": ech})
+    mixed = [_relation_block(cls, [frt_relation(a, b, i, j) for a, b in ((s, t), (t, s))
+                                   for (i, j), _ in cls],
+                             stated_mixed_relations(s, t, cls))
+             for cls in rd.CLASSES]
+    dim = (row_s["degree2_dim"] + row_t["degree2_dim"]
+           + sum(2 * b["size"] - b["rank"] for b in mixed))
     return {"rows": (rd.label(s), rd.label(t)), "degree2_dim": dim,
             "groups": {"S": row_s["blocks"], "T": row_t["blocks"], "mixed": mixed},
-            "ok": all_ok}
+            "ok": row_s["ok"] and row_t["ok"] and all(b["stated_ok"] for b in mixed)}
 
 
 # --- the published proof matrices --------------------------------------------
@@ -437,6 +437,8 @@ def psi_ST_check(s, t):
         "degree2_quotient_dim": deg2_quotient,
         "degree2_equal": two["degree2_dim"] == deg2_quotient,
         "two_row_relations_match_stated": two["ok"],
+        "blocks_bad": [dict(b, group=g) for g, blocks in two["groups"].items()
+                       for b in failing_blocks(blocks)],
     }
     result["ok"] = (not hom_fails and result["kernel_vectors_carried"] and
                     result["degree2_equal"] and two["ok"])

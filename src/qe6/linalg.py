@@ -1,16 +1,21 @@
 """Exact sparse linear algebra over the Laurent coefficient ring.
 
-Rank and span questions are answered fraction-free: rows are cross-multiplied
-during elimination and re-normalized by their integer content and a power of q
-(both units or contents, so row spans over the fraction field are preserved).
-Dense Bareiss elimination is provided for the small proof matrices.
+Rank and span questions are answered fraction-free.  Echelon reduces a row
+by a unit pivot (+-q^k) in place, subtracting the pivot row times the row's
+leading coefficient over the pivot; only a non-unit pivot cross-multiplies.
+Residues are re-normalized by their integer content and a power of q (units
+or contents, so row spans over the fraction field are preserved).
+spans_equal compares a built Echelon with a row list by rank and one-way
+containment.  Dense Bareiss elimination is provided for the small proof
+matrices.
 
 Every cyclic submodule is closed by cyclic_span, one Echelon per weight.
 
 The heavy rank questions (degree-3 comparisons, large highest-weight blocks)
 are answered over GF(p) by one path: rank_mod specializes rows at q = q0 and
-ranks them, at evaluation points drawn by draw_points.  Such a rank is a lower
-bound on the exact rank, so callers treat agreement as evidence, not proof.
+ranks them in an EchelonMod, whose pivot rows are monic, at evaluation points
+drawn by draw_points.  Such a rank is a lower bound on the exact rank, so
+callers treat agreement as evidence, not proof.
 """
 
 from math import gcd
@@ -140,8 +145,9 @@ class Echelon:
     """Incremental fraction-free row echelon over the Laurent ring.
 
     add() returns True when the row enlarges the span.  Rows are kept with
-    their minimal column as pivot; reduction is by cross-multiplication, so
-    no fractions ever appear.
+    their minimal column as pivot.  A unit pivot reduces a row in place by
+    row -= (f * piv**-1) * base; a non-unit pivot cross-multiplies, so no
+    fractions ever appear.  The residue is normalized once, on return.
     """
 
     __slots__ = ("rows",)
@@ -154,14 +160,20 @@ class Echelon:
         return len(self.rows)
 
     def residue(self, row):
-        row = row_normalize({k: v for k, v in row.items() if v})
+        row = {k: v for k, v in row.items() if v}
         while row:
             c = min(row)
             base = self.rows.get(c)
             if base is None:
-                return row
+                break
             f = row.pop(c)
             piv = base[c]
+            if piv.is_unit():
+                g = -f * piv ** -1
+                for k, v in base.items():
+                    if k != c:
+                        accumulate(row, k, g * v)
+                continue
             out = {}
             for k in set(row) | set(base):
                 if k == c:
@@ -170,7 +182,7 @@ class Echelon:
                 if v:
                     out[k] = v
             row = row_normalize(out)
-        return row
+        return row_normalize(row)
 
     def contains(self, row):
         return not self.residue(row)
@@ -191,7 +203,11 @@ class Echelon:
 
 
 class EchelonMod:
-    """Row echelon over GF(p) for rows given as {col: int}."""
+    """Row echelon over GF(p) for rows given as {col: int}.
+
+    add() scales each new pivot row to pivot 1, so a reduction step needs
+    no inverse.
+    """
 
     __slots__ = ("p", "rows")
 
@@ -211,7 +227,7 @@ class EchelonMod:
             base = self.rows.get(c)
             if base is None:
                 return row
-            f = row.pop(c) * pow(base[c], p - 2, p) % p
+            f = row.pop(c)
             for k, v in base.items():
                 if k == c:
                     continue
@@ -226,7 +242,10 @@ class EchelonMod:
         res = self.residue(row)
         if not res:
             return False
-        self.rows[min(res)] = res
+        p = self.p
+        c = min(res)
+        inv = pow(res[c], p - 2, p)
+        self.rows[c] = {k: v * inv % p for k, v in res.items()}
         return True
 
     def add_all(self, rows):
@@ -237,15 +256,11 @@ class EchelonMod:
         return grew
 
 
-def spans_equal(rows_a, rows_b):
-    """Exact equality of the two row spans over the fraction field."""
-    ea = Echelon()
-    ea.add_all(rows_a)
-    eb = Echelon()
-    eb.add_all(rows_b)
-    if ea.rank != eb.rank:
-        return False
-    return all(ea.contains(r) for r in rows_b) and all(eb.contains(r) for r in rows_a)
+def spans_equal(ech, rows):
+    """Exact equality of ech's span and the span of `rows` over the fraction
+    field: the rows have rank ech.rank and each lies in ech's span (equal
+    dimension plus one-way inclusion)."""
+    return Echelon().add_all(rows) == ech.rank and all(ech.contains(r) for r in rows)
 
 
 def cyclic_span(seed, ops, grade):

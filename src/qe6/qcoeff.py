@@ -104,12 +104,18 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
+    def is_unit(self):
+        """True for the units +-q^k of the Laurent ring."""
+        if len(self.c) != 1:
+            return False
+        (v,) = self.c.values()
+        return v == 1 or v == -1
+
     def __pow__(self, n):
         if n < 0:
-            if len(self.c) == 1:
+            if self.is_unit():
                 ((e, v),) = self.c.items()
-                if v in (1, -1):
-                    return LaurentPoly._raw({e * n: -1 if (v == -1 and n & 1) else 1})
+                return LaurentPoly._raw({e * n: -1 if (v == -1 and n & 1) else 1})
             raise ValueError("negative power of a non-unit Laurent polynomial")
         out = ONE
         base = self

@@ -77,8 +77,8 @@ def test_two_row_presentation():
     rep = frt.two_row_presentation(s, t)
     assert rep["ok"]
     assert rep["degree2_dim"] == 498
-    mixed_octets = [b for b in rep["groups"]["mixed"]
-                    if rd.CLASSES[b["class_index"]].size == 8]
+    mixed_octets = [b for b in rep["groups"]["mixed"] if b["size"] == 8]
+    assert len(mixed_octets) == 10
     assert all(b["rank"] == 9 for b in mixed_octets)
     with pytest.raises(ValueError):
         frt.two_row_presentation(0, M([1, 2]))  # wrong order
@@ -159,6 +159,48 @@ def test_row_sweep_failure_detail_is_json(monkeypatch):
     assert status == "fail"
     assert details["blocks_bad"] == [{"class_head": ("e", "e"), "rank": 0,
                                       "stated_count": 0}]
+    json.dumps(details)
+
+
+def _times_q_at_first(vec):
+    word = min(vec)
+    return {w: c * Q if w == word else c for w, c in vec.items()}
+
+
+# each mutant rewrites the stated set of a size-8 class, whose octet
+# relation comes last
+@pytest.mark.parametrize("mutate", [
+    lambda stated: stated[:-1],
+    lambda stated: stated[:-1] + [_times_q_at_first(stated[-1])],
+], ids=["octet-dropped", "octet-entry-times-q"])
+def test_row_presentation_rejects_mutated_stated_set(monkeypatch, mutate):
+    # a dropped relation leaves the stated span inside the computed one at
+    # lower rank; an entry times q keeps the rank but leaves the span
+    stated = frt.stated_row_relations
+    monkeypatch.setattr(frt, "stated_row_relations", lambda s, cls: (
+        mutate(stated(s, cls)) if cls.size == 8 else stated(s, cls)))
+    rep = frt.row_presentation(0)
+    assert not rep["ok"]
+    assert {b["size"] for b in rep["blocks"] if not b["stated_ok"]} == {8}
+
+
+def test_two_row_sweep_failure_names_blocks(monkeypatch):
+    computed = frt.two_row_presentation
+
+    def first_mixed_bad(s, t):
+        rep = computed(s, t)
+        rep["groups"]["mixed"][0]["stated_ok"] = rep["ok"] = False
+        return rep
+
+    monkeypatch.setattr(frt, "two_row_presentation", first_mixed_bad)
+    s, t = frt.admissible_pairs()[0]
+    status, details = checks._chk_two_row_sweep(lambda: [frt.psi_ST_check(s, t)])()
+    assert status == "fail"
+    (failure,) = details["failures"]
+    assert failure["rows"] == (rd.label(s), rd.label(t))
+    assert failure["dim"] == 498
+    assert failure["blocks_bad"] == [{"class_head": ("e", "e"), "rank": 1,
+                                      "stated_count": 1, "group": "mixed"}]
     json.dumps(details)
 
 

@@ -1,6 +1,8 @@
 import random
 
-from qe6.qcoeff import LaurentPoly, ONE, Q, QINV, QHAT, qpow
+from hypothesis import given, strategies as st
+
+from qe6.qcoeff import LaurentPoly, ONE, ZERO, Q, QINV, QHAT, qpow
 from qe6.linalg import (SparseMat, Echelon, EchelonMod, spans_equal, rank_mod,
                         bareiss_rank, row_normalize, cyclic_span)
 from qe6 import rootdata as rd
@@ -30,10 +32,14 @@ def test_echelon_rank_and_membership():
 
 
 def test_spans_equal():
-    a = [{0: ONE, 1: ONE}, {1: ONE, 2: ONE}]
-    b = [{0: ONE, 2: -ONE}, {1: ONE, 2: ONE}]
-    assert spans_equal(a, b)
-    assert not spans_equal(a, [{0: ONE}])
+    ech = Echelon()
+    ech.add_all([{0: ONE, 1: ONE}, {1: ONE, 2: ONE}])
+    assert spans_equal(ech, [{0: ONE, 2: -ONE}, {1: ONE, 2: ONE}])
+    assert not spans_equal(ech, [{0: ONE}])
+    # inside the span but of lower rank
+    assert not spans_equal(ech, [{0: ONE, 2: -ONE}])
+    # the right rank but outside the span
+    assert not spans_equal(ech, [{0: ONE, 2: -ONE}, {1: ONE, 2: Q}])
 
 
 def test_bareiss_rank_matches_random_modular():
@@ -83,3 +89,62 @@ def test_cyclic_span():
     # swap: e0 -> q e1 -> q^2 e0, and q^2 e0 is already in the span
     swap = lambda v: {1 - k: c * Q for k, c in v.items()}
     assert cyclic_span({0: ONE}, [swap], lambda v: 0) == [{0: ONE}, {1: Q}]
+
+
+# --- property tests of both eliminators -------------------------------------
+
+NCOLS = 5
+P = 1000000007
+
+# entries: units +-q^k, which reduce in place, and non-units, which
+# cross-multiply
+entry = st.one_of(
+    st.builds(LaurentPoly.term, st.sampled_from([1, -1]), st.integers(-3, 3)),
+    st.dictionaries(st.integers(-3, 3), st.integers(-4, 4),
+                    min_size=2, max_size=3).map(LaurentPoly))
+sparse_row = st.dictionaries(st.integers(0, NCOLS - 1), entry, max_size=NCOLS)
+
+
+@st.composite
+def laurent_rows(draw):
+    """Random sparse rows, some of them combinations of earlier ones, so that
+    rank-deficient sets are common."""
+    rows = draw(st.lists(sparse_row, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        fa, fb = draw(entry), draw(entry)
+        combo = {}
+        for row, f in ((a, fa), (b, fb)):
+            for k, v in row.items():
+                combo[k] = combo.get(k, ZERO) + f * v
+        rows.append({k: v for k, v in combo.items() if v})
+    return draw(st.permutations(rows))
+
+
+@given(laurent_rows())
+def test_echelon_rank_matches_bareiss(rows):
+    ech = Echelon()
+    rank = ech.add_all(rows)
+    assert rank == ech.rank
+    assert rank == bareiss_rank([[row.get(c, ZERO) for c in range(NCOLS)]
+                                 for row in rows])
+    assert all(ech.contains(row) for row in rows)
+    assert rank_mod(rows, 12345, P) <= rank
+
+
+mod_rows = st.lists(st.dictionaries(st.integers(0, NCOLS - 1), st.integers(0, 6),
+                                    max_size=NCOLS), max_size=7)
+
+
+@given(mod_rows, st.data())
+def test_echelon_mod_rank_ignores_order_and_scaling(rows, data):
+    p = 7
+    ech = EchelonMod(p)
+    rank = ech.add_all(rows)
+    shuffled = data.draw(st.permutations(rows))
+    factors = data.draw(st.lists(st.integers(1, p - 1), min_size=len(rows),
+                                 max_size=len(rows)))
+    scaled = [{k: v * f for k, v in row.items()} for row, f in zip(shuffled, factors)]
+    assert EchelonMod(p).add_all(scaled) == rank
+    # stored pivot rows are monic
+    assert all(base[c] == 1 for c, base in ech.rows.items())
