@@ -15,7 +15,7 @@ from . import adjoint as aj
 from . import rmatrix as rm
 from . import frt
 from . import report as rp
-from .checks import SUITES, SUITE_ORDER
+from .checks import SUITES, SUITE_ORDER, MAX_DEGREE
 
 
 def _suite_rng(seed, name):
@@ -23,8 +23,8 @@ def _suite_rng(seed, name):
 
 
 def cmd_verify(args):
-    if args.max_degree < 0:
-        raise ValueError("--max-degree must be >= 0")
+    if not 0 <= args.max_degree <= MAX_DEGREE:
+        raise ValueError("--max-degree must be between 0 and %d" % MAX_DEGREE)
     names = SUITE_ORDER if args.suite == "all" else (args.suite,)
     all_checks = []
     passed = True

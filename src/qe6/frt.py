@@ -6,6 +6,14 @@ bihomogeneous, so every computation happens inside small (row class, column
 class) blocks.  On top sit the row and two-row subalgebra presentations, the
 rank facts from the published proofs, and the homomorphism/kernel checks that
 tie the rows back to the (twisted) quantum Schubert cell algebras.
+
+The braiding's coefficients repeat from block to block (every row class has
+coefficient q^2, every admissible pair (q^2 - 1, q), and all octet matrices
+are equal), so the 318 blocks of a two-row presentation are copies of six
+blocks up to an order-preserving renaming of their words.  One presentation
+call eliminates each distinct block once (see _relation_block).  This is
+exact: elimination and span comparison look at words only through their
+order, so a renamed copy has the renamed echelon and the same verdict.
 """
 
 from functools import cache
@@ -78,14 +86,38 @@ def stated_mixed_relations(s, t, cls):
     return out
 
 
-def _relation_block(cls, computed, stated):
+def _numbered(vecs, number):
+    return tuple(tuple(sorted((number[w], c) for w, c in vec.items())) for vec in vecs)
+
+
+def _relation_block(cls, computed, stated, shared):
     """One column-class block: the echelon of the computed relations and the
-    verdict that they span the same space as the stated ones."""
+    verdict that they span the same space as the stated ones.
+
+    The block's words are numbered in sorted order, and the block is keyed
+    by its computed and stated vectors over those numbers, coefficients
+    included.  `shared`, one dict per presentation call, holds the echelon
+    over numbers and the verdict of each key, so a distinct block is
+    eliminated and compared once; each block gets that echelon's rows
+    renamed back to its own words.  Echelon and spans_equal compare words
+    only by order, and the renaming keeps the order, so every stored row,
+    the rank and the verdict equal those of eliminating the block itself.
+    """
+    words = sorted({w for vec in computed + stated for w in vec})
+    number = {w: n for n, w in enumerate(words)}
+    key = (_numbered(computed, number), _numbered(stated, number))
+    hit = shared.get(key)
+    if hit is None:
+        base = Echelon()
+        base.add_all(dict(vec) for vec in key[0])
+        hit = shared[key] = base, spans_equal(base, [dict(vec) for vec in key[1]])
+    base, stated_ok = hit
     ech = Echelon()
-    ech.add_all(computed)
+    ech.rows = {words[c]: {words[k]: v for k, v in row.items()}
+                for c, row in base.rows.items()}
     return {"class_head": (rd.label(cls.members[0][0]), rd.label(cls.members[0][1])),
             "size": cls.size, "rank": ech.rank, "stated_count": len(stated),
-            "stated_ok": spans_equal(ech, stated), "echelon": ech}
+            "stated_ok": stated_ok, "echelon": ech}
 
 
 def failing_blocks(blocks):
@@ -95,15 +127,19 @@ def failing_blocks(blocks):
             for b in blocks if not b["stated_ok"]]
 
 
-def row_presentation(s):
-    """Blockwise relation bases of one row subalgebra, with the span-equality
-    verdict against the published relation set and the degree-2 dimension."""
+def _row_presentation(s, shared):
     blocks = [_relation_block(cls, [frt_relation(s, s, i, j) for (i, j), _ in cls],
-                              stated_row_relations(s, cls))
+                              stated_row_relations(s, cls), shared)
               for cls in rd.CLASSES]
     return {"row": rd.label(s),
             "degree2_dim": sum(b["size"] - b["rank"] for b in blocks),
             "blocks": blocks, "ok": all(b["stated_ok"] for b in blocks)}
+
+
+def row_presentation(s):
+    """Blockwise relation bases of one row subalgebra, with the span-equality
+    verdict against the published relation set and the degree-2 dimension."""
+    return _row_presentation(s, {})
 
 
 def admissible(s, t):
@@ -120,13 +156,15 @@ def two_row_presentation(s, t):
     """Blockwise relation bases of a two-row subalgebra and the span-equality
     verdict against the published set; requires an admissible (S, T).  The S
     and T groups are the blocks of the two row presentations; the mixed group
-    has one block of the same form per column class."""
+    has one block of the same form per column class.  The three groups share
+    one elimination per distinct block."""
     if not admissible(s, t):
         raise ValueError("rows must differ by one move with S < T")
-    row_s, row_t = row_presentation(s), row_presentation(t)
+    shared = {}
+    row_s, row_t = _row_presentation(s, shared), _row_presentation(t, shared)
     mixed = [_relation_block(cls, [frt_relation(a, b, i, j) for a, b in ((s, t), (t, s))
                                    for (i, j), _ in cls],
-                             stated_mixed_relations(s, t, cls))
+                             stated_mixed_relations(s, t, cls), shared)
              for cls in rd.CLASSES]
     dim = (row_s["degree2_dim"] + row_t["degree2_dim"]
            + sum(2 * b["size"] - b["rank"] for b in mixed))

@@ -14,8 +14,10 @@ Every cyclic submodule is closed by cyclic_span, one Echelon per weight.
 The heavy rank questions (degree-3 comparisons, large highest-weight blocks)
 are answered over GF(p) by one path: rank_mod specializes rows at q = q0 and
 ranks them in an EchelonMod, whose pivot rows are monic, at evaluation points
-drawn by draw_points.  Such a rank is a lower bound on the exact rank, so
-callers treat agreement as evidence, not proof.
+drawn by draw_points.  rank_mod adds the rows shortest first; a rank does not
+depend on the order of its rows, and short pivot rows keep each reduction
+short.  Such a rank is a lower bound on the exact rank, so callers treat
+agreement as evidence, not proof.
 """
 
 from math import gcd
@@ -296,9 +298,14 @@ def draw_points(rng):
 def rank_mod(rows, q0, p):
     """Rank of Laurent rows specialized at q = q0 over GF(p) (a lower bound
     on the exact rank, with equality for all but finitely many q0).  This is
-    the only place rows are specialized."""
+    the only place rows are specialized.
+
+    Rows go in shortest first, which keeps the pivot rows short and so
+    every later reduction cheap; a rank does not depend on the order in
+    which its rows are added.  Only references are sorted: each row is
+    specialized as it goes in."""
     ech = EchelonMod(p)
-    for row in rows:
+    for row in sorted(rows, key=len):
         spec = {}
         for k, v in row.items():
             x = v.eval_mod(q0, p)

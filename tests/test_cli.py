@@ -38,6 +38,7 @@ def test_nf_parse_error_exit_2(capsys):
     ("relations", "--frt-two-rows", "e", "e"),
     ("relations", "--frt-two-rows", "e", "1234"),
     ("verify", "--max-degree", "-5"),
+    ("verify", "--max-degree", "4"),
 ])
 def test_truncated_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -6,7 +6,7 @@ import pytest
 from qe6 import checks
 from qe6 import rootdata as rd
 from qe6.qcoeff import ONE, Q, QHAT
-from qe6.linalg import Echelon
+from qe6.linalg import Echelon, spans_equal
 from qe6 import frt
 
 M = rd.mask_of
@@ -182,6 +182,64 @@ def test_row_presentation_rejects_mutated_stated_set(monkeypatch, mutate):
     rep = frt.row_presentation(0)
     assert not rep["ok"]
     assert {b["size"] for b in rep["blocks"] if not b["stated_ok"]} == {8}
+
+
+def _flagged(blocks):
+    return [b["class_head"] for b in blocks if not b["stated_ok"]]
+
+
+@pytest.mark.parametrize("size", [2, 8])
+def test_only_the_mutated_block_is_flagged(monkeypatch, size):
+    # blocks of one shape with other coefficients share no elimination: one
+    # entry times q fails its own block, and every block of the same shape
+    # still passes
+    target = rd.OCTETS[0] if size == 8 else next(c for c in rd.CLASSES if c.size == 2)
+    head = tuple(rd.label(m) for m in target.members[0])
+    s, t = frt.admissible_pairs()[0]
+    stated = frt.stated_row_relations
+    monkeypatch.setattr(frt, "stated_row_relations", lambda row, cls: (
+        [_times_q_at_first(v) if k == 0 else v for k, v in enumerate(stated(row, cls))]
+        if (row, cls) == (s, target) else stated(row, cls)))
+    assert _flagged(frt.row_presentation(s)["blocks"]) == [head]
+    groups = frt.two_row_presentation(s, t)["groups"]
+    assert {g: _flagged(b) for g, b in groups.items()} == {"S": [head], "T": [], "mixed": []}
+
+    monkeypatch.undo()
+    relation = frt.frt_relation
+    monkeypatch.setattr(frt, "frt_relation", lambda a, b, i, j: (
+        _times_q_at_first(relation(a, b, i, j))
+        if (a, b, (i, j)) == (s, t, target.members[0]) else relation(a, b, i, j)))
+    groups = frt.two_row_presentation(s, t)["groups"]
+    assert {g: _flagged(b) for g, b in groups.items()} == {"S": [], "T": [], "mixed": [head]}
+
+
+def _own_elimination(computed, stated):
+    ech = Echelon()
+    ech.add_all(computed)
+    return ech.rows, ech.rank, spans_equal(ech, stated)
+
+
+def test_shared_blocks_equal_their_own_elimination():
+    def check(blocks, computed, stated):
+        for cls, block in zip(rd.CLASSES, blocks):
+            own = _own_elimination(computed(cls), stated(cls))
+            assert (block["echelon"].rows, block["rank"], block["stated_ok"]) == own
+
+    def row_relations(s):
+        return lambda cls: [frt.frt_relation(s, s, i, j) for (i, j), _ in cls]
+
+    for s in rd.ALL_MASKS:
+        check(frt.row_presentation(s)["blocks"], row_relations(s),
+              lambda cls: frt.stated_row_relations(s, cls))
+    for s, t in frt.admissible_pairs()[:3]:
+        groups = frt.two_row_presentation(s, t)["groups"]
+        for row, group in ((s, "S"), (t, "T")):
+            check(groups[group], row_relations(row),
+                  lambda cls: frt.stated_row_relations(row, cls))
+        check(groups["mixed"],
+              lambda cls: [frt.frt_relation(a, b, i, j) for a, b in ((s, t), (t, s))
+                           for (i, j), _ in cls],
+              lambda cls: frt.stated_mixed_relations(s, t, cls))
 
 
 def test_two_row_sweep_failure_names_blocks(monkeypatch):

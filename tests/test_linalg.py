@@ -121,8 +121,8 @@ def laurent_rows(draw):
     return draw(st.permutations(rows))
 
 
-@given(laurent_rows())
-def test_echelon_rank_matches_bareiss(rows):
+@given(laurent_rows(), st.data())
+def test_echelon_rank_matches_bareiss(rows, data):
     ech = Echelon()
     rank = ech.add_all(rows)
     assert rank == ech.rank
@@ -130,6 +130,8 @@ def test_echelon_rank_matches_bareiss(rows):
                                  for row in rows])
     assert all(ech.contains(row) for row in rows)
     assert rank_mod(rows, 12345, P) <= rank
+    # rank_mod reorders its rows; the order they come in cannot matter
+    assert rank_mod(data.draw(st.permutations(rows)), 12345, P) == rank_mod(rows, 12345, P)
 
 
 mod_rows = st.lists(st.dictionaries(st.integers(0, NCOLS - 1), st.integers(0, 6),

@@ -266,6 +266,23 @@ def test_parse_and_format_round_trip():
         sc.parse_expr("Y[12", W)
 
 
+@st.composite
+def normal_forms(draw):
+    pres = draw(st.sampled_from((W, WH)))
+    words = st.lists(st.integers(0, pres.ngens - 1), max_size=3).map(tuple)
+    x = sc.NCPoly()
+    for word, coeff in draw(st.lists(st.tuples(words, LAURENT), max_size=4)):
+        x.iadd_term(word, coeff)
+    return sc.normal_form(x, pres), pres
+
+
+@settings(max_examples=100, deadline=None)
+@given(normal_forms())
+def test_format_parse_normal_form_round_trip(case):
+    nf, pres = case
+    assert sc.normal_form(sc.parse_expr(sc.format_poly(nf, pres), pres), pres) == nf
+
+
 def test_poly_json():
     x = nf(Y(M([1, 2])).free_mul(Y(0)))
     doc = sc.poly_to_json(x, W)
