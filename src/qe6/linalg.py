@@ -11,13 +11,13 @@ matrices.
 
 Every cyclic submodule is closed by cyclic_span, one Echelon per weight.
 
-The heavy rank questions (degree-3 comparisons, large highest-weight blocks)
-are answered over GF(p) by one path: rank_mod specializes rows at q = q0 and
-ranks them in an EchelonMod, whose pivot rows are monic, at evaluation points
-drawn by draw_points.  rank_mod adds the rows shortest first; a rank does not
-depend on the order of its rows, and short pivot rows keep each reduction
-short.  Such a rank is a lower bound on the exact rank, so callers treat
-agreement as evidence, not proof.
+Large highest-weight blocks are ranked over GF(p) by one path: rank_mod
+specializes rows at q = q0 and ranks them in an EchelonMod, whose pivot rows
+are monic, at evaluation points drawn by draw_points.  rank_mod adds the
+rows shortest first; a rank does not depend on the order of its rows, and
+short pivot rows keep each reduction short.  Such a rank is a lower bound
+on the exact rank, so it decides a question only where an exact bound from
+the other side meets it.
 """
 
 from math import gcd

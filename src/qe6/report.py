@@ -13,7 +13,6 @@ REPORT_VERSION = 1
 
 PASS = "pass"
 FAIL = "fail"
-PROBABILISTIC = "probabilistic-pass"
 
 
 class Check:

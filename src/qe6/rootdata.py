@@ -237,6 +237,16 @@ def epsilon(a, b):
 
 EPS = {(a, b): epsilon(a, b) for a in ALL_MASKS for b in ALL_MASKS}
 
+
+def is_face(rows):
+    """True when the weights of `rows` are the only maximisers of the pairing
+    with their sum over the sixteen weights.  Then n subsets whose weights
+    add up to a sum of n weights of `rows` all lie in `rows`."""
+    total = tuple(map(sum, zip(*(WT[r] for r in rows))))
+    score = {m: inner(WT[m], total) for m in ALL_MASKS}
+    top = max(score.values())
+    return {m for m, v in score.items() if v == top} == set(rows)
+
 # octet classes sorted the way the big table lists them (by first member label)
 OCTETS = tuple(sorted((c for c in CLASSES if c.size == 8),
                       key=lambda c: LEXCODE[c.members[0][0]]))

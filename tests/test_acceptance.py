@@ -16,7 +16,6 @@ import time
 from qe6.cli import main as cli_main
 
 PASS = "pass"
-PROBABILISTIC = "probabilistic-pass"
 
 
 @functools.cache
@@ -163,17 +162,17 @@ def test_criterion_7_frt_presentations_and_ranks():
 
 def test_criterion_8_homomorphism_kernel_theorems():
     ok, elapsed = _verdicts(["frt.row-homomorphism-kernel",
-                             "frt.two-row-homomorphism-kernel"], PROBABILISTIC)
+                             "frt.two-row-homomorphism-kernel"])
     row = _details("frt.row-homomorphism-kernel")
-    ok = ok and row["rows"] == 16 and row["degree2_quotient"] == 126
+    ok = ok and row["rows"] == row["faces"] == 16 and row["degree2_quotient"] == 126
+    ok = ok and row["degree3_quotient"] == 672
     pair = _details("frt.two-row-homomorphism-kernel")
-    ok = ok and pair["pairs"] == 80
-    for deg3 in (row["degree3"], pair["representative_degree3"]):
-        ok = ok and deg3["status"] == PROBABILISTIC and len(deg3["points"]) == 3
+    ok = ok and pair["pairs"] == pair["faces"] == 80
+    ok = ok and pair["kernel_module_rank"] == 30 and pair["degree3_quotient"] == 5088
     ok = ok and elapsed < 1200
-    _line(8, ok, "row and two-row homomorphism/kernel checks for all 16 rows "
-                 "and 80 pairs, degree-3 evidence at three modular points",
-          elapsed)
+    _line(8, ok, "row and two-row homomorphism/kernel theorems for all 16 rows "
+                 "and 80 pairs, exact in every degree (degree-3 quotients "
+                 "672 and 5088)", elapsed)
 
 
 def test_criterion_9_deterministic_reports(capsys):

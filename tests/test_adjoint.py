@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from qe6 import checks
 from qe6 import rootdata as rd
 from qe6.qcoeff import Q, QINV, qpow
 from qe6 import schubert as sc
@@ -130,6 +131,14 @@ def test_decompose_affine_evidence_low_degrees():
         assert rep["verdict"] == "pass"
         assert rep["hw_vector_count"] == hw
         assert "evidence" in rep["statement"]
+
+
+def test_modular_decomposition_that_passes_is_a_proof():
+    # a modular rank bounds hw_dim from above and the exhibited vectors from
+    # below; a passing verdict means the bounds meet in every block
+    status, details = checks._chk_decompose("w", 2, "modular", random.Random(0))()
+    assert [r["mode"] for r in details["degrees"]] == ["modular"] * 3
+    assert status == "pass"
 
 
 def test_omega_monomial_counts():

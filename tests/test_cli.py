@@ -58,7 +58,7 @@ def test_verify_rootdata_report(capsys):
     assert doc["report_version"] == 1
     assert doc["suite"] == "rootdata"
     assert doc["passed"] is True
-    assert all(c["status"] in ("pass", "fail", "probabilistic-pass", "skipped")
+    assert all(c["status"] in ("pass", "fail")
                for c in doc["checks"])
     assert all(c["paper_ref"] for c in doc["checks"])
     assert all(c["elapsed_ms"] == 0 for c in doc["checks"])

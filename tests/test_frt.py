@@ -270,14 +270,30 @@ def test_psi_s_single_row():
     assert rep["relations_carried"] and rep["kernel_vectors_carried"]
 
 
-def test_psi_s_degree3_modular():
-    deg3 = frt._degree3_row_comparison(0, random.Random(4))
-    assert deg3["status"] == "probabilistic-pass"
-    assert deg3["quotient_dims"] == deg3["row_dims"]
-    assert deg3["quotient_dims"][0] == 672
-    # the points Random(4) draws: each a prime, then q0
-    assert deg3["points"] == [(318033, 2**61 - 1), (756252, 2**61 - 1),
-                              (502142, 1000000007)]
+def test_degree3_quotient_dims():
+    # exact cross-check of both kernel theorems at degree 3: the cell algebra
+    # modulo its kernel-module ideal
+    assert frt.degree3_quotient_dim("w") == 672
+    assert frt.degree3_quotient_dim("what") == 5088
+
+
+def test_face_certificate():
+    assert all(rd.is_face((s,)) for s in rd.ALL_MASKS)
+    assert all(rd.is_face(pair) for pair in frt.admissible_pairs())
+    # two moves apart, a third weight pairs as high with the sum
+    far = [(s, t) for s in rd.ALL_MASKS for t in rd.ALL_MASKS
+           if s < t and bin(s ^ t).count("1") == 4]
+    assert len(far) == 40
+    assert not any(rd.is_face(pair) for pair in far)
+
+
+def test_row_kernel_check_fails_off_a_face(monkeypatch):
+    is_face = rd.is_face
+    monkeypatch.setattr(rd, "is_face", lambda rows: rows != (0,) and is_face(rows))
+    status, details = checks._chk_psi_s_sweep()
+    assert status == "fail"
+    assert details["faces"] == 15 and details["non_faces"] == ["e"]
+    json.dumps(details)
 
 
 def test_psi_st_single_pair():
