@@ -474,7 +474,9 @@ def _chk_support():
 
 def _chk_ybe():
     rep = rm.ybe_check()
-    return _ok(rep["ok"], {"product_nonzeros": rep["nonzeros"]})
+    return _ok(rep["ok"], {k: rep[k] for k in
+                           ("columns_checked", "dominant_weights", "failing_columns",
+                            "first_failure", "commutant_failures")})
 
 
 def _chk_equivariance():

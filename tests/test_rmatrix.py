@@ -1,4 +1,10 @@
+import json
+
+import pytest
+
 from qe6 import rootdata as rd
+from qe6.checks import rmatrix_checks
+from qe6.report import FAIL
 from qe6.qcoeff import ONE, Q, QHAT, qpow
 from qe6.linalg import SparseMat
 from qe6 import rmatrix as rm
@@ -58,7 +64,49 @@ def test_nonzero_count():
 
 
 def test_ybe():
-    assert rm.ybe_check()["ok"]
+    # reference: the full identity as products of 4096x4096 matrices
+    eye = SparseMat.identity(rm.DIM)
+    r12 = rm.build_rhat().kron(eye)
+    r23 = eye.kron(rm.build_rhat())
+    assert r12.mul(r23.mul(r12)) == r23.mul(r12.mul(r23))
+    rep = rm.ybe_check()
+    assert rep["ok"]
+    assert rep["columns_checked"] == 91
+    assert rep["dominant_weights"] == 5
+    assert rep["commutant_failures"] == []
+    assert rep["failing_columns"] == 0 and rep["first_failure"] is None
+
+
+def _one_entry_mutant():
+    rhat = rm.build_rhat()
+    key = min(k for k in rhat.entries if k[0] != k[1])
+    return rhat.add(SparseMat(rm.TDIM, rm.TDIM, {key: ONE}))
+
+
+@pytest.mark.parametrize("name", ["plus_one", "square"])
+def test_equivariant_mutants_fail_on_dominant_columns(monkeypatch, name):
+    # R + 1 and R^2 commute with the action, so only the dominant columns can
+    # catch them; a failing column is a column of the full difference
+    rhat = rm.build_rhat()
+    mutant = rhat.add(SparseMat.identity(rm.TDIM)) if name == "plus_one" else rhat.mul(rhat)
+    monkeypatch.setattr(rm, "build_rhat", lambda: mutant)
+    rep = rm.ybe_check()
+    assert not rep["ok"]
+    assert rep["commutant_failures"] == []
+    assert rep["failing_columns"] > 0
+
+
+def test_braid_relation_failure_names_its_reproducer(monkeypatch):
+    mutant = _one_entry_mutant()
+    monkeypatch.setattr(rm, "build_rhat", lambda: mutant)
+    check, = [c for c in rmatrix_checks(3, "exact", None)
+              if c.claim_id == "braid-relation"]
+    status, details = check.fn()
+    assert status == FAIL
+    assert details["first_failure"] == {"triple": ["12", "e", "e"],
+                                        "weight": [1, 0, 1, 0, 0]}
+    assert details["commutant_failures"] == ["E2", "E4", "F2", "F4"]
+    assert json.loads(json.dumps(details)) == details
 
 
 def test_equivariance_and_inverse():
@@ -78,13 +126,15 @@ def test_equivariance_and_inverse():
 
 
 def test_one_entry_mutant_fails_the_cubic_identity(monkeypatch):
-    rhat = rm.build_rhat()
-    key = min(k for k in rhat.entries if k[0] != k[1])
-    mutant = rhat.add(SparseMat(rm.TDIM, rm.TDIM, {key: ONE}))
+    mutant = _one_entry_mutant()
     monkeypatch.setattr(rm, "build_rhat", lambda: mutant)
     rep = rm.equivariance_check()
     assert not rep["ok"]
     assert not rep["invertible"]
+    # the braid relation check rejects it through the shared commutant
+    braid = rm.ybe_check()
+    assert not braid["ok"]
+    assert braid["commutant_failures"] == rep["commutant_failures"] != []
 
 
 def test_eigenspace_dimensions():
