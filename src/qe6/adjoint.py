@@ -273,13 +273,14 @@ def identity_check(d):
 
 # --- degree-by-degree decomposition ------------------------------------------
 
-def _hw_rank_rows(words, pres):
-    """Rows (one per word of the block) of the stacked raising operators."""
+def _hw_rank_rows(words, ops, pres):
+    """Rows (one per word of the block) of the raising operators E_i, i in
+    `ops`, stacked."""
     index = {}
     rows = []
     for word in words:
         row = {}
-        for i in rd.IPRIME:
+        for i in ops:
             img = ad_E(i, NCPoly.from_word(word), pres)
             for tw, c in img.items():
                 key = index.setdefault((i, tw), len(index))
@@ -357,6 +358,20 @@ def decompose_degree(algebra, d, mode="exact", rng=None):
     exhibiting the predicted vectors (a lower bound) and bounding the kernel
     of the raising operators (exact rank on small blocks, else a modular rank
     bound, which still certifies equality when the two bounds meet).
+
+    A block is the weight space V_mu of the degree-d component, spanned by
+    its normal words.  Its highest-weight space is the kernel of the five
+    raising operators stacked, and that kernel lies inside the kernel of any
+    single E_i.  The component is a finite-dimensional type-1 module, so as
+    a module over the U_q(sl2) of node i it is a sum of irreducibles with
+    weights -n, -n + 2, ..., n, and E_i maps each weight-m vector with m < 0
+    to a nonzero multiple of the weight-(m + 2) vector (Jantzen, Lectures on
+    Quantum Groups, ch. 2 and 5).  So E_i is injective on V_mu whenever
+    <mu, alpha_i> < 0.  On such a block only the E_i with the most negative
+    pairing (the first on ties) is ranked first: full rank proves hw_dim = 0.
+    That rank is computed, not assumed, by the same exact or GF(p) rule, and
+    a GF(p) rank is a lower bound, so a full one is a proof too.  A rank that
+    falls short, and every dominant block, gets the full five-operator stack.
     """
     rng = rng or random.Random(20260808)
     pres = presentation(algebra)
@@ -368,34 +383,37 @@ def decompose_degree(algebra, d, mode="exact", rng=None):
     by_mu = {}
     cand_fail = []
     for key, vec in cands.items():
-        ok, lam = is_highest_weight(vec, pres) if vec else (False, None)
-        if not vec or not ok:
+        if not vec or any(ad_E(i, vec, pres) for i in rd.IPRIME):
             cand_fail.append({"monomial": list(key), "reason": "not a highest weight vector"})
             continue
-        by_mu.setdefault(q_degree(vec, pres), []).append((key, vec, lam))
+        by_mu.setdefault(q_degree(vec, pres), []).append(vec)
 
     report_blocks = []
     mismatches = []
     lam_counts = {}
     mode_used = "exact"
     for mu, words in sorted(blocks.items()):
+        lam = tuple(rd.inner(rd.ALPHA[i], mu) for i in rd.IPRIME)
         expected_here = by_mu.get(mu, ())
         nwords = len(words)
         lower = 0
         if expected_here:
             ech = Echelon()
-            lower = sum(1 for _, vec, _ in expected_here if ech.add(vec))
+            lower = ech.add_all(expected_here)
         exact = mode == "exact" and nwords <= EXACT_BLOCK_WORDS
-        rows = _hw_rank_rows(words, pres)
-        rank, how = _block_rank(rows, exact, rng)
+        rank = None
+        if min(lam) < 0:
+            one = (rd.IPRIME[lam.index(min(lam))],)
+            rank, how = _block_rank(_hw_rank_rows(words, one, pres), exact, rng)
+        if rank != nwords:
+            rows = _hw_rank_rows(words, rd.IPRIME, pres)
+            rank, how = _block_rank(rows, exact, rng)
+            if how == "modular" and nwords - rank != lower and mode == "exact":
+                rank, how = _block_rank(rows, True, rng)
         hw_dim = nwords - rank
-        if how == "modular" and hw_dim != lower and mode == "exact":
-            rank, how = _block_rank(rows, True, rng)
-            hw_dim = nwords - rank
         if how == "modular":
             mode_used = "modular"
         certified = (how == "exact") or (hw_dim == lower)
-        lam = tuple(rd.inner(rd.ALPHA[i], mu) for i in rd.IPRIME)
         if hw_dim:
             lam_counts[lam] = lam_counts.get(lam, 0) + hw_dim
         entry = {"weight": list(mu), "dim": nwords, "hw_dim": hw_dim,
@@ -406,7 +424,9 @@ def decompose_degree(algebra, d, mode="exact", rng=None):
             report_blocks.append(entry)
 
     total = sum(len(ws) for ws in blocks.values())
-    dim_by_lambda = sum(weyl_dim(lam) * cnt for lam, cnt in lam_counts.items())
+    # a highest-weight vector of non-dominant weight is already a mismatch
+    dim_by_lambda = sum(weyl_dim(lam) * cnt for lam, cnt in lam_counts.items()
+                        if min(lam) >= 0)
     ok = (not cand_fail and not mismatches and total == hilbert_dim(pres, d)
           and dim_by_lambda == total)
     report = {

@@ -472,17 +472,21 @@ def _chk_support():
     return _ok(rep["ok"], {"violations": rep["violations"][:5]})
 
 
-def _chk_ybe():
-    rep = rm.ybe_check()
-    return _ok(rep["ok"], {k: rep[k] for k in
-                           ("columns_checked", "dominant_weights", "failing_columns",
-                            "first_failure", "commutant_failures")})
+def _chk_ybe(commutant):
+    def run():
+        rep = rm.ybe_check(commutant())
+        return _ok(rep["ok"], {k: rep[k] for k in
+                               ("columns_checked", "dominant_weights", "failing_columns",
+                                "first_failure", "commutant_failures")})
+    return run
 
 
-def _chk_equivariance():
-    rep = rm.equivariance_check()
-    return _ok(rep["ok"], {k: rep[k] for k in
-                           ("commutant_failures", "invertible", "eigenvalues")})
+def _chk_equivariance(commutant):
+    def run():
+        rep = rm.equivariance_check(commutant())
+        return _ok(rep["ok"], {k: rep[k] for k in
+                               ("commutant_failures", "invertible", "eigenvalues")})
+    return run
 
 
 def _chk_eigen_split():
@@ -494,6 +498,8 @@ def _chk_eigen_split():
 
 
 def rmatrix_checks(max_degree, mode, rng):
+    # the commutant behind two checks, computed once by whichever comes first
+    commutant = cache(lambda: rm.commutant_failures(rm.build_rhat()))
     return [
         Check("qexp-linear-coefficient",
               "the truncating q-exponential contributes exactly q - q^(-1)",
@@ -506,10 +512,10 @@ def rmatrix_checks(max_degree, mode, rng):
               "one class", _chk_support),
         Check("braid-relation",
               "the braiding satisfies the braid form of the Yang-Baxter "
-              "equation exactly", _chk_ybe),
+              "equation exactly", _chk_ybe(commutant)),
         Check("module-map",
               "the braiding commutes with the acting algebra and is invertible",
-              _chk_equivariance),
+              _chk_equivariance(commutant)),
         Check("negative-eigenspace",
               "the eigenvalue -1 eigenspace is 120-dimensional, is the cyclic "
               "module of the distinguished seed, and equals the transported "

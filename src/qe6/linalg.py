@@ -29,13 +29,17 @@ PRIMES = ((1 << 61) - 1, 1000000007, 998244353)
 
 
 class SparseMat:
-    """Immutable-by-convention sparse matrix with LaurentPoly entries."""
+    """Immutable-by-convention sparse matrix with LaurentPoly entries.
 
-    __slots__ = ("nrows", "ncols", "entries")
+    The nonzeros indexed by column are built on first use and kept, which
+    is sound only because the entries never change after construction."""
+
+    __slots__ = ("nrows", "ncols", "entries", "_by_col")
 
     def __init__(self, nrows, ncols, entries=None):
         self.nrows = nrows
         self.ncols = ncols
+        self._by_col = None
         self.entries = {}
         if entries:
             for (r, c), v in entries.items():
@@ -48,6 +52,7 @@ class SparseMat:
         self.nrows = nrows
         self.ncols = ncols
         self.entries = entries
+        self._by_col = None
         return self
 
     @classmethod
@@ -101,13 +106,22 @@ class SparseMat:
                 out[(r1 * on + r2, c1 * om + c2)] = v1 * v2
         return SparseMat._raw(self.nrows * on, self.ncols * om, out)
 
+    def by_col(self):
+        """The nonzeros as {column: [(row, value), ...]}, built once."""
+        if self._by_col is None:
+            self._by_col = {}
+            for (r, c), v in self.entries.items():
+                self._by_col.setdefault(c, []).append((r, v))
+        return self._by_col
+
     def apply(self, vec):
         """Apply to a column vector given as {row_index: LaurentPoly}."""
+        cols = self.by_col()
         out = {}
-        for (r, c), v in self.entries.items():
-            x = vec.get(c)
+        for c, x in vec.items():
             if x:
-                accumulate(out, r, v * x)
+                for r, v in cols.get(c, ()):
+                    accumulate(out, r, v * x)
         return out
 
     def commutes_with(self, other):

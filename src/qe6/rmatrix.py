@@ -166,7 +166,7 @@ def support_check():
     return {"ok": not bad, "violations": bad}
 
 
-def ybe_check():
+def ybe_check(failures):
     """The braid identity R12 R23 R12 = R23 R12 R23 on V (x) V (x) V, exactly.
 
     (a) The braiding commutes with the coproduct action of E_i, F_i and K_i
@@ -187,14 +187,11 @@ def ybe_check():
     of V (x) V (x) V is generated by a highest-weight vector, whose weight is
     dominant.  D is a module map by (a) and kills the dominant weight spaces
     by (b), so it kills every summand: D = 0.  Of the 4096 triples, 91 are
-    dominant, across 5 weights.  The report names the first failing triple
+    dominant, across 5 weights.  `failures` is commutant_failures of the
+    braiding, the result of (a).  The report names the first failing triple
     with its weight, and the generators that fail (a).
     """
-    rhat = build_rhat()
-    failures = commutant_failures(rhat)
-    by_col = {}
-    for (r, c), v in rhat.entries.items():
-        by_col.setdefault(c, []).append((r, v))
+    by_col = build_rhat().by_col()
 
     def r12(vec):
         out = {}
@@ -270,11 +267,11 @@ def commutant_failures(rhat):
 EIGENVALUES = (-ONE, qpow(2), qpow(-6))
 
 
-def equivariance_check():
+def equivariance_check(failures):
     """The braiding commutes with the whole acting algebra and is invertible:
-    the product of (braiding - lambda) over EIGENVALUES is exactly zero."""
+    the product of (braiding - lambda) over EIGENVALUES is exactly zero.
+    `failures` is commutant_failures of the braiding."""
     rhat = build_rhat()
-    failures = commutant_failures(rhat)
     eye = SparseMat.identity(TDIM)
     cubic = eye
     for lam in EIGENVALUES:

@@ -8,6 +8,7 @@ from qe6.qcoeff import Q, QINV, qpow
 from qe6 import schubert as sc
 from qe6 import adjoint as aj
 from qe6 import spinrep as sp
+from qe6.linalg import Echelon
 
 M = rd.mask_of
 W = sc.presentation("w")
@@ -139,6 +140,79 @@ def test_modular_decomposition_that_passes_is_a_proof():
     status, details = checks._chk_decompose("w", 2, "modular", random.Random(0))()
     assert [r["mode"] for r in details["degrees"]] == ["modular"] * 3
     assert status == "pass"
+
+
+def _stacked_hw_dims(algebra, d):
+    """Reference: each weight block's hw_dim from the exact rank of all five
+    raising operators stacked, with no single-operator shortcut."""
+    pres = sc.presentation(algebra)
+    blocks = {}
+    for word in sc.normal_words(pres, d):
+        blocks.setdefault(pres.weight_of_word(word), []).append(word)
+    dims = {}
+    for mu, words in blocks.items():
+        ech = Echelon()
+        for word in words:
+            ech.add({(i, tw): c for i in rd.IPRIME
+                     for tw, c in aj.ad_E(i, sc.NCPoly.from_word(word), pres).items()})
+        dims[mu] = len(words) - ech.rank
+    return dims
+
+
+@pytest.mark.parametrize("algebra, top", [("w", 3), ("what", 2)])
+def test_single_raising_operator_matches_the_full_stack(monkeypatch, algebra, top):
+    pres = sc.presentation(algebra)
+    real = aj.ad_E
+    for d in range(top + 1):
+        ref = _stacked_hw_dims(algebra, d)
+        raised = {}
+
+        def recording(i, x, pres):
+            if len(x) == 1:
+                raised.setdefault(next(iter(x)), []).append(i)
+            return real(i, x, pres)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(aj, "ad_E", recording)
+            rep = aj.decompose_degree(algebra, d)
+        got = {tuple(b["weight"]): b["hw_dim"] for b in rep["blocks"]}
+        assert set(got) <= set(ref)
+        assert {mu: got.get(mu, 0) for mu in ref} == ref
+        # a word of a non-dominant block is raised once, by the E_i of its
+        # most negative pairing (the first on ties)
+        for word in sc.normal_words(pres, d):
+            mu = pres.weight_of_word(word)
+            lam = [rd.inner(rd.ALPHA[i], mu) for i in rd.IPRIME]
+            if min(lam) < 0:
+                assert raised[word] == [rd.IPRIME[lam.index(min(lam))]]
+
+
+def test_killed_non_dominant_word_falls_back_and_fails(monkeypatch):
+    # a mutant ad_E that kills one word of a non-dominant block: the single
+    # operator falls short, the full stack runs on the word and finds a
+    # highest-weight vector that no candidate predicts
+    blocks = {}
+    for w in sc.normal_words(W, 2):
+        blocks.setdefault(W.weight_of_word(w), []).append(w)
+    mu, words = max(((mu, ws) for mu, ws in blocks.items()
+                     if min(rd.inner(rd.ALPHA[i], mu) for i in rd.IPRIME) < 0),
+                    key=lambda item: len(item[1]))
+    word = words[0]
+    real = aj.ad_E
+    killed = set()
+
+    def mutant(i, x, pres):
+        if tuple(x) == (word,):
+            killed.add(i)
+            return sc.NCPoly()
+        return real(i, x, pres)
+
+    monkeypatch.setattr(aj, "ad_E", mutant)
+    rep = aj.decompose_degree("w", 2)
+    assert killed == set(rd.IPRIME)
+    assert rep["verdict"] == "fail"
+    assert [b["weight"] for b in rep["mismatched_blocks"]] == [list(mu)]
+    assert rep["mismatched_blocks"][0]["dim"] == len(words) > 1
 
 
 def test_omega_monomial_counts():

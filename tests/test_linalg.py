@@ -134,6 +134,17 @@ def test_echelon_rank_matches_bareiss(rows, data):
     assert rank_mod(data.draw(st.permutations(rows)), 12345, P) == rank_mod(rows, 12345, P)
 
 
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, NCOLS - 1)), entry),
+       sparse_row)
+def test_apply_matches_mul_by_a_column(entries, vec):
+    mat = SparseMat(4, NCOLS, entries)
+    col = SparseMat(NCOLS, 1, {(c, 0): x for c, x in vec.items()})
+    want = {r: v for (r, _), v in mat.mul(col).entries.items()}
+    assert mat.apply(vec) == want
+    # the second call reads the column index the first one built
+    assert mat.apply(vec) == want
+
+
 mod_rows = st.lists(st.dictionaries(st.integers(0, NCOLS - 1), st.integers(0, 6),
                                     max_size=NCOLS), max_size=7)
 

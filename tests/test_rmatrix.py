@@ -12,6 +12,10 @@ from qe6 import rmatrix as rm
 M = rd.mask_of
 
 
+def _commutant():
+    return rm.commutant_failures(rm.build_rhat())
+
+
 def test_phi_factor_shape():
     f = rm.phi_factor(1, 2, primed=False)
     assert f.nrows == f.ncols == 256
@@ -69,7 +73,7 @@ def test_ybe():
     r12 = rm.build_rhat().kron(eye)
     r23 = eye.kron(rm.build_rhat())
     assert r12.mul(r23.mul(r12)) == r23.mul(r12.mul(r23))
-    rep = rm.ybe_check()
+    rep = rm.ybe_check(_commutant())
     assert rep["ok"]
     assert rep["columns_checked"] == 91
     assert rep["dominant_weights"] == 5
@@ -90,7 +94,7 @@ def test_equivariant_mutants_fail_on_dominant_columns(monkeypatch, name):
     rhat = rm.build_rhat()
     mutant = rhat.add(SparseMat.identity(rm.TDIM)) if name == "plus_one" else rhat.mul(rhat)
     monkeypatch.setattr(rm, "build_rhat", lambda: mutant)
-    rep = rm.ybe_check()
+    rep = rm.ybe_check(_commutant())
     assert not rep["ok"]
     assert rep["commutant_failures"] == []
     assert rep["failing_columns"] > 0
@@ -110,7 +114,7 @@ def test_braid_relation_failure_names_its_reproducer(monkeypatch):
 
 
 def test_equivariance_and_inverse():
-    rep = rm.equivariance_check()
+    rep = rm.equivariance_check(_commutant())
     assert rep["ok"]
     assert rep["commutant_failures"] == []
     assert rep["invertible"]
@@ -128,13 +132,25 @@ def test_equivariance_and_inverse():
 def test_one_entry_mutant_fails_the_cubic_identity(monkeypatch):
     mutant = _one_entry_mutant()
     monkeypatch.setattr(rm, "build_rhat", lambda: mutant)
-    rep = rm.equivariance_check()
+    rep = rm.equivariance_check(_commutant())
     assert not rep["ok"]
     assert not rep["invertible"]
     # the braid relation check rejects it through the shared commutant
-    braid = rm.ybe_check()
+    braid = rm.ybe_check(_commutant())
     assert not braid["ok"]
     assert braid["commutant_failures"] == rep["commutant_failures"] != []
+
+
+def test_suite_computes_the_commutant_once_per_pass(monkeypatch):
+    real = rm.commutant_failures
+    calls = []
+    monkeypatch.setattr(rm, "commutant_failures",
+                        lambda rhat: calls.append(1) or real(rhat))
+    for passes in (1, 2):
+        checks = [c for c in rmatrix_checks(3, "exact", None)
+                  if c.claim_id in ("braid-relation", "module-map")]
+        assert [c.fn()[0] for c in checks] == ["pass", "pass"]
+        assert len(calls) == passes
 
 
 def test_eigenspace_dimensions():
