@@ -556,10 +556,9 @@ def _chk_row_sweep():
 def _chk_two_row_sweep(sweep):
     def run():
         bad = [r for r in sweep()
-               if not r["two_row_relations_match_stated"] or
-               r["degree2_two_row_dim"] != 498]
+               if not r["relations_match_stated"] or r["degree2_dim"] != 498]
         return _ok(not bad, {"pairs": 80, "failures": [
-            {"rows": r["rows"], "dim": r["degree2_two_row_dim"],
+            {"rows": r["rows"], "dim": r["degree2_dim"],
              "blocks_bad": r["blocks_bad"][:3]} for r in bad[:5]]})
     return run
 
@@ -568,12 +567,12 @@ def _chk_psi_s_sweep():
     for s in rd.ALL_MASKS:
         rep = frt.psi_S_check(s)
         if not rep["ok"]:
-            return FAIL, {"row": rd.label(s), "report": {
-                k: v for k, v in rep.items() if k != "relation_failures"}}
+            return FAIL, {"report": rep}
     non_faces = [rd.label(s) for s in rd.ALL_MASKS if not rd.is_face((s,))]
-    return _ok(not non_faces, {"rows": 16, "faces": 16 - len(non_faces),
-                               "non_faces": non_faces, "degree2_quotient": 126,
-                               "degree3_quotient": frt.degree3_quotient_dim("w")})
+    return _ok(not non_faces, {
+        "rows": 16, "faces": 16 - len(non_faces), "non_faces": non_faces,
+        "degree2_quotient": rep["degree2_quotient_dim"],
+        "degree3_quotient": frt.degree3_quotient_dim("w")})
 
 
 def _chk_psi_st_sweep(sweep):

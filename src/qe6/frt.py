@@ -14,6 +14,14 @@ blocks up to an order-preserving renaming of their words.  One presentation
 call eliminates each distinct block once (see _relation_block).  This is
 exact: elimination and span comparison look at words only through their
 order, so a renamed copy has the renamed echelon and the same verdict.
+
+Both kernel theorems are one routine, _kernel_check, over a tuple of rows:
+one row for the cell algebra "w" (psi_S_check), an admissible pair for the
+twisted affine "what" (psi_ST_check).  It checks each carried vector in the
+block of its column class in the group of the rows the vector uses: {s} is
+the S group, {t} the T group and {s, t} the mixed group.  kernel_module
+picks the generating module of the kernel once, for these checks and for
+degree3_quotient_dim.
 """
 
 from functools import cache
@@ -295,167 +303,102 @@ def rank_checks():
 
 # --- homomorphism and kernel checks -------------------------------------------
 
-def _theta_module_vectors():
-    pres = presentation("w")
-    vecs = []
-    for ncp in submodule_span(theta(), pres):
-        vecs.append({(pres.gen_mask[g], pres.gen_mask[h]): c
-                     for (g, h), c in ncp.items()})
-    return vecs
+# a carried vector's group, by the rows its words use (bit n for rows[n])
+_GROUPS = {1: "S", 2: "T", 3: "mixed"}
 
 
 @cache
-def _omega_module_vectors(k):
-    pres = presentation("what")
-    vecs = []
-    for ncp in submodule_span(build_omega(k), pres):
-        # the module of the twisted algebra: undo the twist of each word
-        vecs.append({((pres.gen_delta[g], pres.gen_mask[g]),
-                      (pres.gen_delta[h], pres.gen_mask[h])): c
-                     for (g, h), c in twist(ncp, pres, inverse=True).items()})
-    return vecs
+def kernel_module(algebra):
+    """The degree-2 adjoint submodule that generates the kernel of the row
+    map, in words of the cell algebra's generators: Theta's span for "w",
+    the spans of Omega 3, 4 and 5 for "what"."""
+    pres = presentation(algebra)
+    tops = [theta()] if algebra == "w" else [build_omega(k) for k in (3, 4, 5)]
+    return tuple(vec for top in tops for vec in submodule_span(top, pres))
 
 
-def _block_echelons(blocks_or_groups, tag=None):
-    if tag is None:
-        return {i: b["echelon"] for i, b in enumerate(blocks_or_groups["blocks"])}
-    return {i: b["echelon"] for i, b in enumerate(blocks_or_groups["groups"][tag])}
+def _kernel_check(rows, frt_rep, groups):
+    """Homomorphism and kernel checks of a cell algebra onto the subalgebra
+    of the FRT rows `rows`: one row s for "w", an admissible pair (s, t) for
+    the twisted affine "what".  `frt_rep` is the rows' presentation and
+    `groups` its blocks by group name.
 
+    Generator g goes to X[rows[gen_delta[g]], gen_mask[g]] after the inverse
+    twist.  On "w" every gen_delta is False and the twist is the identity
+    (every weight of "w" has alpha_0 coordinate 0), so a row is a pair with
+    one row.  A carried vector is checked in the block of its column class
+    in the group of the rows it uses (_GROUPS).
 
-def _class_index_of_words(vec):
-    ((_, i), (_, j)) = next(iter(vec))
-    return rd._CLASS_KEY[(i, j)]
+    (a) every defining relation carries into the computed relation span;
+    (b) so does every vector of kernel_module; (c) degree-2 dimensions
+    agree, the quotient being hilbert_dim(2) minus the module's rank.
+
+    With the rows a face (rootdata.is_face) this decides every degree.  The
+    rules are independent (each rewrites its pair (a, b) to words with first
+    letter above a) and the module vectors lie on normal words, so by
+    (a)-(c) they span the relation space of the rows: 120 + 10 = 256 - 126
+    dimensions for a row, 496 + 30 = 1024 - 498 for a pair.  The relations
+    are homogeneous in row-weight sum, so on a face the row subalgebra is
+    the free algebra on the rows modulo these relations, in every degree.
+    The twist rescales words by units, changing no rank.
+    """
+    pres = presentation("w" if len(rows) == 1 else "what")
+    module = kernel_module(pres.algebra_id)
+    image = [(rows[d], m) for d, m in zip(pres.gen_delta, pres.gen_mask)]
+    bit = {row: 1 << n for n, row in enumerate(rows)}
+    echelons = {(name, ci): b["echelon"] for name, blocks in groups.items()
+                for ci, b in enumerate(blocks)}
+
+    def carried(vec):
+        out = {(image[g], image[h]): c
+               for (g, h), c in twist(vec, pres, inverse=True).items()}
+        ((r1, i), (r2, j)) = next(iter(out))
+        return echelons[_GROUPS[bit[r1] | bit[r2]], rd._CLASS_KEY[(i, j)]].contains(out)
+
+    hom_fails = [pair for pair, vec in rule_relation_vectors(pres) if not carried(vec)]
+    kernel_fails = sum(not carried(vec) for vec in module)
+    kernel_rank = Echelon().add_all(module)
+    result = {
+        "rows": tuple(rd.label(r) for r in rows),
+        "relations_carried": not hom_fails,
+        "relation_failures": hom_fails[:5],
+        "kernel_vectors_carried": not kernel_fails,
+        "kernel_failures": kernel_fails,
+        "kernel_module_rank": kernel_rank,
+        "degree2_dim": frt_rep["degree2_dim"],
+        "degree2_quotient_dim": hilbert_dim(pres, 2) - kernel_rank,
+        "relations_match_stated": frt_rep["ok"],
+        "blocks_bad": [dict(b, group=g) for g, blocks in groups.items()
+                       for b in failing_blocks(blocks)],
+    }
+    result["degree2_equal"] = result["degree2_dim"] == result["degree2_quotient_dim"]
+    result["ok"] = (not hom_fails and not kernel_fails and
+                    result["degree2_equal"] and frt_rep["ok"])
+    return result
 
 
 def psi_S_check(s):
-    """Row homomorphism and kernel checks.
-
-    (a) every straightening relation of the 16-generator algebra, transported
-    along Y -> X[s, .], lies in the computed row relation span; (b) so do the
-    ten vectors of the degree-2 kernel module; (c) quotient dimensions match
-    exactly at degree 2.
-
-    With row s a face (rootdata.is_face) this decides every degree.  The 120
-    rules are independent (each rewrites its pair (a, b) to words with first
-    letter above a) and the module vectors lie on normal words, so by (a)-(c)
-    their 130-dimensional span is the row relation space.  The relations are
-    homogeneous in row-weight sum, so on a face the row subalgebra is the
-    free algebra on row s modulo these relations, in every degree.
-    """
-    pres = presentation("w")
+    """Row homomorphism and kernel checks: _kernel_check on the row s."""
     row = row_presentation(s)
-    ech_by_class = _block_echelons(row)
-
-    hom_fails = []
-    for pair, vec in rule_relation_vectors(pres):
-        carried = {((s, pres.gen_mask[g]), (s, pres.gen_mask[h])): c
-                   for (g, h), c in vec.items()}
-        if not ech_by_class[_class_index_of_words(carried)].contains(carried):
-            hom_fails.append(pair)
-
-    kernel_fails = 0
-    theta_vecs = _theta_module_vectors()
-    for vec in theta_vecs:
-        carried = {((s, i), (s, j)): c for (i, j), c in vec.items()}
-        if not ech_by_class[_class_index_of_words(carried)].contains(carried):
-            kernel_fails += 1
-
-    deg2_quotient = hilbert_dim(pres, 2) - len(theta_vecs)
-    result = {
-        "row": rd.label(s),
-        "relations_carried": not hom_fails,
-        "relation_failures": hom_fails,
-        "kernel_vectors_carried": kernel_fails == 0,
-        "degree2_row_dim": row["degree2_dim"],
-        "degree2_quotient_dim": deg2_quotient,
-        "degree2_equal": row["degree2_dim"] == deg2_quotient,
-        "row_relations_match_stated": row["ok"],
-    }
-    result["ok"] = (not hom_fails and kernel_fails == 0 and
-                    result["degree2_equal"] and row["ok"])
-    return result
+    return _kernel_check((s,), row, {"S": row["blocks"]})
 
 
 def psi_ST_check(s, t):
-    """Two-row homomorphism and kernel checks for an admissible pair.
-
-    (a) every defining relation of the twisted affine cell algebra carries to
-    the computed two-row relation span; (b) the three ten-dimensional kernel
-    modules carry into it; (c) degree-2 dimensions agree exactly.
-
-    As in psi_S_check, with {s, t} a face this decides every degree: the 496
-    rules and the rank-30 modules span the 526 = 1024 - 498 dimensions of the
-    two-row relations.  The twist rescales words by units, changing no rank.
-    """
-    pres = presentation("what")
+    """Two-row homomorphism and kernel checks: _kernel_check on the
+    admissible pair (s, t)."""
     two = two_row_presentation(s, t)
-    ech_s = _block_echelons(two, "S")
-    ech_t = _block_echelons(two, "T")
-    ech_m = _block_echelons(two, "mixed")
-
-    def carry_word(g, h):
-        row_g = t if pres.gen_delta[g] else s
-        row_h = t if pres.gen_delta[h] else s
-        return ((row_g, pres.gen_mask[g]), (row_h, pres.gen_mask[h]))
-
-    hom_fails = []
-    for pair, vec in rule_relation_vectors(pres, twisted=True):
-        carried = {}
-        for (g, h), c in vec.items():
-            carried[carry_word(g, h)] = c
-        rows = {w[0][0] for w in carried} | {w[1][0] for w in carried}
-        ci = _class_index_of_words(carried)
-        ech = ech_s if rows == {s} else ech_t if rows == {t} else ech_m
-        if not ech[ci].contains(carried):
-            hom_fails.append(pair)
-
-    kernel_fails = {}
-    for k, target in ((3, ech_s), (5, ech_t), (4, ech_m)):
-        bad = 0
-        for vec in _omega_module_vectors(k):
-            carried = {((t if d1 else s, m1), (t if d2 else s, m2)): c
-                       for ((d1, m1), (d2, m2)), c in vec.items()}
-            ci = _class_index_of_words(carried)
-            if not target[ci].contains(carried):
-                bad += 1
-        kernel_fails[k] = bad
-
-    # Omega 3, 4 and 5 share a highest weight: count their spans by rank
-    kernel_rank = Echelon().add_all(
-        vec for k in (3, 4, 5) for vec in _omega_module_vectors(k))
-    deg2_quotient = hilbert_dim(pres, 2) - kernel_rank
-    result = {
-        "rows": (rd.label(s), rd.label(t)),
-        "relations_carried": not hom_fails,
-        "relation_failures": hom_fails[:5],
-        "kernel_vectors_carried": all(v == 0 for v in kernel_fails.values()),
-        "kernel_failures": kernel_fails,
-        "kernel_module_rank": kernel_rank,
-        "degree2_two_row_dim": two["degree2_dim"],
-        "degree2_quotient_dim": deg2_quotient,
-        "degree2_equal": two["degree2_dim"] == deg2_quotient,
-        "two_row_relations_match_stated": two["ok"],
-        "blocks_bad": [dict(b, group=g) for g, blocks in two["groups"].items()
-                       for b in failing_blocks(blocks)],
-    }
-    result["ok"] = (not hom_fails and result["kernel_vectors_carried"] and
-                    result["degree2_equal"] and two["ok"])
-    return result
+    return _kernel_check((s, t), two, two["groups"])
 
 
 @cache
 def degree3_quotient_dim(algebra):
     """Degree-3 dimension of the cell algebra ("w" or "what") modulo the
-    ideal of its kernel module (Theta, or Omega 3, 4 and 5): the products
-    generator * vector and vector * generator, ranked exactly per weight.
-    The twist rescales them by units, so it changes no rank."""
+    ideal of its kernel_module: the products generator * vector and
+    vector * generator, ranked exactly per weight.  The twist rescales them
+    by units, so it changes no rank."""
     pres = presentation(algebra)
-    if algebra == "w":
-        module = submodule_span(theta(), pres)
-    else:
-        module = [v for k in (3, 4, 5) for v in submodule_span(build_omega(k), pres)]
     blocks = {}
-    for vec in module:
+    for vec in kernel_module(algebra):
         for g in range(pres.ngens):
             gen = NCPoly.gen(g)
             for prod in (multiply(gen, vec, pres), multiply(vec, gen, pres)):

@@ -130,11 +130,6 @@ class SparseMat:
     def is_zero(self):
         return not self.entries
 
-    def to_json(self, row_label=str, col_label=str):
-        ents = [{"r": row_label(r), "c": col_label(c), "value": v.to_json()}
-                for (r, c), v in sorted(self.entries.items())]
-        return {"rows": self.nrows, "cols": self.ncols, "entries": ents}
-
 
 # --- sparse row utilities ---------------------------------------------------
 

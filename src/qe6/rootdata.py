@@ -136,11 +136,6 @@ def lex_code(mask):
     return code
 
 
-def wt(mask):
-    """Weight of a subset in alpha-coordinates (the alpha_0 coordinate is 0)."""
-    return WT[mask]
-
-
 def _compute_wt(mask):
     vec = list(_THETA_E)
     for i in members(mask):
@@ -148,6 +143,7 @@ def _compute_wt(mask):
     return (0,) + _solve_alpha_coords(tuple(vec))
 
 
+# weight of each subset in alpha-coordinates (the alpha_0 coordinate is 0)
 WT = {m: _compute_wt(m) for m in ALL_MASKS}
 WT_TO_MASK = {WT[m]: m for m in ALL_MASKS}
 
@@ -156,7 +152,7 @@ DELTA = wadd(ALPHA[0], THETA)
 
 LEXCODE = {m: lex_code(m) for m in ALL_MASKS}
 BSETS = tuple(sorted(ALL_MASKS, key=LEXCODE.get))       # basis order for dumps / spin rep
-HEIGHT_B = {m: sum(WT[m]) for m in ALL_MASKS}
+HEIGHT_B = {m: sum(WT[m]) for m in ALL_MASKS}   # grades the poset from 1 to 11
 TOT_ORDER = tuple(sorted(ALL_MASKS, key=lambda m: (HEIGHT_B[m], LEXCODE[m])))
 TOT_RANK = {m: r for r, m in enumerate(TOT_ORDER)}
 
@@ -170,11 +166,6 @@ def leq_B(a, b):
 
 
 LEQ = {(a, b): leq_B(a, b) for a in ALL_MASKS for b in ALL_MASKS}
-
-
-def height_B(mask):
-    """Coordinate sum of wt; grades the 16-element poset from 1 to 11."""
-    return HEIGHT_B[mask]
 
 
 class PairClass:
@@ -224,10 +215,6 @@ HT_PAIR = {p: CLASSES[k].height_of(p) for p, k in _CLASS_KEY.items()}
 
 def class_of(a, b):
     return CLASSES[_CLASS_KEY[(a, b)]]
-
-
-def ht_pair(a, b):
-    return HT_PAIR[(a, b)]
 
 
 def epsilon(a, b):

@@ -34,10 +34,6 @@ class NCPoly(dict):
     __slots__ = ()
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def from_word(cls, word, coeff=ONE):
         p = cls()
         if coeff:
@@ -333,20 +329,17 @@ def multiply_twisted(x, y, pres):
     return multiply(x, y, pres).scale(f)
 
 
-def rule_relation_vectors(pres, twisted=False):
+def rule_relation_vectors(pres):
     """The defining relations as free degree-2 vectors {word: coeff}.
 
-    Each rule (a, b) -> rhs yields the vector (a, b) - rhs.  With twisted=True
-    every word is rescaled by the inverse twist, giving the defining relations
-    of the twisted algebra.
+    Each rule (a, b) -> rhs yields the vector (a, b) - rhs.  The inverse
+    twist of each vector is a defining relation of the twisted algebra.
     """
     out = []
     for (a, b), items in sorted(pres.rules.items()):
         vec = {(a, b): ONE}
         for rc, pair in items:
             accumulate(vec, pair, -rc)
-        if twisted:
-            vec = twist(vec, pres, inverse=True)
         out.append(((a, b), vec))
     return out
 
@@ -515,8 +508,3 @@ def parse_expr(text, pres):
     if parser.pos != len(parser.toks):
         raise ValueError("trailing tokens in expression %r" % text)
     return out
-
-
-def poly_to_json(x, pres):
-    return [{"coeff": x[w].to_json(), "word": [pres.gen_label[g] for g in w]}
-            for w in sorted(x, key=lambda w: (len(w), w))]

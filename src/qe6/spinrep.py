@@ -1,7 +1,7 @@
 """The quantum exterior algebra and the 16-dimensional half-spin representation.
 
 Basis vectors of the module are indexed by the even subsets in lex-code order.
-All sign/power bookkeeping of the exterior algebra lives in ext_mul: a
+All sign/power bookkeeping of the exterior algebra is one count: a
 descending adjacent pair contributes one factor of (-q), so a basis product
 picks up (-q)^(number of inversions), counted by _inversions.  The
 representing matrices are assembled from that count plus the displayed closed
@@ -13,7 +13,7 @@ module isomorphism against adjoint.generator_matrices on the generator span.
 
 from functools import cache
 
-from .qcoeff import ONE, QHAT, qpow, neg_qpow, Q, QINV, accumulate
+from .qcoeff import ONE, QHAT, qpow, neg_qpow, Q, QINV
 from . import rootdata as rd
 from .linalg import SparseMat, cyclic_span
 
@@ -27,56 +27,6 @@ def _inversions(mask_left, mask_right):
     for j in rd.members(mask_right):
         inv += bin(mask_left >> j).count("1")
     return inv
-
-
-def ext_mul_basis(mask_left, mask_right):
-    """Product of two basis monomials: (coefficient, mask) or None if it dies."""
-    if mask_left & mask_right:
-        return None
-    return neg_qpow(_inversions(mask_left, mask_right)), mask_left | mask_right
-
-
-class ExtElement(dict):
-    """Element of the quantum exterior algebra: {subset mask: LaurentPoly}."""
-
-    __slots__ = ()
-
-    @classmethod
-    def basis(cls, mask, coeff=ONE):
-        out = cls()
-        if coeff:
-            out[mask] = coeff
-        return out
-
-    iadd = accumulate
-
-    def __add__(self, other):
-        out = ExtElement(self)
-        for m, c in other.items():
-            out.iadd(m, c)
-        return out
-
-    def __sub__(self, other):
-        out = ExtElement(self)
-        for m, c in other.items():
-            out.iadd(m, -c)
-        return out
-
-    def scale(self, s):
-        if not s:
-            return ExtElement()
-        return ExtElement({m: c * s for m, c in self.items()})
-
-
-def ext_mul(a, b):
-    out = ExtElement()
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            hit = ext_mul_basis(ma, mb)
-            if hit is not None:
-                coeff, mask = hit
-                out.iadd(mask, ca * cb * coeff)
-    return out
 
 
 def _sign(x):
@@ -252,8 +202,3 @@ def phi_check(mats, gen_mask):
             if chevalley_action(kind, i).mul(phi) != phi.mul(mats[(kind, i)]):
                 fails.append("%s%d does not intertwine" % (kind, i))
     return not fails, fails
-
-
-def matrix_json(mat):
-    lab = lambda k: rd.label(SPIN_BASIS[k])
-    return mat.to_json(row_label=lab, col_label=lab)

@@ -50,7 +50,7 @@ def test_omega_construction_small():
     assert aj.build_omega(2) == sc.NCPoly.gen(WH.rank(0, delta=True))
     om3 = aj.build_omega(3)
     assert len(om3) == 4
-    assert sc.q_degree(om3, WH) == rd.wadd(rd.wt(M([1, 2, 3, 4])), rd.THETA)
+    assert sc.q_degree(om3, WH) == rd.wadd(rd.WT[M([1, 2, 3, 4])], rd.THETA)
     om4 = aj.build_omega(4)
     assert len(om4) == 8
     assert sc.q_degree(om4, WH)[0] == 1  # one delta generator per term

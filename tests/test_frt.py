@@ -8,6 +8,7 @@ from qe6 import rootdata as rd
 from qe6.qcoeff import ONE, Q, QHAT
 from qe6.linalg import Echelon, spans_equal
 from qe6 import frt
+from qe6.schubert import presentation, twist
 
 M = rd.mask_of
 
@@ -42,8 +43,8 @@ def test_bihomogeneity():
         vec = frt.frt_relation(s, t, i, j)
         if not vec:
             continue
-        rows = {rd.wadd(rd.wt(a[0]), rd.wt(b[0])) for a, b in vec}
-        cols = {rd.wadd(rd.wt(a[1]), rd.wt(b[1])) for a, b in vec}
+        rows = {rd.wadd(rd.WT[a[0]], rd.WT[b[0]]) for a, b in vec}
+        cols = {rd.wadd(rd.WT[a[1]], rd.WT[b[1]]) for a, b in vec}
         assert len(rows) == 1 and len(cols) == 1
 
 
@@ -121,18 +122,29 @@ def test_rank_checks():
     assert rep["display_rank_as_printed"] == 6
 
 
+def _carried(vec, rows, pres):
+    """A cell-algebra vector after the inverse twist, with generator g at
+    X[rows[gen_delta[g]], gen_mask[g]]."""
+    return {tuple((rows[pres.gen_delta[g]], pres.gen_mask[g]) for g in word): c
+            for word, c in twist(vec, pres, inverse=True).items()}
+
+
+def _class_index(carried):
+    ((_, i0), (_, j0)) = next(iter(carried))
+    return rd._CLASS_KEY[(i0, j0)]
+
+
 def test_theta_image_supplies_the_extra_relations():
     # per octet class: the straightening relations alone span rank 4; the
     # transported kernel vector is not among them, but together with the
     # published extra relation the span closes at rank 5
     s = 0
-    vecs = frt._theta_module_vectors()
+    vecs = frt.kernel_module("w")
     assert len(vecs) == 10
     by_class = {}
     for vec in vecs:
-        carried = {((s, i), (s, j)): c for (i, j), c in vec.items()}
-        ((_, i0), (_, j0)) = next(iter(carried))
-        by_class[rd._CLASS_KEY[(i0, j0)]] = carried
+        carried = _carried(vec, (s,), presentation("w"))
+        by_class[_class_index(carried)] = carried
     assert len(by_class) == 10
     for ci, carried in by_class.items():
         cls = rd.CLASSES[ci]
@@ -265,9 +277,12 @@ def test_two_row_sweep_failure_names_blocks(monkeypatch):
 def test_psi_s_single_row():
     rep = frt.psi_S_check(0)
     assert rep["ok"]
-    assert rep["degree2_row_dim"] == 126
+    assert rep["rows"] == ("e",)
+    assert rep["degree2_dim"] == 126
     assert rep["degree2_quotient_dim"] == 126
     assert rep["relations_carried"] and rep["kernel_vectors_carried"]
+    assert rep["kernel_failures"] == 0 and rep["kernel_module_rank"] == 10
+    assert rep["relations_match_stated"] and rep["blocks_bad"] == []
 
 
 def test_degree3_quotient_dims():
@@ -300,9 +315,12 @@ def test_psi_st_single_pair():
     s, t = frt.admissible_pairs()[0]
     rep = frt.psi_ST_check(s, t)
     assert rep["ok"]
-    assert rep["degree2_two_row_dim"] == 498
+    assert rep["rows"] == (rd.label(s), rd.label(t))
+    assert rep["degree2_dim"] == 498
     assert rep["degree2_quotient_dim"] == 498
-    assert rep["kernel_failures"] == {3: 0, 5: 0, 4: 0}
+    assert rep["relations_carried"] and rep["kernel_vectors_carried"]
+    assert rep["kernel_failures"] == 0
+    assert rep["relations_match_stated"] and rep["blocks_bad"] == []
     # the three ten-dimensional kernel modules are independent
     assert rep["kernel_module_rank"] == 30
 
@@ -312,12 +330,12 @@ def test_omega4_image_supplies_the_mixed_extra_relation():
     # transported mixed kernel vector joins only once the published
     # alternating-sum relation is added
     s, t = frt.admissible_pairs()[0]
-    vecs = frt._omega_module_vectors(4)
-    assert len(vecs) == 10
-    carried0 = {((t if d1 else s, m1), (t if d2 else s, m2)): c
-                for ((d1, m1), (d2, m2)), c in vecs[0].items()}
-    ((_, i0), (_, j0)) = next(iter(carried0))
-    cls = rd.CLASSES[rd._CLASS_KEY[(i0, j0)]]
+    pres = presentation("what")
+    mixed = [vec for vec in frt.kernel_module("what")
+             if sum(pres.gen_delta[g] for g in next(iter(vec))) == 1]
+    assert len(mixed) == 10
+    carried0 = _carried(mixed[0], (s, t), pres)
+    cls = rd.CLASSES[_class_index(carried0)]
     assert cls.size == 8
     stated = frt.stated_mixed_relations(s, t, cls)
     straightening, extra = stated[:-1], stated[-1]
@@ -327,6 +345,79 @@ def test_omega4_image_supplies_the_mixed_extra_relation():
     assert not ech.contains(carried0)
     assert ech.add(extra)
     assert ech.contains(carried0)
+
+
+_ROWS = {"row-e": (0,), "pair-0": frt.admissible_pairs()[0]}
+
+
+def _kernel_check(rows):
+    return frt.psi_S_check(*rows) if len(rows) == 1 else frt.psi_ST_check(*rows)
+
+
+@pytest.mark.parametrize("rows", _ROWS.values(), ids=_ROWS.keys())
+def test_kernel_check_names_a_rule_that_does_not_carry(monkeypatch, rows):
+    rules = frt.rule_relation_vectors
+    # the first rule whose vector has more than one word; one entry times q
+    # moves it off the relation span
+    target = []
+
+    def one_rule_bad(pres):
+        out = rules(pres)
+        n = next(n for n, (_, vec) in enumerate(out) if len(vec) > 1)
+        target.append(out[n][0])
+        out[n] = (out[n][0], _times_q_at_first(out[n][1]))
+        return out
+
+    monkeypatch.setattr(frt, "rule_relation_vectors", one_rule_bad)
+    rep = _kernel_check(rows)
+    assert not rep["ok"] and not rep["relations_carried"]
+    assert rep["relation_failures"] == target
+    assert rep["kernel_failures"] == 0 and rep["degree2_equal"]
+    json.dumps(rep)
+
+
+# the first module vector of each group: Theta's span for a row; for a pair
+# Omega 3 (S), Omega 4 (mixed) and Omega 5 (T), ten vectors each
+@pytest.mark.parametrize("rows,index", [
+    (_ROWS["row-e"], 0), (_ROWS["pair-0"], 0), (_ROWS["pair-0"], 10),
+    (_ROWS["pair-0"], 20),
+], ids=["row-e", "pair-0-S", "pair-0-mixed", "pair-0-T"])
+def test_kernel_check_counts_a_module_vector_that_does_not_carry(monkeypatch, rows,
+                                                                index):
+    module = frt.kernel_module
+    monkeypatch.setattr(frt, "kernel_module", lambda algebra: tuple(
+        _times_q_at_first(vec) if n == index else vec
+        for n, vec in enumerate(module(algebra))))
+    rep = _kernel_check(rows)
+    assert not rep["ok"] and not rep["kernel_vectors_carried"]
+    assert rep["kernel_failures"] == 1
+    assert rep["relations_carried"]
+    json.dumps(rep)
+
+
+@pytest.mark.parametrize("rows", _ROWS.values(), ids=_ROWS.keys())
+def test_kernel_check_counts_the_module_by_rank(monkeypatch, rows):
+    # a repeated vector changes no dimension; a dropped one still carries
+    # but leaves the quotient one dimension above the rows' relations
+    module = frt.kernel_module
+    monkeypatch.setattr(frt, "kernel_module",
+                        lambda algebra: module(algebra) + module(algebra)[:1])
+    assert _kernel_check(rows)["ok"]
+    monkeypatch.setattr(frt, "kernel_module", lambda algebra: module(algebra)[1:])
+    rep = _kernel_check(rows)
+    assert rep["relations_carried"] and rep["kernel_failures"] == 0
+    assert rep["degree2_quotient_dim"] == rep["degree2_dim"] + 1
+    assert not rep["degree2_equal"] and not rep["ok"]
+
+
+def test_kernel_modules():
+    assert len(frt.kernel_module("w")) == 10
+    assert Echelon().add_all(frt.kernel_module("w")) == 10
+    assert Echelon().add_all(frt.kernel_module("what")) == 30
+    # Omega 3, 4 and 5 in turn: no, one and two Zd letters per word
+    pres = presentation("what")
+    assert [sum(pres.gen_delta[g] for g in next(iter(vec)))
+            for vec in frt.kernel_module("what")] == [0] * 10 + [1] * 10 + [2] * 10
 
 
 def test_relation_vector_json():

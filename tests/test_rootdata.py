@@ -8,13 +8,13 @@ M = rd.mask_of
 
 
 def test_weight_examples():
-    assert rd.wt(0) == rd.THETA == (0, 1, 2, 2, 3, 2, 1)
-    assert rd.wt(M([1, 2])) == rd.wsub(rd.THETA, rd.ALPHA[2])
-    assert rd.wt(M([2, 3, 4, 5])) == rd.ALPHA[1]
+    assert rd.WT[0] == rd.THETA == (0, 1, 2, 2, 3, 2, 1)
+    assert rd.WT[M([1, 2])] == rd.wsub(rd.THETA, rd.ALPHA[2])
+    assert rd.WT[M([2, 3, 4, 5])] == rd.ALPHA[1]
 
 
 def test_weights_are_injective_roots_above_cominuscule_node():
-    weights = {rd.wt(m) for m in rd.ALL_MASKS}
+    weights = {rd.WT[m] for m in rd.ALL_MASKS}
     assert len(weights) == 16
     for w in weights:
         assert rd.inner(w, w) == 2
@@ -32,9 +32,9 @@ def test_roots_of_sub_diagrams():
 
 def test_inner_examples():
     for m in rd.ALL_MASKS:
-        assert rd.inner(rd.wt(m), rd.wt(m)) == 2
-    assert rd.inner(rd.wt(M([1, 2])), rd.wt(0)) == 1
-    assert rd.inner(rd.wt(M([1, 2, 3, 4])), rd.wt(0)) == 0
+        assert rd.inner(rd.WT[m], rd.WT[m]) == 2
+    assert rd.inner(rd.WT[M([1, 2])], rd.WT[0]) == 1
+    assert rd.inner(rd.WT[M([1, 2, 3, 4])], rd.WT[0]) == 0
 
 
 def test_pairing_law_exhaustive():
@@ -64,7 +64,7 @@ def test_leq_matches_chain_reachability():
     covers = defaultdict(set)
     for a in rd.ALL_MASKS:
         for b in rd.ALL_MASKS:
-            if rd.wsub(rd.wt(b), rd.wt(a)) in [rd.ALPHA[i] for i in rd.IPRIME]:
+            if rd.wsub(rd.WT[b], rd.WT[a]) in [rd.ALPHA[i] for i in rd.IPRIME]:
                 covers[a].add(b)
     reach = {a: {a} for a in rd.ALL_MASKS}
     changed = True
@@ -82,17 +82,17 @@ def test_leq_matches_chain_reachability():
 
 
 def test_height_examples():
-    assert rd.height_B(M([2, 3, 4, 5])) == 1
-    assert rd.height_B(0) == 11
-    assert rd.height_B(M([1, 2])) == 10
+    assert rd.HEIGHT_B[M([2, 3, 4, 5])] == 1
+    assert rd.HEIGHT_B[0] == 11
+    assert rd.HEIGHT_B[M([1, 2])] == 10
     assert sorted(rd.HEIGHT_B.values())[0] == 1
 
 
 def test_height_grades_covers():
     for a in rd.ALL_MASKS:
         for b in rd.ALL_MASKS:
-            if rd.wsub(rd.wt(b), rd.wt(a)) in [rd.ALPHA[i] for i in rd.IPRIME]:
-                assert rd.height_B(b) == rd.height_B(a) + 1
+            if rd.wsub(rd.WT[b], rd.WT[a]) in [rd.ALPHA[i] for i in rd.IPRIME]:
+                assert rd.HEIGHT_B[b] == rd.HEIGHT_B[a] + 1
 
 
 def test_lex_code():
@@ -132,19 +132,19 @@ def test_union_intersection_matches_weight_sums():
     by_sum = defaultdict(set)
     for a in rd.ALL_MASKS:
         for b in rd.ALL_MASKS:
-            by_sum[rd.wadd(rd.wt(a), rd.wt(b))].add((a, b))
+            by_sum[rd.wadd(rd.WT[a], rd.WT[b])].add((a, b))
     assert (sorted(map(sorted, by_sum.values()))
             == sorted(sorted(c.members) for c in rd.CLASSES))
 
 
 def test_pair_heights():
     m1234 = M([1, 2, 3, 4])
-    assert rd.ht_pair(m1234, 0) == 1
-    assert rd.ht_pair(0, m1234) == 7
-    assert rd.ht_pair(M([2, 3]), M([1, 4])) == 4
-    assert rd.ht_pair(M([1, 4]), M([2, 3])) == 4
-    assert rd.ht_pair(M([1, 2]), 0) == 1
-    assert rd.ht_pair(0, M([1, 2])) == 2
+    assert rd.HT_PAIR[(m1234, 0)] == 1
+    assert rd.HT_PAIR[(0, m1234)] == 7
+    assert rd.HT_PAIR[(M([2, 3]), M([1, 4]))] == 4
+    assert rd.HT_PAIR[(M([1, 4]), M([2, 3]))] == 4
+    assert rd.HT_PAIR[(M([1, 2]), 0)] == 1
+    assert rd.HT_PAIR[(0, M([1, 2]))] == 2
     for c in rd.OCTETS:
         assert sorted(c.heights) == [1, 2, 3, 4, 4, 5, 6, 7]
 

@@ -1,31 +1,12 @@
 import pytest
 
 from qe6 import rootdata as rd
-from qe6.qcoeff import LaurentPoly, ONE, Q, qpow, neg_qpow
+from qe6.qcoeff import ONE, Q, neg_qpow
 from qe6 import spinrep as sp
 from qe6 import adjoint as aj
 from qe6 import schubert as sc
 
 M = rd.mask_of
-
-
-def test_ext_mul_basis_examples():
-    # v2 v1 = -q v1 v2
-    assert sp.ext_mul_basis(M([2]), M([1])) == (LaurentPoly.term(-1, 1), M([1, 2]))
-    # squares die
-    assert sp.ext_mul_basis(M([1]), M([1])) is None
-    # already sorted: no factor
-    assert sp.ext_mul_basis(M([1, 2]), M([3, 4])) == (ONE, M([1, 2, 3, 4]))
-    # two inversions
-    coeff, mask = sp.ext_mul_basis(M([3, 4]), M([1]))
-    assert (coeff, mask) == (qpow(2), M([1, 3, 4]))
-
-
-def test_ext_element_mul():
-    a = sp.ExtElement.basis(M([2]))
-    b = sp.ExtElement.basis(M([1]))
-    assert sp.ext_mul(a, b) == sp.ExtElement({M([1, 2]): LaurentPoly.term(-1, 1)})
-    assert sp.ext_mul(a, a) == sp.ExtElement()
 
 
 def test_rho_examples():
@@ -97,10 +78,3 @@ def test_phi_scalars():
     scal = sp.phi_scalars()
     assert scal[0] == ONE
     assert scal[M([1, 2])] == neg_qpow(1)
-
-
-def test_matrix_json_shape():
-    doc = sp.matrix_json(sp.chevalley_action("K", 2))
-    assert doc["rows"] == 16 and doc["cols"] == 16
-    assert len(doc["entries"]) == 16
-    assert set(doc["entries"][0]) == {"r", "c", "value"}
