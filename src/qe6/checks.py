@@ -542,57 +542,70 @@ def _chk_rank_facts():
     return _ok(ok, detail)
 
 
+def _by_template(row_sets, ok, details):
+    """The template's verdict `ok`, shared by each row set whose
+    frt.row_coefficients equal the template's.  Up to five row sets that
+    differ are named, each with its first coefficient that differs."""
+    ref = frt.row_coefficients(row_sets[0])
+    bad = []
+    for rows in row_sets:
+        table = frt.row_coefficients(rows)
+        key = next((k for k in {**ref, **table} if table.get(k) != ref.get(k)), None)
+        if key is not None:
+            bad.append({"rows": tuple(map(rd.label, rows)), "coefficient": key,
+                        "value": str(table.get(key, 0)),
+                        "template_value": str(ref.get(key, 0))})
+    details["template"] = tuple(map(rd.label, row_sets[0]))
+    if bad:
+        details["coefficients_differ"] = bad[:5]
+    return _ok(ok and not bad, details)
+
+
 def _chk_row_sweep():
-    dims = []
-    for s in rd.ALL_MASKS:
-        rep = frt.row_presentation(s)
-        dims.append(rep["degree2_dim"])
-        if not rep["ok"] or rep["degree2_dim"] != 126:
-            return FAIL, {"row": rd.label(s), "dim": rep["degree2_dim"],
-                          "blocks_bad": frt.failing_blocks(rep["blocks"])[:3]}
-    return PASS, {"rows": 16, "degree2_dims": sorted(set(dims))}
+    rows = [(s,) for s in rd.ALL_MASKS]
+    rep = frt.row_presentation(*rows[0])
+    if not rep["ok"] or rep["degree2_dim"] != 126:
+        return _by_template(rows, False, {
+            "row": rep["row"], "dim": rep["degree2_dim"],
+            "blocks_bad": frt.failing_blocks(rep["blocks"])[:3]})
+    return _by_template(rows, True, {"rows": 16, "degree2_dims": [126]})
 
 
-def _chk_two_row_sweep(sweep):
-    def run():
-        bad = [r for r in sweep()
-               if not r["relations_match_stated"] or r["degree2_dim"] != 498]
-        return _ok(not bad, {"pairs": 80, "failures": [
-            {"rows": r["rows"], "dim": r["degree2_dim"],
-             "blocks_bad": r["blocks_bad"][:3]} for r in bad[:5]]})
-    return run
+def _chk_two_row_sweep():
+    pairs = frt.admissible_pairs()
+    rep = frt.two_row_presentation(*pairs[0])
+    bad = [] if rep["ok"] and rep["degree2_dim"] == 498 else [
+        {"rows": rep["rows"], "dim": rep["degree2_dim"],
+         "blocks_bad": [dict(b, group=g) for g, blocks in rep["groups"].items()
+                        for b in frt.failing_blocks(blocks)][:3]}]
+    return _by_template(pairs, not bad, {"pairs": 80, "failures": bad})
 
 
 def _chk_psi_s_sweep():
-    for s in rd.ALL_MASKS:
-        rep = frt.psi_S_check(s)
-        if not rep["ok"]:
-            return FAIL, {"report": rep}
-    non_faces = [rd.label(s) for s in rd.ALL_MASKS if not rd.is_face((s,))]
-    return _ok(not non_faces, {
+    rows = [(s,) for s in rd.ALL_MASKS]
+    rep = frt.psi_S_check(*rows[0])
+    if not rep["ok"]:
+        return _by_template(rows, False, {"report": rep})
+    non_faces = [rd.label(*r) for r in rows if not rd.is_face(r)]
+    return _by_template(rows, not non_faces, {
         "rows": 16, "faces": 16 - len(non_faces), "non_faces": non_faces,
         "degree2_quotient": rep["degree2_quotient_dim"],
         "degree3_quotient": frt.degree3_quotient_dim("w")})
 
 
-def _chk_psi_st_sweep(sweep):
-    def run():
-        reports = sweep()
-        bad = [r for r in reports if not r["ok"]]
-        if bad:
-            return FAIL, {"failures": [r["rows"] for r in bad][:5]}
-        non_faces = [(rd.label(s), rd.label(t)) for s, t in frt.admissible_pairs()
-                     if not rd.is_face((s, t))]
-        return _ok(not non_faces, {
-            "pairs": 80, "faces": 80 - len(non_faces), "non_faces": non_faces,
-            "kernel_module_rank": reports[0]["kernel_module_rank"],
-            "degree3_quotient": frt.degree3_quotient_dim("what")})
-    return run
+def _chk_psi_st_sweep():
+    pairs = frt.admissible_pairs()
+    rep = frt.psi_ST_check(*pairs[0])
+    if not rep["ok"]:
+        return _by_template(pairs, False, {"report": rep})
+    non_faces = [tuple(map(rd.label, p)) for p in pairs if not rd.is_face(p)]
+    return _by_template(pairs, not non_faces, {
+        "pairs": 80, "faces": 80 - len(non_faces), "non_faces": non_faces,
+        "kernel_module_rank": rep["kernel_module_rank"],
+        "degree3_quotient": frt.degree3_quotient_dim("what")})
 
 
 def frt_checks(max_degree, mode, rng):
-    # the 80-pair sweep behind two checks, run once by whichever comes first
-    sweep = cache(lambda: [frt.psi_ST_check(s, t) for s, t in frt.admissible_pairs()])
     return [
         Check("proof-matrix-ranks",
               "the 8x8 straightening matrix has rank 5 and the 16x16 two-row "
@@ -603,7 +616,7 @@ def frt_checks(max_degree, mode, rng):
               "the published single-row relation set", _chk_row_sweep),
         Check("two-row-presentations",
               "for all 80 admissible row pairs the computed relation spaces "
-              "equal the published two-row relation sets", _chk_two_row_sweep(sweep)),
+              "equal the published two-row relation sets", _chk_two_row_sweep),
         Check("row-homomorphism-kernel",
               "the row map carries every cell-algebra relation, its kernel "
               "module lands in the relation span, and quotient dimensions "
@@ -613,7 +626,7 @@ def frt_checks(max_degree, mode, rng):
               "the twisted affine map carries every relation for all 80 pairs, "
               "the three kernel modules land in the relation span, and "
               "dimensions agree at degree 2, so in every degree since each "
-              "pair is a face", _chk_psi_st_sweep(sweep)),
+              "pair is a face", _chk_psi_st_sweep),
     ]
 
 

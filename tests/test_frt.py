@@ -264,7 +264,7 @@ def test_two_row_sweep_failure_names_blocks(monkeypatch):
 
     monkeypatch.setattr(frt, "two_row_presentation", first_mixed_bad)
     s, t = frt.admissible_pairs()[0]
-    status, details = checks._chk_two_row_sweep(lambda: [frt.psi_ST_check(s, t)])()
+    status, details = checks._chk_two_row_sweep()
     assert status == "fail"
     (failure,) = details["failures"]
     assert failure["rows"] == (rd.label(s), rd.label(t))
@@ -364,7 +364,7 @@ def test_kernel_check_names_a_rule_that_does_not_carry(monkeypatch, rows):
     def one_rule_bad(pres):
         out = rules(pres)
         n = next(n for n, (_, vec) in enumerate(out) if len(vec) > 1)
-        target.append(out[n][0])
+        target.append(tuple(pres.gen_label[g] for g in out[n][0]))
         out[n] = (out[n][0], _times_q_at_first(out[n][1]))
         return out
 
@@ -372,6 +372,8 @@ def test_kernel_check_names_a_rule_that_does_not_carry(monkeypatch, rows):
     rep = _kernel_check(rows)
     assert not rep["ok"] and not rep["relations_carried"]
     assert rep["relation_failures"] == target
+    # named by generator labels, not by internal generator codes
+    assert target == [("Y[2345]", "Y[1345]") if len(rows) == 1 else ("Z[2345]", "Z[1345]")]
     assert rep["kernel_failures"] == 0 and rep["degree2_equal"]
     json.dumps(rep)
 
@@ -418,6 +420,129 @@ def test_kernel_modules():
     pres = presentation("what")
     assert [sum(pres.gen_delta[g] for g in next(iter(vec)))
             for vec in frt.kernel_module("what")] == [0] * 10 + [1] * 10 + [2] * 10
+
+
+# --- the four sweep checks: one template each, certified by coefficients -----
+
+_ROW_SETS = {"rows": [(s,) for s in rd.ALL_MASKS], "pairs": frt.admissible_pairs()}
+_SWEEPS = {"row-presentations": checks._chk_row_sweep,
+           "two-row-presentations": checks._chk_two_row_sweep,
+           "row-homomorphism-kernel": checks._chk_psi_s_sweep,
+           "two-row-homomorphism-kernel": checks._chk_psi_st_sweep}
+
+
+def test_template_reference_full_sweep():
+    # test-only reference for the template checks: every row set's concrete
+    # kernel report, which includes its presentation's verdict and
+    # dimension, is the template's but for `rows`, and so is its table
+    for row_sets, check in ((_ROW_SETS["rows"], frt.psi_S_check),
+                            (_ROW_SETS["pairs"], frt.psi_ST_check)):
+        template = dict(check(*row_sets[0]), rows=None)
+        assert template["ok"]
+        table = frt.row_coefficients(row_sets[0])
+        for rows in row_sets:
+            rep = check(*rows)
+            assert rep["rows"] == tuple(map(rd.label, rows))
+            assert dict(rep, rows=None) == template
+            assert frt.row_coefficients(rows) == table
+
+
+def test_row_coefficient_tables():
+    q2 = Q * Q
+    assert frt.row_coefficients((0,)) == {(0, 0, 0, 0): q2}
+    assert frt.row_coefficients(frt.admissible_pairs()[0]) == {
+        (0, 0, 0, 0): q2, (1, 1, 1, 1): q2, (0, 1, 0, 1): Q, (1, 0, 1, 0): Q,
+        (1, 0, 0, 1): q2 - ONE}
+
+
+def test_far_pairs_differ_from_the_template():
+    # two moves apart: other coefficients, and for 20 of the 80 ordered
+    # pairs a class member with a row outside the pair, at position None
+    template = frt.row_coefficients(frt.admissible_pairs()[0])
+    far = [(s, t) for s in rd.ALL_MASKS for t in rd.ALL_MASKS
+           if s != t and bin(s ^ t).count("1") == 4]
+    tables = [frt.row_coefficients(pair) for pair in far]
+    assert len(far) == 80 and template not in tables
+    assert sum(any(None in key for key in table) for table in tables) == 20
+    comparable = [table for pair, table in zip(far, tables) if rd.LEQ[pair]]
+    assert len(comparable) == 30
+    assert len({tuple(sorted(map(repr, table.items()))) for table in comparable}) == 3
+
+
+def _times_q_at(monkeypatch, index):
+    """frt.rhat_coeff with the one coefficient R^kl_ab, index (k, l, a, b),
+    times q: a row-side coefficient of the rows a, b, and a column-side one
+    of every row set."""
+    coeff = frt.rhat_coeff
+    monkeypatch.setattr(frt, "rhat_coeff", lambda *idx: (
+        coeff(*idx) * Q if idx == index else coeff(*idx)))
+
+
+M23, M14, M12 = M([2, 3]), M([1, 4]), M([1, 2])
+
+
+@pytest.mark.parametrize("index,rows,key,value,template,failing", [
+    ((M23,) * 4, (M23,), (0, 0, 0, 0), "q^3", "q^2",
+     {"row-presentations", "row-homomorphism-kernel"}),
+    ((M14, M12, M12, M14), (M14, M12), (1, 0, 0, 1), "q^3 - q", "q^2 - 1",
+     {"two-row-presentations", "two-row-homomorphism-kernel"}),
+], ids=["row-23", "pair-14-12"])
+def test_sweeps_name_a_row_set_whose_coefficient_differs(monkeypatch, index, rows,
+                                                         key, value, template, failing):
+    # the coefficient is column-side for the template too, whose concrete
+    # check then fails; the certificate still names the row set
+    _times_q_at(monkeypatch, index)
+    if len(rows) == 1:
+        assert not frt.psi_S_check(*rows)["ok"] and not frt.psi_S_check(0)["ok"]
+    else:
+        assert not frt.psi_ST_check(*frt.admissible_pairs()[0])["ok"]
+    for claim in failing:
+        status, details = _SWEEPS[claim]()
+        assert status == "fail", claim
+        named = [d for d in details["coefficients_differ"]
+                 if d["rows"] == tuple(map(rd.label, rows))]
+        assert named == [{"rows": tuple(map(rd.label, rows)), "coefficient": key,
+                          "value": value, "template_value": template}], claim
+        json.dumps(details)
+
+
+@pytest.mark.parametrize("claim", _SWEEPS)
+def test_sweeps_fail_on_a_differing_table_alone(monkeypatch, claim):
+    # the template passes; the last row set's table gains an entry
+    last = _ROW_SETS["rows" if claim.startswith("row") else "pairs"][-1]
+    tables = frt.row_coefficients
+    monkeypatch.setattr(frt, "row_coefficients", lambda rows: (
+        {**tables(rows), (0, 0, None, None): Q} if rows == last else tables(rows)))
+    status, details = _SWEEPS[claim]()
+    assert status == "fail"
+    assert details["coefficients_differ"] == [
+        {"rows": tuple(map(rd.label, last)), "coefficient": (0, 0, None, None),
+         "value": "q", "template_value": "0"}]
+    json.dumps(details)
+
+
+def test_rank_checks_compare_every_pair(monkeypatch):
+    # pair (14, 12) is the eighth admissible pair; its two-row matrix holds
+    # R^{14,12}_{12,14}
+    assert frt.admissible_pairs().index((M14, M12)) == 7
+    _times_q_at(monkeypatch, (M14, M12, M12, M14))
+    rep = frt.rank_checks()
+    assert not rep["two_row_consistent_across_pairs"] and not rep["ok"]
+    status, details = checks._chk_rank_facts()
+    assert status == "fail" and details["two_row_consistent_across_pairs"] is False
+
+
+@pytest.mark.parametrize("claim", _SWEEPS)
+def test_sweep_checks_build_one_presentation(monkeypatch, claim):
+    builds = []
+    for name in ("row_presentation", "two_row_presentation"):
+        build = getattr(frt, name)
+        monkeypatch.setattr(frt, name, lambda *rows, build=build: (
+            builds.append(rows), build(*rows))[1])
+    status, details = _SWEEPS[claim]()
+    assert status == "pass"
+    assert len(builds) == 1
+    assert details["template"] == (("e",) if claim.startswith("row") else ("12", "e"))
 
 
 def test_relation_vector_json():
