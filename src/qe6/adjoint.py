@@ -8,7 +8,7 @@ thirteen Omegas), cyclic submodule spans, the Weyl dimension formula, and the
 degree-by-degree decomposition reports.
 """
 
-import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -17,7 +17,7 @@ from .qcoeff import LaurentPoly, ONE, Q, QINV, qpow
 from . import rootdata as rd
 from .schubert import (NCPoly, presentation, normal_form, multiply, q_degree,
                        hilbert_dim, normal_words)
-from .linalg import Echelon, SparseMat, cyclic_span, draw_points, rank_mod
+from .linalg import Echelon, SparseMat, cyclic_span
 
 NEG_Q = LaurentPoly.term(-1, 1)
 NEG_QINV = LaurentPoly.term(-1, -1)
@@ -102,10 +102,14 @@ def ad_F_word(indices, x, pres):
     return x
 
 
+def _pairings(mu):
+    """Pairing vector (c2, ..., c6) of a 7-coordinate weight."""
+    return tuple(rd.inner(rd.ALPHA[i], mu) for i in rd.IPRIME)
+
+
 def dominant_weight(x, pres):
     """Pairing vector (c2, ..., c6) of a homogeneous element."""
-    deg = q_degree(x, pres)
-    return tuple(rd.inner(rd.ALPHA[i], deg) for i in rd.IPRIME)
+    return _pairings(q_degree(x, pres))
 
 
 def is_highest_weight(x, pres):
@@ -273,30 +277,6 @@ def identity_check(d):
 
 # --- degree-by-degree decomposition ------------------------------------------
 
-def _hw_rank_rows(words, ops, pres):
-    """Rows (one per word of the block) of the raising operators E_i, i in
-    `ops`, stacked."""
-    index = {}
-    rows = []
-    for word in words:
-        row = {}
-        for i in ops:
-            img = ad_E(i, NCPoly.from_word(word), pres)
-            for tw, c in img.items():
-                key = index.setdefault((i, tw), len(index))
-                row[key] = c
-        rows.append(row)
-    return rows
-
-
-def _block_rank(rows, exact, rng):
-    if exact:
-        ech = Echelon()
-        ech.add_all(rows)
-        return ech.rank, "exact"
-    return max(rank_mod(rows, q0, p) for q0, p in draw_points(rng)), "modular"
-
-
 def hw_candidates_w(d):
     """The products Y_empty^m Theta^n of total degree d, keyed by (m, n)."""
     pres = presentation("w")
@@ -345,100 +325,65 @@ def hw_candidates_what(d):
     return out
 
 
-# blocks of at most this many words get an exact rank in mode "exact"
-EXACT_BLOCK_WORDS = 48
-
-
-def decompose_degree(algebra, d, mode="exact", rng=None):
-    """Verify the degree-d module decomposition (or collect evidence for it).
+def decompose_degree(algebra, d):
+    """Prove the degree-d module decomposition from exhibited highest-weight
+    vectors and the Weyl dimension count.
 
     For the finite algebra the decomposition is a theorem; for the affine one
-    the output is evidence for the conjectured highest-weight monomial basis
-    and is labeled as such.  Highest-weight space dimensions are certified by
-    exhibiting the predicted vectors (a lower bound) and bounding the kernel
-    of the raising operators (exact rank on small blocks, else a modular rank
-    bound, which still certifies equality when the two bounds meet).
+    the report is evidence for the conjectured highest-weight monomial basis
+    and is labeled as such.
 
-    A block is the weight space V_mu of the degree-d component, spanned by
-    its normal words.  Its highest-weight space is the kernel of the five
-    raising operators stacked, and that kernel lies inside the kernel of any
-    single E_i.  The component is a finite-dimensional type-1 module, so as
-    a module over the U_q(sl2) of node i it is a sum of irreducibles with
-    weights -n, -n + 2, ..., n, and E_i maps each weight-m vector with m < 0
-    to a nonzero multiple of the weight-(m + 2) vector (Jantzen, Lectures on
-    Quantum Groups, ch. 2 and 5).  So E_i is injective on V_mu whenever
-    <mu, alpha_i> < 0.  On such a block only the E_i with the most negative
-    pairing (the first on ties) is ranked first: full rank proves hw_dim = 0.
-    That rank is computed, not assumed, by the same exact or GF(p) rule, and
-    a GF(p) rank is a lower bound, so a full one is a proof too.  A rank that
-    falls short, and every dominant block, gets the full five-operator stack.
+    The degree-d part M has the degree-d normal words as a basis, and it is a
+    finite-dimensional type-1 U_q(so10)-module, hence semisimple (Jantzen,
+    Lectures on Quantum Groups, ch. 5; the fact ybe_check rests on too).  So
+    the highest-weight vectors of weight lambda span a space whose dimension
+    is the multiplicity m_lambda of L(lambda) in M.  The candidates that every
+    ad_E kills, that have dominant weight lambda and that are independent in
+    their weight block number c_lambda <= m_lambda.  Hence
+    dim M = sum m_lambda weyl_dim(lambda) >= sum c_lambda weyl_dim(lambda),
+    and equality (the report's weyl_dim_total == component_dim) forces
+    m_lambda = c_lambda for every lambda, including every lambda with no
+    candidate.  No rank of a raising operator is needed.  Each block's
+    hw_dim is its c_lambda, certified exactly when the count closes.
     """
-    rng = rng or random.Random(20260808)
     pres = presentation(algebra)
-    blocks = {}
-    for word in normal_words(pres, d):
-        blocks.setdefault(pres.weight_of_word(word), []).append(word)
+    block_dims = Counter(pres.weight_of_word(word) for word in normal_words(pres, d))
+    total = sum(block_dims.values())
 
     cands = hw_candidates_w(d) if algebra == "w" else hw_candidates_what(d)
     by_mu = {}
     cand_fail = []
     for key, vec in cands.items():
         if not vec or any(ad_E(i, vec, pres) for i in rd.IPRIME):
-            cand_fail.append({"monomial": list(key), "reason": "not a highest weight vector"})
+            reason = "not a highest weight vector"
+        elif (mu := q_degree(vec, pres)) not in block_dims:
+            reason = "not of degree %d" % d
+        elif min(_pairings(mu)) < 0:
+            reason = "weight is not dominant"
+        else:
+            by_mu.setdefault(mu, []).append(vec)
             continue
-        by_mu.setdefault(q_degree(vec, pres), []).append(vec)
+        cand_fail.append({"monomial": list(key), "reason": reason})
 
-    report_blocks = []
-    mismatches = []
-    lam_counts = {}
-    mode_used = "exact"
-    for mu, words in sorted(blocks.items()):
-        lam = tuple(rd.inner(rd.ALPHA[i], mu) for i in rd.IPRIME)
-        expected_here = by_mu.get(mu, ())
-        nwords = len(words)
-        lower = 0
-        if expected_here:
-            ech = Echelon()
-            lower = ech.add_all(expected_here)
-        exact = mode == "exact" and nwords <= EXACT_BLOCK_WORDS
-        rank = None
-        if min(lam) < 0:
-            one = (rd.IPRIME[lam.index(min(lam))],)
-            rank, how = _block_rank(_hw_rank_rows(words, one, pres), exact, rng)
-        if rank != nwords:
-            rows = _hw_rank_rows(words, rd.IPRIME, pres)
-            rank, how = _block_rank(rows, exact, rng)
-            if how == "modular" and nwords - rank != lower and mode == "exact":
-                rank, how = _block_rank(rows, True, rng)
-        hw_dim = nwords - rank
-        if how == "modular":
-            mode_used = "modular"
-        certified = (how == "exact") or (hw_dim == lower)
-        if hw_dim:
-            lam_counts[lam] = lam_counts.get(lam, 0) + hw_dim
-        entry = {"weight": list(mu), "dim": nwords, "hw_dim": hw_dim,
-                 "expected_hw": len(expected_here), "certified": certified}
-        if hw_dim != len(expected_here) or lower != len(expected_here):
-            mismatches.append(entry)
-        if hw_dim or expected_here:
-            report_blocks.append(entry)
-
-    total = sum(len(ws) for ws in blocks.values())
-    # a highest-weight vector of non-dominant weight is already a mismatch
-    dim_by_lambda = sum(weyl_dim(lam) * cnt for lam, cnt in lam_counts.items()
-                        if min(lam) >= 0)
+    found = {mu: Echelon().add_all(vecs) for mu, vecs in sorted(by_mu.items())}
+    weyl_total = sum(weyl_dim(_pairings(mu)) * c for mu, c in found.items())
+    certified = weyl_total == total
+    blocks = [{"weight": list(mu), "dim": block_dims[mu], "hw_dim": c,
+               "expected_hw": len(by_mu[mu]), "certified": certified}
+              for mu, c in found.items()]
+    mismatches = [b for b in blocks if b["hw_dim"] != b["expected_hw"]]
     ok = (not cand_fail and not mismatches and total == hilbert_dim(pres, d)
-          and dim_by_lambda == total)
+          and certified)
     report = {
         "algebra": algebra,
         "degree": d,
-        "mode": mode_used,
+        "mode": "exact",
         "component_dim": total,
         "expected_component_dim": hilbert_dim(pres, d),
-        "hw_vector_count": sum(lam_counts.values()),
+        "hw_vector_count": sum(found.values()),
         "expected_hw_count": len(cands),
-        "weyl_dim_total": dim_by_lambda,
-        "blocks": report_blocks,
+        "weyl_dim_total": weyl_total,
+        "blocks": blocks,
         "candidate_failures": cand_fail,
         "mismatched_blocks": mismatches,
         "verdict": "pass" if ok else "fail",

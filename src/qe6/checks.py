@@ -331,16 +331,17 @@ def _chk_dimension_identity():
     return _ok(not bad, {"degrees_checked": 31, "failures": bad})
 
 
-def _chk_decompose(algebra, top, mode, rng):
+def _chk_decompose(algebra, top):
     def run():
         reports = []
         for d in range(top + 1):
-            rep = aj.decompose_degree(algebra, d, mode=mode, rng=rng)
+            rep = aj.decompose_degree(algebra, d)
             reports.append({k: rep[k] for k in
                             ("degree", "component_dim", "hw_vector_count",
                              "expected_hw_count", "weyl_dim_total", "verdict", "mode")})
             if rep["verdict"] != "pass":
-                reports[-1]["mismatched_blocks"] = rep["mismatched_blocks"][:3]
+                for k in ("mismatched_blocks", "candidate_failures"):
+                    reports[-1][k] = rep[k][:3]
                 return FAIL, {"degrees": reports}
         details = {"degrees": reports}
         if algebra == "what":
@@ -387,11 +388,11 @@ def adjoint_checks(max_degree, mode, rng):
         Check("decomposition-finite",
               "the 16-generator algebra decomposes degree by degree with one "
               "highest weight vector per allowed parameter pair",
-              _chk_decompose("w", max_degree + 1, mode, rng)),
+              _chk_decompose("w", max_degree + 1)),
         Check("decomposition-affine-evidence",
               "highest-weight space dimensions match the conjectured monomial "
               "count in the affine algebra (bounded-degree evidence only)",
-              _chk_decompose("what", max_degree, mode, rng)),
+              _chk_decompose("what", max_degree)),
         Check("omega-linear-dependence",
               "the single conjectured linear dependence among ordered monomials "
               "holds exactly (with the corrected printed coefficient)",

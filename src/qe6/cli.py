@@ -104,8 +104,7 @@ def cmd_dump(args):
 
 
 def cmd_decompose(args):
-    rep = aj.decompose_degree(args.algebra, args.degree, mode=args.mode,
-                              rng=random.Random(args.seed))
+    rep = aj.decompose_degree(args.algebra, args.degree)
     sys.stdout.write(rp.dumps(rep))
     return 0 if rep["verdict"] == "pass" else 1
 
@@ -151,7 +150,9 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    choices=("all",) + SUITE_ORDER)
     p.add_argument("--max-degree", type=int, default=3, dest="max_degree")
-    p.add_argument("--mode", default="exact", choices=("exact", "modular"))
+    # every suite is exact; the flag stays only because perfbench passes
+    # args.mode to the suite builders
+    p.add_argument("--mode", default="exact", choices=("exact",))
     p.add_argument("--seed", type=int, default=2026)
     p.add_argument("--timings", action="store_true",
                    help="fill elapsed_ms with wall-clock values (breaks "
@@ -179,8 +180,6 @@ def build_parser():
     p = sub.add_parser("decompose", help="degree-by-degree module decomposition")
     p.add_argument("--algebra", required=True, choices=("w", "what"))
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--mode", default="exact", choices=("exact", "modular"))
-    p.add_argument("--seed", type=int, default=2026)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("hwv", help="check the named highest weight vectors")

@@ -11,21 +11,15 @@ matrices.
 
 Every cyclic submodule is closed by cyclic_span, one Echelon per weight.
 
-Large highest-weight blocks are ranked over GF(p) by one path: rank_mod
-specializes rows at q = q0 and ranks them in an EchelonMod, whose pivot rows
-are monic, at evaluation points drawn by draw_points.  rank_mod adds the
-rows shortest first; a rank does not depend on the order of its rows, and
-short pivot rows keep each reduction short.  Such a rank is a lower bound
-on the exact rank, so it decides a question only where an exact bound from
-the other side meets it.
+rank_mod and EchelonMod rank rows specialized at q = q0 over GF(p).  No
+check calls them: they remain only for the degree-3 ranks that perfbench's
+frt-spans workload times and for their own tests, until that workload stops
+using them (ROADMAP item 1).
 """
 
 from math import gcd
 
 from .qcoeff import LaurentPoly, ONE, ZERO, accumulate
-
-# the primes rank_mod evaluates over, drawn by draw_points
-PRIMES = ((1 << 61) - 1, 1000000007, 998244353)
 
 
 class SparseMat:
@@ -292,16 +286,6 @@ def cyclic_span(seed, ops, grade):
             return basis
         basis += grew
         images = (op(v) for v in grew for op in ops)
-
-
-def draw_points(rng):
-    """Three evaluation points (q0, p), each a prime of PRIMES and then
-    q0 in [2, 10^6), drawn from rng in that order."""
-    points = []
-    for _ in range(3):
-        p = PRIMES[rng.randrange(len(PRIMES))]
-        points.append((rng.randrange(2, 10 ** 6), p))
-    return points
 
 
 def rank_mod(rows, q0, p):

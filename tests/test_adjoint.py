@@ -134,17 +134,9 @@ def test_decompose_affine_evidence_low_degrees():
         assert "evidence" in rep["statement"]
 
 
-def test_modular_decomposition_that_passes_is_a_proof():
-    # a modular rank bounds hw_dim from above and the exhibited vectors from
-    # below; a passing verdict means the bounds meet in every block
-    status, details = checks._chk_decompose("w", 2, "modular", random.Random(0))()
-    assert [r["mode"] for r in details["degrees"]] == ["modular"] * 3
-    assert status == "pass"
-
-
 def _stacked_hw_dims(algebra, d):
     """Reference: each weight block's hw_dim from the exact rank of all five
-    raising operators stacked, with no single-operator shortcut."""
+    raising operators stacked on its normal words."""
     pres = sc.presentation(algebra)
     blocks = {}
     for word in sc.normal_words(pres, d):
@@ -160,59 +152,58 @@ def _stacked_hw_dims(algebra, d):
 
 
 @pytest.mark.parametrize("algebra, top", [("w", 3), ("what", 2)])
-def test_single_raising_operator_matches_the_full_stack(monkeypatch, algebra, top):
-    pres = sc.presentation(algebra)
-    real = aj.ad_E
+def test_hw_dims_match_the_stacked_rank_reference(algebra, top):
     for d in range(top + 1):
         ref = _stacked_hw_dims(algebra, d)
-        raised = {}
-
-        def recording(i, x, pres):
-            if len(x) == 1:
-                raised.setdefault(next(iter(x)), []).append(i)
-            return real(i, x, pres)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(aj, "ad_E", recording)
-            rep = aj.decompose_degree(algebra, d)
+        rep = aj.decompose_degree(algebra, d)
         got = {tuple(b["weight"]): b["hw_dim"] for b in rep["blocks"]}
         assert set(got) <= set(ref)
         assert {mu: got.get(mu, 0) for mu in ref} == ref
-        # a word of a non-dominant block is raised once, by the E_i of its
-        # most negative pairing (the first on ties)
-        for word in sc.normal_words(pres, d):
-            mu = pres.weight_of_word(word)
-            lam = [rd.inner(rd.ALPHA[i], mu) for i in rd.IPRIME]
-            if min(lam) < 0:
-                assert raised[word] == [rd.IPRIME[lam.index(min(lam))]]
+        assert all(b["certified"] for b in rep["blocks"])
 
 
-def test_killed_non_dominant_word_falls_back_and_fails(monkeypatch):
-    # a mutant ad_E that kills one word of a non-dominant block: the single
-    # operator falls short, the full stack runs on the word and finds a
-    # highest-weight vector that no candidate predicts
-    blocks = {}
-    for w in sc.normal_words(W, 2):
-        blocks.setdefault(W.weight_of_word(w), []).append(w)
-    mu, words = max(((mu, ws) for mu, ws in blocks.items()
-                     if min(rd.inner(rd.ALPHA[i], mu) for i in rd.IPRIME) < 0),
-                    key=lambda item: len(item[1]))
-    word = words[0]
-    real = aj.ad_E
-    killed = set()
+def _mutated_candidates(monkeypatch, change):
+    """Apply `change` to the finite algebra's degree-2 candidates."""
+    real = aj.hw_candidates_w
+    monkeypatch.setattr(aj, "hw_candidates_w",
+                        lambda d: change(dict(real(d))) if d == 2 else real(d))
 
-    def mutant(i, x, pres):
-        if tuple(x) == (word,):
-            killed.add(i)
-            return sc.NCPoly()
-        return real(i, x, pres)
 
-    monkeypatch.setattr(aj, "ad_E", mutant)
+def test_dropped_candidate_fails_the_dimension_count(monkeypatch):
+    # without theta the exhibited vectors span 126 of the 136 dimensions
+    _mutated_candidates(monkeypatch, lambda c: {k: v for k, v in c.items() if k != (0, 1)})
     rep = aj.decompose_degree("w", 2)
-    assert killed == set(rd.IPRIME)
     assert rep["verdict"] == "fail"
-    assert [b["weight"] for b in rep["mismatched_blocks"]] == [list(mu)]
-    assert rep["mismatched_blocks"][0]["dim"] == len(words) > 1
+    assert (rep["weyl_dim_total"], rep["component_dim"]) == (126, 136)
+    assert rep["mismatched_blocks"] == [] and rep["candidate_failures"] == []
+    assert not any(b["certified"] for b in rep["blocks"])
+
+
+def test_duplicated_candidate_is_a_mismatched_block(monkeypatch):
+    # the count still closes, so the block's hw_dim of 1 is proved, and the
+    # two candidates predicted there are one too many
+    _mutated_candidates(monkeypatch, lambda c: {**c, (9, 9): c[(0, 1)]})
+    rep = aj.decompose_degree("w", 2)
+    assert rep["verdict"] == "fail"
+    assert rep["weyl_dim_total"] == rep["component_dim"] == 136
+    theta_mu = list(sc.q_degree(aj.theta(), W))
+    assert [(b["weight"], b["hw_dim"], b["expected_hw"], b["certified"])
+            for b in rep["mismatched_blocks"]] == [(theta_mu, 1, 2, True)]
+    status, details = checks._chk_decompose("w", 2)()
+    assert status == "fail"
+    assert details["degrees"][-1]["mismatched_blocks"] == rep["mismatched_blocks"]
+
+
+def test_candidate_not_killed_by_raising_fails(monkeypatch):
+    word = (W.rank(0), W.rank(M([1, 2])))
+    _mutated_candidates(monkeypatch, lambda c: {**c, (0, 1): sc.NCPoly.from_word(word)})
+    rep = aj.decompose_degree("w", 2)
+    assert rep["verdict"] == "fail"
+    assert rep["candidate_failures"] == [
+        {"monomial": [0, 1], "reason": "not a highest weight vector"}]
+    status, details = checks._chk_decompose("w", 2)()
+    assert status == "fail"
+    assert details["degrees"][-1]["candidate_failures"] == rep["candidate_failures"]
 
 
 def test_omega_monomial_counts():

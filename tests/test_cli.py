@@ -51,6 +51,18 @@ def test_usage_error_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--mode", "modular"),
+    ("decompose", "--algebra", "w", "--degree", "2", "--seed", "1"),
+    ("decompose", "--algebra", "w", "--degree", "2", "--mode", "exact"),
+])
+def test_retired_flags_exit_2(capsys, argv):
+    # every suite is exact and decompose draws nothing: these flags are
+    # rejected, never recorded and ignored
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
 def test_verify_rootdata_report(capsys):
     code, out, err = run(capsys, "verify", "--suite", "rootdata", "--seed", "5")
     assert code == 0
