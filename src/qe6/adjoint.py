@@ -50,21 +50,43 @@ def _tables(pres):
     return _ActionTables(pres)
 
 
+def _add_image(acc, word, k, tgt, coeff, exp):
+    """Add -coeff * q^exp into acc, {word: {exponent: int}} with no zero
+    values, at `word` with its letter k replaced by `tgt`; `coeff` is a raw
+    exponent dict too."""
+    img = word[:k] + (tgt,) + word[k + 1:]
+    terms = acc.get(img)
+    if terms is None:
+        acc[img] = {e + exp: -v for e, v in coeff.items()}
+        return
+    for e, v in coeff.items():
+        e += exp
+        v = terms.get(e, 0) - v
+        if v:
+            terms[e] = v
+        else:
+            del terms[e]
+
+
+def _normal_images(acc, pres):
+    """Normal form of the images `_add_image` summed into acc."""
+    return normal_form(NCPoly({w: LaurentPoly._raw(c) for w, c in acc.items() if c}), pres)
+
+
 def ad_E(i, x, pres):
     """Raising part of the adjoint action, extended by the coproduct rule."""
     tab = _tables(pres)
     pairs = tab.pairs[i]
     raises = tab.raises[i]
-    acc = NCPoly()
+    acc = {}
     for word, coeff in x.items():
         exp = 0
         for k, g in enumerate(word):
             tgt = raises[g]
             if tgt is not None:
-                acc.iadd_term(word[:k] + (tgt,) + word[k + 1:],
-                              coeff * LaurentPoly.term(-1, exp + 1))
+                _add_image(acc, word, k, tgt, coeff.c, exp + 1)
             exp -= pairs[g]
-    return normal_form(acc, pres)
+    return _normal_images(acc, pres)
 
 
 def ad_F(i, x, pres):
@@ -72,17 +94,16 @@ def ad_F(i, x, pres):
     tab = _tables(pres)
     pairs = tab.pairs[i]
     lowers = tab.lowers[i]
-    acc = NCPoly()
+    acc = {}
     for word, coeff in x.items():
-        total = sum(pairs[g] for g in word)
+        total = sum(map(pairs.__getitem__, word))
         run = 0
         for k, g in enumerate(word):
             run += pairs[g]
             tgt = lowers[g]
             if tgt is not None:
-                acc.iadd_term(word[:k] + (tgt,) + word[k + 1:],
-                              coeff * LaurentPoly.term(-1, total - run - 1))
-    return normal_form(acc, pres)
+                _add_image(acc, word, k, tgt, coeff.c, total - run - 1)
+    return _normal_images(acc, pres)
 
 
 def ad_K(i, x, pres, inverse=False):

@@ -6,6 +6,8 @@ are pure given the seed; anything randomized draws from the seeded generator
 handed to the suite builder.
 """
 
+import sys
+import time
 from functools import cache
 
 from .qcoeff import LaurentPoly, ONE, QHAT, Q, qpow
@@ -310,17 +312,21 @@ def _chk_highest_weight_vectors():
 
 
 def _chk_span_dims():
-    pres = sc.presentation("w")
+    """Span dimensions of Theta and the Omegas; one progress line per span
+    goes to stderr, since the Omega 13 span takes seconds."""
+    def spans():
+        yield "theta", aj.theta(), sc.presentation("w"), 10
+        what = sc.presentation("what")
+        for k in range(1, 14):
+            yield ("omega%d" % k, aj.build_omega(k), what,
+                   aj.weyl_dim(aj.OMEGA_EXPECTED[k][0]))
+
     rows = []
-    got = len(aj.submodule_span(aj.theta(), pres))
-    rows.append({"vector": "theta", "dim": got, "expected": 10})
-    if got != 10:
-        return FAIL, {"spans": rows}
-    what = sc.presentation("what")
-    for k in range(1, 14):
-        want = aj.weyl_dim(aj.OMEGA_EXPECTED[k][0])
-        got = len(aj.submodule_span(aj.build_omega(k), what))
-        rows.append({"vector": "omega%d" % k, "dim": got, "expected": want})
+    for name, vec, pres, want in spans():
+        t0 = time.perf_counter()
+        got = len(aj.submodule_span(vec, pres))
+        sys.stderr.write("span %-7s dim %3d  %.2f s\n" % (name, got, time.perf_counter() - t0))
+        rows.append({"vector": name, "dim": got, "expected": want})
         if got != want:
             return FAIL, {"spans": rows}
     return PASS, {"spans": rows}

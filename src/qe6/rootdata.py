@@ -70,11 +70,11 @@ _ALPHA_E = {
 }
 
 
-def _solve_alpha_coords(vec):
-    # solve sum_i c_i alpha_i = vec in the Euclidean model; returns integer c_1..c_6
-    n = 6
-    rows = [[_ALPHA_E[j + 1][i] for j in range(n)] + [vec[i]] for i in range(n)]
-    rows = [[Fraction(x) for x in row] for row in rows]
+def _inverse(mat):
+    """Inverse of a square matrix over Q, by Fraction Gauss-Jordan elimination."""
+    n = len(mat)
+    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(mat)]
     for col in range(n):
         piv = next(r for r in range(col, n) if rows[r][col])
         rows[col], rows[piv] = rows[piv], rows[col]
@@ -84,7 +84,16 @@ def _solve_alpha_coords(vec):
             if r != col and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    coords = [rows[i][n] for i in range(n)]
+    return [row[n:] for row in rows]
+
+
+# column j holds alpha_{j+1}, so the inverse takes a vector to its alpha-coordinates
+_ALPHA_E_INV = _inverse([[_ALPHA_E[j + 1][i] for j in range(6)] for i in range(6)])
+
+
+def _solve_alpha_coords(vec):
+    # solve sum_i c_i alpha_i = vec in the Euclidean model; returns integer c_1..c_6
+    coords = [sum(a * x for a, x in zip(row, vec)) for row in _ALPHA_E_INV]
     assert all(c.denominator == 1 for c in coords)
     return tuple(int(c) for c in coords)
 

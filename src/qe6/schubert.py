@@ -13,7 +13,7 @@ from heapq import heapify, heappop, heappush
 from math import comb
 from itertools import product
 
-from .qcoeff import LaurentPoly, ONE, ZERO, QHAT, qpow, neg_qpow, accumulate
+from .qcoeff import LaurentPoly, ONE, QHAT, qpow, neg_qpow, accumulate
 from . import rootdata as rd
 
 
@@ -110,10 +110,9 @@ class AlgebraPresentation:
         return all(word[i] >= word[i + 1] for i in range(len(word) - 1))
 
     def weight_of_word(self, word):
-        w = (0,) * 7
-        for g in word:
-            w = rd.wadd(w, self.gen_weight[g])
-        return w
+        if not word:
+            return (0,) * 7
+        return tuple(map(sum, zip(*map(self.gen_weight.__getitem__, word))))
 
 
 def _straighten_items(I, J, lex_filter, left_of, right_of):
@@ -177,24 +176,29 @@ def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
     leftmost ("left") or the rightmost; the result is strategy-independent.
 
     Pending words are taken smallest first in lexicographic order, their
-    coefficients summed in `pending` until then.  Every rule rewrites an
-    out-of-order pair (a, b), a < b, into pairs whose first letter exceeds a,
-    so each rewrite produces only words larger than the one it took.  The
-    words taken therefore increase strictly, each distinct word is rewritten
-    once with its full coefficient, and the loop ends because there are
-    finitely many words of each length.  Only the speed rests on this: a
-    word produced again after it was taken would be taken again.
+    coefficients summed until then as raw {exponent: int} dicts; a word
+    becomes a LaurentPoly term only when it comes out normal.  Every rule
+    rewrites an out-of-order pair (a, b), a < b, into pairs whose first
+    letter exceeds a, so each rewrite produces only words larger than the
+    one it took.  The words taken therefore increase strictly, each distinct
+    word is rewritten once with its full coefficient, and the loop ends
+    because there are finitely many words of each length.  Only the speed
+    rests on this: a word produced again after it was taken would be taken
+    again.
 
     `budget` bounds the number of words rewritten, which is the number of
-    distinct non-normal words reached; exceeding it raises RewriteDepthError.
+    distinct non-normal words reached with a nonzero summed coefficient;
+    exceeding it raises RewriteDepthError.
     """
+    return _rewrite({w: dict(c.c) for w, c in x.items() if c}, pres, strategy, budget)
+
+
+def _rewrite(pending, pres, strategy, budget):
+    """normal_form's loop over `pending`, {word: {exponent: int}}, which it
+    consumes; a dict may hold zero values and sum to zero."""
     rules = pres.rules
     out = NCPoly()
-    # word -> summed coefficient; each key has exactly one entry in `heap`
-    pending = {}
-    for w, c in x.items():
-        if c:
-            pending[w] = pending.get(w, ZERO) + c
+    # each key of `pending` has exactly one entry in `heap`
     heap = list(pending)
     heapify(heap)
     steps = 0
@@ -202,8 +206,10 @@ def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
     while heap:
         word = heappop(heap)
         coeff = pending.pop(word)
-        if not coeff:
-            continue
+        if not all(coeff.values()):
+            coeff = {e: v for e, v in coeff.items() if v}
+            if not coeff:
+                continue
         idx = None
         n1 = len(word) - 1
         rng = range(n1) if left else range(n1 - 1, -1, -1)
@@ -212,20 +218,24 @@ def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
                 idx = i
                 break
         if idx is None:
-            out.iadd_term(word, coeff)
+            out.iadd_term(word, LaurentPoly._raw(coeff))
             continue
         steps += 1
         if steps > budget:
             raise RewriteDepthError("rewrite budget exceeded (%d steps)" % budget)
         pre = word[:idx]
         suf = word[idx + 2:]
+        terms = coeff.items()
         for rc, pair in rules[(word[idx], word[idx + 1])]:
             w2 = pre + pair + suf
-            if w2 in pending:
-                pending[w2] = pending[w2] + coeff * rc
-            else:
-                pending[w2] = coeff * rc
+            acc = pending.get(w2)
+            if acc is None:
+                acc = pending[w2] = {}
                 heappush(heap, w2)
+            for e1, v1 in rc.c.items():
+                for e2, v2 in terms:
+                    e = e1 + e2
+                    acc[e] = acc.get(e, 0) + v1 * v2
     return out
 
 

@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qe6 import checks
 from qe6 import rootdata as rd
-from qe6.qcoeff import Q, QINV, qpow
+from qe6.qcoeff import LaurentPoly, Q, QINV, qpow
 from qe6 import schubert as sc
 from qe6 import adjoint as aj
 from qe6 import spinrep as sp
@@ -21,6 +22,95 @@ def test_ad_on_generators():
     assert aj.ad_E(2, y0, W).is_zero()
     assert aj.ad_K(2, y0, W) == sc.NCPoly({(W.rank(0),): Q})
     assert aj.ad_K(2, y0, W, inverse=True) == sc.NCPoly({(W.rank(0),): QINV})
+
+
+def ref_images(op, i, x, pres):
+    """Reference: the free images of ad_E ("E") or ad_F ("F") as LaurentPoly
+    terms, each coefficient times -q^e, before any rewriting."""
+    tab = aj._tables(pres)
+    pairs = tab.pairs[i]
+    moves = (tab.raises if op == "E" else tab.lowers)[i]
+    acc = sc.NCPoly()
+    for word, coeff in x.items():
+        for k, g in enumerate(word):
+            if moves[g] is None:
+                continue
+            if op == "E":
+                e = 1 - sum(pairs[h] for h in word[:k])
+            else:
+                e = sum(pairs[h] for h in word[k + 1:]) - 1
+            acc.iadd_term(word[:k] + (moves[g],) + word[k + 1:],
+                          coeff * LaurentPoly.term(-1, e))
+    return acc
+
+
+def ref_ad(op, i, x, pres):
+    return sc.normal_form(ref_images(op, i, x, pres), pres)
+
+
+LAURENT = st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), min_size=1,
+                          max_size=3).map(LaurentPoly).filter(bool)
+
+
+def _cancelling_pair(op, i, word, pres, coeff):
+    """`word` and a second word whose free images under ad_E or ad_F cancel
+    at one word, or None when `word` offers no such pair with unit
+    coefficients there."""
+    tab = aj._tables(pres)
+    for j in range(len(word)):
+        for k in range(len(word)):
+            if j == k or tab.lowers[i][word[j]] is None or tab.raises[i][word[k]] is None:
+                continue
+            # lowering letter j and raising letter k of w1 gives w2; ad_F
+            # lowers w2 at k and ad_E raises it at j to w1's image at j or k
+            w2 = list(word)
+            w2[j] = tab.lowers[i][word[j]]
+            w2[k] = tab.raises[i][word[k]]
+            img = list(word)
+            img[j if op == "F" else k] = w2[j if op == "F" else k]
+            img = tuple(img)
+            u1 = ref_images(op, i, sc.NCPoly.from_word(word), pres)[img]
+            u2 = ref_images(op, i, sc.NCPoly.from_word(w2), pres)[img]
+            if u1.is_unit() and u2.is_unit():
+                x = sc.NCPoly({tuple(word): coeff, tuple(w2): -coeff * u1 * u2 ** -1})
+                assert img not in ref_images(op, i, x, pres)
+                return x
+    return None
+
+
+@st.composite
+def homogeneous(draw):
+    """A homogeneous element: a Laurent multiple of a cached highest-weight
+    vector, Laurent multiples of rearrangements of one word with a letter
+    the operator moves, or two words whose free images cancel at one word."""
+    pres = draw(st.sampled_from((W, WH)))
+    i = draw(st.sampled_from(rd.IPRIME))
+    op = draw(st.sampled_from("EF"))
+    kind = draw(st.sampled_from(("vector", "words", "cancelling")))
+    if kind == "vector":
+        vec = aj.theta() if pres is W else aj.build_omega(draw(st.integers(1, 11)))
+        return op, i, vec.scale(draw(LAURENT)), pres
+    tab = aj._tables(pres)
+    moves = (tab.raises if op == "E" else tab.lowers)[i]
+    movable = [g for g in range(pres.ngens) if moves[g] is not None]
+    word = draw(st.lists(st.integers(0, pres.ngens - 1), max_size=4))
+    word.insert(draw(st.integers(0, len(word))), draw(st.sampled_from(movable)))
+    x = None
+    if kind == "cancelling":
+        x = _cancelling_pair(op, i, word, pres, draw(LAURENT))
+    if x is None:
+        x = sc.NCPoly()
+        for _ in range(draw(st.integers(1, 3))):
+            x.iadd_term(tuple(draw(st.permutations(word))), draw(LAURENT))
+    return op, i, x, pres
+
+
+@settings(max_examples=200, deadline=None)
+@given(homogeneous())
+def test_fused_operators_match_the_reference(case):
+    op, i, x, pres = case
+    fused = aj.ad_E if op == "E" else aj.ad_F
+    assert fused(i, x, pres) == ref_ad(op, i, x, pres)
 
 
 def test_theta_is_highest_weight():
@@ -221,3 +311,40 @@ def test_omega_dependence_coefficients():
     # the published remark prints q^-2 on the last product; that variant does
     # not vanish in these conventions
     assert not (p59 + p311.scale(qpow(-6)) - p410.scale(qpow(-2))).is_zero()
+
+
+def test_span_check_reports_progress_on_stderr(capsys, monkeypatch):
+    # a stand-in span of the Weyl dimension keeps this fast; Omega 5's span
+    # comes out one short in the second run, which stops the check there
+    def span(vec, pres, short=None):
+        dim = aj.weyl_dim(aj.dominant_weight(vec, pres))
+        return [vec] * (dim - (vec == short))
+
+    monkeypatch.setattr(aj, "submodule_span", span)
+    status, details = checks._chk_span_dims()
+    out, err = capsys.readouterr()
+    names = ["theta"] + ["omega%d" % k for k in range(1, 14)]
+    assert status == "pass" and out == ""
+    assert [r["vector"] for r in details["spans"]] == names
+    lines = err.splitlines()
+    assert [line.split()[:4] for line in lines] == [
+        ["span", r["vector"], "dim", str(r["dim"])] for r in details["spans"]]
+    assert all(line.endswith(" s") for line in lines)
+
+    monkeypatch.setattr(aj, "submodule_span",
+                        lambda vec, pres: span(vec, pres, short=aj.build_omega(5)))
+    status, details = checks._chk_span_dims()
+    out, err = capsys.readouterr()
+    assert status == "fail" and out == ""
+    assert details["spans"][-1] == {"vector": "omega5", "dim": 9, "expected": 10}
+    assert [line.split()[1] for line in err.splitlines()] == names[:6]
+
+    # a failing span stops the check before any later vector is built
+    built = []
+    build = aj.build_omega
+    monkeypatch.setattr(aj, "build_omega", lambda k: built.append(k) or build(k))
+    monkeypatch.setattr(aj, "submodule_span", lambda vec, pres: [])
+    status, details = checks._chk_span_dims()
+    capsys.readouterr()
+    assert status == "fail" and [r["vector"] for r in details["spans"]] == ["theta"]
+    assert built == []

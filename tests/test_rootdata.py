@@ -1,4 +1,5 @@
 from collections import defaultdict
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,22 @@ def test_weight_examples():
     assert rd.WT[0] == rd.THETA == (0, 1, 2, 2, 3, 2, 1)
     assert rd.WT[M([1, 2])] == rd.wsub(rd.THETA, rd.ALPHA[2])
     assert rd.WT[M([2, 3, 4, 5])] == rd.ALPHA[1]
+
+
+def _euclidean(coords):
+    """sum_i c_i alpha_i over alpha_1..alpha_6 in the Euclidean model."""
+    return tuple(sum(Fraction(c) * rd._ALPHA_E[i][k] for i, c in enumerate(coords, start=1))
+                 for k in range(6))
+
+
+def test_alpha_coordinates_rebuild_each_euclidean_vector():
+    # the subset I has Euclidean vector theta - sum_{i in I} e_i, with theta
+    # = alpha_1 + 2 alpha_2 + 2 alpha_3 + 3 alpha_4 + 2 alpha_5 + alpha_6
+    theta = _euclidean((1, 2, 2, 3, 2, 1))
+    for m in rd.ALL_MASKS:
+        vec = tuple(x - (k + 1 in rd.members(m)) for k, x in enumerate(theta))
+        assert rd.WT[m][0] == 0
+        assert _euclidean(rd.WT[m][1:]) == vec
 
 
 def test_weights_are_injective_roots_above_cominuscule_node():

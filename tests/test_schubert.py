@@ -143,6 +143,45 @@ def test_seed_105_termination_word_within_budget():
     assert left == sc.normal_form(x, WH, "right", budget=10 ** 4)
 
 
+def _cancelling_sum():
+    # the first word's rewrites meet the other four words with opposite
+    # coefficients; the normal form is zero
+    u = sc.parse_expr("Y[2345]*Y[1234]*Y[e]", W)
+    c = sc.parse_expr("Y[45]*Y[e]", W)
+    return u.free_mul(c) - nf(u).free_mul(c)
+
+
+@pytest.mark.parametrize("build, pres, least, terms", [
+    (lambda: sc.parse_expr("Z[45]*Z[2345]*Zd[12]*Zd[35]*Zd[12]*Zd[23]", WH), WH, 8619, 745),
+    (lambda: sc.parse_expr("Y[45]*Y[35]*Y[2345]*Y[14]*Y[e]*Y[12]", W), W, 435, 58),
+    (_cancelling_sum, W, 11, 0),
+], ids=["seed-105", "w-degree-6", "cancelling-sum"])
+def test_rewrite_budget_counts_distinct_nonzero_words(build, pres, least, terms):
+    # the smallest budget that suffices is the number of distinct non-normal
+    # words reached with a nonzero summed coefficient (the cancelling sum
+    # reaches 18 counting its zero sums); nf-mix's refusals rest on it
+    x = build()
+    assert len(sc.normal_form(x, pres, budget=least)) == terms
+    with pytest.raises(sc.RewriteDepthError):
+        sc.normal_form(x, pres, budget=least - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((W, WH)).flatmap(
+    lambda pres: st.tuples(st.just(pres),
+                           st.lists(st.integers(0, pres.ngens - 1), max_size=8).map(tuple))))
+def test_weight_of_word_is_the_folded_letter_weights(case):
+    pres, word = case
+    folded = (0,) * 7
+    for g in word:
+        folded = rd.wadd(folded, pres.gen_weight[g])
+    assert pres.weight_of_word(word) == folded
+
+
+def test_weight_of_the_empty_word():
+    assert W.weight_of_word(()) == WH.weight_of_word(()) == (0,) * 7
+
+
 def test_twist_factors():
     m12 = M([1, 2])
     assert sc.twist_factor(WH.gen_weight[WH.rank(0, True)],
