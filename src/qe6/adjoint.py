@@ -3,9 +3,10 @@
 The rank-5 subalgebra acts through the coproduct: lowering and raising
 operators move a generator along the radical-root family while the group-like
 generators contribute q-power factors on the flanks.  On top of the action sit
-highest-weight detection, the named highest-weight vectors (Theta and the
-thirteen Omegas), cyclic submodule spans, the Weyl dimension formula, and the
-degree-by-degree decomposition reports.
+highest-weight detection, the named vectors (Theta and the thirteen Omegas)
+with one table of their weights and degrees, cyclic submodule spans, the Weyl
+dimension formula, the named vectors' highest-weight certificates (span
+dimensions by theorem), and the degree-by-degree decomposition reports.
 """
 
 from collections import Counter
@@ -128,11 +129,6 @@ def _pairings(mu):
     return tuple(rd.inner(rd.ALPHA[i], mu) for i in rd.IPRIME)
 
 
-def dominant_weight(x, pres):
-    """Pairing vector (c2, ..., c6) of a homogeneous element."""
-    return _pairings(q_degree(x, pres))
-
-
 def is_highest_weight(x, pres):
     """True plus the dominant weight when all raising operators kill x."""
     if not x:
@@ -140,7 +136,7 @@ def is_highest_weight(x, pres):
     for i in rd.IPRIME:
         if ad_E(i, x, pres):
             return False, None
-    return True, dominant_weight(x, pres)
+    return True, _pairings(q_degree(x, pres))
 
 
 # --- the named highest-weight vectors ---------------------------------------
@@ -242,15 +238,16 @@ def build_omega(k):
     return out
 
 
-OMEGA_EXPECTED = {
-    # k: (dominant weight as (c2..c6), nonnegative-grading degree)
-    1: ((1, 0, 0, 0, 0), 1), 2: ((1, 0, 0, 0, 0), 1),
-    3: ((0, 0, 0, 0, 1), 2), 4: ((0, 0, 0, 0, 1), 2), 5: ((0, 0, 0, 0, 1), 2),
-    6: ((0, 0, 1, 0, 0), 2),
-    7: ((0, 1, 0, 0, 0), 3), 8: ((0, 1, 0, 0, 0), 3),
-    9: ((0, 0, 0, 1, 0), 4), 10: ((0, 0, 0, 1, 0), 4), 11: ((0, 0, 0, 1, 0), 4),
-    12: ((0, 0, 0, 0, 0), 4),
-    13: ((0, 0, 1, 0, 0), 6),
+NAMED_VECTORS = {
+    # name: (algebra, dominant weight as (c2..c6), nonnegative-grading degree)
+    "theta": ("w", (0, 0, 0, 0, 1), 2),
+    "omega1": ("what", (1, 0, 0, 0, 0), 1), "omega2": ("what", (1, 0, 0, 0, 0), 1),
+    "omega3": ("what", (0, 0, 0, 0, 1), 2), "omega4": ("what", (0, 0, 0, 0, 1), 2),
+    "omega5": ("what", (0, 0, 0, 0, 1), 2), "omega6": ("what", (0, 0, 1, 0, 0), 2),
+    "omega7": ("what", (0, 1, 0, 0, 0), 3), "omega8": ("what", (0, 1, 0, 0, 0), 3),
+    "omega9": ("what", (0, 0, 0, 1, 0), 4), "omega10": ("what", (0, 0, 0, 1, 0), 4),
+    "omega11": ("what", (0, 0, 0, 1, 0), 4), "omega12": ("what", (0, 0, 0, 0, 0), 4),
+    "omega13": ("what", (0, 0, 1, 0, 0), 6),
 }
 
 
@@ -280,6 +277,32 @@ def weyl_dim(lam):
         num *= Fraction(top, bot)
     assert num.denominator == 1
     return int(num)
+
+
+def hw_certificate(name):
+    """Highest-weight certificate of a named vector v: whether v is nonzero,
+    whether every ad_E kills it, its weight lambda and degree, and the
+    dimension of its cyclic span U.v, decided by theorem instead of closing
+    the span (tests keep the closure as the reference).
+
+    The graded piece holding v is a finite-dimensional type-1
+    U_q(so10)-module, hence semisimple (Jantzen, Lectures on Quantum Groups,
+    ch. 5; the fact decompose_degree rests on too).  If v is nonzero and every
+    ad_E kills it, U.v is a highest-weight module, hence indecomposable; as a
+    submodule of a semisimple module it is semisimple, so U.v = L(lambda),
+    of dimension weyl_dim(lambda).  `ok` holds when all that applies and
+    lambda and the degree are the tabulated ones.
+    """
+    algebra, want, degree = NAMED_VECTORS[name]
+    pres = presentation(algebra)
+    vec = theta() if name == "theta" else build_omega(int(name[5:]))
+    killed, lam = is_highest_weight(vec, pres) if vec else (False, None)
+    deg = len(next(iter(vec))) if vec else None
+    return {"nonzero": bool(vec), "highest_weight": killed,
+            "weight": list(lam) if killed else None, "expected_weight": list(want),
+            "degree": deg, "span_dim": weyl_dim(lam) if killed and min(lam) >= 0 else None,
+            "expected_span_dim": weyl_dim(want),
+            "ok": killed and lam == want and deg == degree}
 
 
 def closed_form_dim(m, n):
@@ -312,7 +335,7 @@ def hw_candidates_w(d):
     return out
 
 
-OMEGA_DEGREES = {k: OMEGA_EXPECTED[k][1] for k in range(1, 14)}
+OMEGA_DEGREES = {k: NAMED_VECTORS["omega%d" % k][2] for k in range(1, 14)}
 
 
 def omega_monomial_exponents(d):

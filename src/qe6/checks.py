@@ -6,8 +6,6 @@ are pure given the seed; anything randomized draws from the seeded generator
 handed to the suite builder.
 """
 
-import sys
-import time
 from functools import cache
 
 from .qcoeff import LaurentPoly, ONE, QHAT, Q, qpow
@@ -292,44 +290,29 @@ def _chk_operator_relations():
     return _ok(not f1 and not f2, {"failures": (f1 + f2)[:5]})
 
 
-def _chk_highest_weight_vectors():
-    pres = sc.presentation("w")
-    ok, lam = aj.is_highest_weight(aj.theta(), pres)
-    if not (ok and lam == (0, 0, 0, 0, 1)):
-        return FAIL, {"vector": "theta", "weight": lam}
-    what = sc.presentation("what")
-    rows = []
-    for k in range(1, 14):
-        om = aj.build_omega(k)
-        ok, lam = aj.is_highest_weight(om, what)
-        degree = len(next(iter(om)))
-        want_lam, want_deg = aj.OMEGA_EXPECTED[k]
-        rows.append({"k": k, "weight": list(lam) if lam else None,
-                     "degree": degree, "ok": ok and lam == want_lam and degree == want_deg})
-        if not rows[-1]["ok"]:
-            return FAIL, {"vectors": rows}
-    return PASS, {"vectors": rows}
+def _chk_highest_weight_vectors(certs):
+    def run():
+        theta = certs()["theta"]
+        if not theta["ok"]:
+            return FAIL, {"vector": "theta", "weight": theta["weight"]}
+        omegas = [certs()["omega%d" % k] for k in range(1, 14)]
+        rows = [{"k": k, "weight": c["weight"], "degree": c["degree"], "ok": c["ok"]}
+                for k, c in enumerate(omegas, start=1)]
+        return _ok(all(r["ok"] for r in rows), {"vectors": rows})
+    return run
 
 
-def _chk_span_dims():
-    """Span dimensions of Theta and the Omegas; one progress line per span
-    goes to stderr, since the Omega 13 span takes seconds."""
-    def spans():
-        yield "theta", aj.theta(), sc.presentation("w"), 10
-        what = sc.presentation("what")
-        for k in range(1, 14):
-            yield ("omega%d" % k, aj.build_omega(k), what,
-                   aj.weyl_dim(aj.OMEGA_EXPECTED[k][0]))
-
-    rows = []
-    for name, vec, pres, want in spans():
-        t0 = time.perf_counter()
-        got = len(aj.submodule_span(vec, pres))
-        sys.stderr.write("span %-7s dim %3d  %.2f s\n" % (name, got, time.perf_counter() - t0))
-        rows.append({"vector": name, "dim": got, "expected": want})
-        if got != want:
-            return FAIL, {"spans": rows}
-    return PASS, {"spans": rows}
+def _chk_span_dims(certs):
+    """Span dimensions of Theta and the Omegas from their highest-weight
+    certificates (adjoint.hw_certificate); any failed certificate fails."""
+    def run():
+        rows = [{"vector": name, "dim": c["span_dim"], "expected": c["expected_span_dim"]}
+                for name, c in certs().items()]
+        return _ok(all(c["ok"] for c in certs().values()),
+                   {"decided_by": "highest-weight theorem: a nonzero vector of weight "
+                                  "lambda that every ad_E kills spans L(lambda)",
+                    "spans": rows})
+    return run
 
 
 def _chk_dimension_identity():
@@ -374,6 +357,8 @@ def _chk_omega_dependence():
 
 
 def adjoint_checks(max_degree, mode, rng):
+    # the certificates behind two checks, computed once by whichever comes first
+    certs = cache(lambda: {name: aj.hw_certificate(name) for name in aj.NAMED_VECTORS})
     return [
         Check("module-algebra-axiom",
               "the adjoint action respects products through the coproduct rule",
@@ -384,10 +369,10 @@ def adjoint_checks(max_degree, mode, rng):
         Check("highest-weight-vectors",
               "theta and the thirteen conjectured generators are highest weight "
               "vectors with the tabulated weights and degrees",
-              _chk_highest_weight_vectors),
+              _chk_highest_weight_vectors(certs)),
         Check("submodule-span-dimensions",
               "cyclic spans of the named vectors have their Weyl dimensions "
-              "(theta spans ten dimensions)", _chk_span_dims),
+              "(theta spans ten dimensions)", _chk_span_dims(certs)),
         Check("dimension-identity",
               "the two-parameter Weyl-dimension sum telescopes to a binomial "
               "coefficient through degree 30", _chk_dimension_identity),

@@ -93,13 +93,14 @@ def cmd_relations(args):
 
 
 def cmd_dump(args):
-    if args.object == "rmatrix":
-        if args.format == "json":
-            sys.stdout.write(rp.dumps(rm.rhat_json()))
-        else:
-            sys.stdout.write(rm.rhat_csv())
-    else:
+    if args.object == "classes":
+        if args.format == "csv":
+            raise ValueError("--format csv applies to rmatrix only")
         sys.stdout.write(rp.dumps(rd.classes_json()))
+    elif args.format == "json":
+        sys.stdout.write(rp.dumps(rm.rhat_json()))
+    else:
+        sys.stdout.write(rm.rhat_csv())
     return 0
 
 
@@ -110,32 +111,18 @@ def cmd_decompose(args):
 
 
 def cmd_hwv(args):
-    targets = []
-    if args.check in ("theta", "all"):
-        targets.append(("theta", "w", aj.theta(), (0, 0, 0, 0, 1)))
-    for k in range(1, 14):
-        name = "omega%d" % k
-        if args.check in (name, "all"):
-            targets.append((name, "what", aj.build_omega(k), aj.OMEGA_EXPECTED[k][0]))
-    if not targets:
+    if args.check != "all" and args.check not in aj.NAMED_VECTORS:
         raise ValueError("unknown vector %r" % args.check)
     doc = []
-    passed = True
-    for name, algebra, vec, want in targets:
-        pres = sc.presentation(algebra)
-        ok, lam = aj.is_highest_weight(vec, pres)
-        span = len(aj.submodule_span(vec, pres)) if ok else 0
-        expected_span = aj.weyl_dim(want)
-        good = ok and lam == want and span == expected_span
-        passed = passed and good
-        doc.append({"vector": name, "highest_weight": ok,
-                    "weight": list(lam) if lam else None,
-                    "expected_weight": list(want),
-                    "span_dim": span, "expected_span_dim": expected_span,
-                    "status": "pass" if good else "fail"})
+    for name in aj.NAMED_VECTORS if args.check == "all" else (args.check,):
+        cert = aj.hw_certificate(name)
+        doc.append({"vector": name, "highest_weight": cert["highest_weight"],
+                    "weight": cert["weight"], "expected_weight": cert["expected_weight"],
+                    "span_dim": cert["span_dim"], "expected_span_dim": cert["expected_span_dim"],
+                    "status": "pass" if cert["ok"] else "fail"})
         sys.stderr.write("%-6s %s\n" % (doc[-1]["status"], name))
     sys.stdout.write(rp.dumps(doc))
-    return 0 if passed else 1
+    return 0 if all(row["status"] == "pass" for row in doc) else 1
 
 
 def build_parser():

@@ -1,9 +1,11 @@
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qe6 import checks
+from qe6.cli import main
 from qe6 import rootdata as rd
 from qe6.qcoeff import LaurentPoly, Q, QINV, qpow
 from qe6 import schubert as sc
@@ -150,18 +152,26 @@ def test_omega_highest_weight_table():
     for k in range(1, 14):
         om = aj.build_omega(k)
         ok, lam = aj.is_highest_weight(om, WH)
-        want_lam, want_deg = aj.OMEGA_EXPECTED[k]
+        _, want_lam, want_deg = aj.NAMED_VECTORS["omega%d" % k]
         assert ok, k
         assert lam == want_lam, k
         assert len(next(iter(om))) == want_deg, k
 
 
+def _named(name):
+    return aj.theta() if name == "theta" else aj.build_omega(int(name[5:]))
+
+
 def test_submodule_span_dims_small():
+    # the brute-force reference for hw_certificate's span dimensions: the
+    # closed cyclic span of every named vector, Omega 13's included
     assert len(aj.submodule_span(sc.NCPoly.gen(W.rank(0)), W)) == 16
-    assert len(aj.submodule_span(aj.theta(), W)) == 10
     assert len(aj.submodule_span(sc.NCPoly.one(), W)) == 1
-    assert len(aj.submodule_span(aj.build_omega(9), WH)) == 45
-    assert len(aj.submodule_span(aj.build_omega(12), WH)) == 1
+    dims = []
+    for name, (algebra, _, _) in aj.NAMED_VECTORS.items():
+        dims.append(len(aj.submodule_span(_named(name), sc.presentation(algebra))))
+        assert dims[-1] == aj.hw_certificate(name)["span_dim"], name
+    assert dims == [10, 16, 16, 10, 10, 10, 120, 16, 16, 45, 45, 45, 1, 120]
 
 
 def test_weyl_dim():
@@ -313,38 +323,51 @@ def test_omega_dependence_coefficients():
     assert not (p59 + p311.scale(qpow(-6)) - p410.scale(qpow(-2))).is_zero()
 
 
-def test_span_check_reports_progress_on_stderr(capsys, monkeypatch):
-    # a stand-in span of the Weyl dimension keeps this fast; Omega 5's span
-    # comes out one short in the second run, which stops the check there
-    def span(vec, pres, short=None):
-        dim = aj.weyl_dim(aj.dominant_weight(vec, pres))
-        return [vec] * (dim - (vec == short))
+def test_certificates_decide_both_checks():
+    suite = {c.claim_id: c.fn for c in checks.adjoint_checks(3, "exact", random.Random(0))}
+    status, details = suite["highest-weight-vectors"]()
+    assert status == "pass" and [r["k"] for r in details["vectors"]] == list(range(1, 14))
+    status, details = suite["submodule-span-dimensions"]()
+    assert status == "pass" and "highest-weight theorem" in details["decided_by"]
+    assert [r["vector"] for r in details["spans"]] == list(aj.NAMED_VECTORS)
+    assert all(r["dim"] == r["expected"] for r in details["spans"])
 
-    monkeypatch.setattr(aj, "submodule_span", span)
-    status, details = checks._chk_span_dims()
-    out, err = capsys.readouterr()
-    names = ["theta"] + ["omega%d" % k for k in range(1, 14)]
-    assert status == "pass" and out == ""
-    assert [r["vector"] for r in details["spans"]] == names
-    lines = err.splitlines()
-    assert [line.split()[:4] for line in lines] == [
-        ["span", r["vector"], "dim", str(r["dim"])] for r in details["spans"]]
-    assert all(line.endswith(" s") for line in lines)
 
-    monkeypatch.setattr(aj, "submodule_span",
-                        lambda vec, pres: span(vec, pres, short=aj.build_omega(5)))
-    status, details = checks._chk_span_dims()
-    out, err = capsys.readouterr()
-    assert status == "fail" and out == ""
-    assert details["spans"][-1] == {"vector": "omega5", "dim": 9, "expected": 10}
-    assert [line.split()[1] for line in err.splitlines()] == names[:6]
-
-    # a failing span stops the check before any later vector is built
-    built = []
+def _mutate(monkeypatch, mutant):
+    """Patch one named vector or its table row; returns the vector's name."""
+    for k in range(1, 14):
+        aj.build_omega(k)  # warm the cache so no mutant leaks into a later Omega
     build = aj.build_omega
-    monkeypatch.setattr(aj, "build_omega", lambda k: built.append(k) or build(k))
-    monkeypatch.setattr(aj, "submodule_span", lambda vec, pres: [])
-    status, details = checks._chk_span_dims()
+    if mutant == "zero":
+        monkeypatch.setattr(aj, "theta", sc.NCPoly)
+        return "theta"
+    if mutant == "not-killed":
+        vec = aj.ad_F(6, build(3), WH)
+        monkeypatch.setattr(aj, "build_omega", lambda k: vec if k == 3 else build(k))
+        return "omega3"
+    if mutant == "weight":
+        # the other spin weight: same Weyl dimension, same degree
+        monkeypatch.setitem(aj.NAMED_VECTORS, "omega1", ("what", (0, 1, 0, 0, 0), 1))
+        return "omega1"
+    # Omega 6 has Omega 13's weight, at degree 2 instead of 6
+    monkeypatch.setattr(aj, "build_omega", lambda k: build(6) if k == 13 else build(k))
+    return "omega13"
+
+
+@pytest.mark.parametrize("mutant", ["zero", "not-killed", "weight", "degree"])
+def test_certificate_mutants_fail(monkeypatch, capsys, mutant):
+    name = _mutate(monkeypatch, mutant)
+    cert = aj.hw_certificate(name)
+    assert not cert["ok"]
+    assert cert["nonzero"] == (mutant != "zero")
+    assert cert["highest_weight"] == (mutant in ("weight", "degree"))
+    suite = {c.claim_id: c.fn for c in checks.adjoint_checks(3, "exact", random.Random(0))}
+    assert suite["highest-weight-vectors"]()[0] == "fail"
+    status, details = suite["submodule-span-dimensions"]()
+    assert status == "fail" and len(details["spans"]) == 14
     capsys.readouterr()
-    assert status == "fail" and [r["vector"] for r in details["spans"]] == ["theta"]
-    assert built == []
+    assert main(["hwv", "--check", name]) == 1
+    row, = json.loads(capsys.readouterr().out)
+    assert row["vector"] == name and row["status"] == "fail"
+    assert main(["hwv", "--check", "all"]) == 1
+    capsys.readouterr()

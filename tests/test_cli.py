@@ -39,6 +39,7 @@ def test_nf_parse_error_exit_2(capsys):
     ("relations", "--frt-two-rows", "e", "1234"),
     ("verify", "--max-degree", "-5"),
     ("verify", "--max-degree", "4"),
+    ("dump", "classes", "--format", "csv"),
 ])
 def test_truncated_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -152,6 +153,13 @@ def test_hwv_theta(capsys):
     doc = json.loads(out)
     assert doc[0]["weight"] == [0, 0, 0, 0, 1]
     assert doc[0]["span_dim"] == 10
+
+
+def test_hwv_all(capsys):
+    code, out, _ = run(capsys, "hwv", "--check", "all")
+    doc = json.loads(out)
+    assert code == 0 and len(doc) == 14
+    assert all(r["status"] == "pass" and r["span_dim"] == r["expected_span_dim"] for r in doc)
 
 
 def test_hwv_unknown(capsys):
