@@ -12,7 +12,7 @@ dimensions by theorem), and the degree-by-degree decomposition reports.
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, prod
 
 from .qcoeff import LaurentPoly, ONE, Q, QINV, qpow
 from . import rootdata as rd
@@ -263,20 +263,21 @@ def submodule_span(x, pres):
 D5_POSITIVE_ROOTS = tuple(sorted(r for r in rd.roots(rd.IPRIME)
                                   if all(c >= 0 for c in r)))
 assert len(D5_POSITIVE_ROOTS) == 20
+# the product of the pairings (rho, alpha), each alpha's height
+_HEIGHT_PRODUCT = prod(sum(root[i] for i in rd.IPRIME) for root in D5_POSITIVE_ROOTS)
 
 
 def weyl_dim(lam):
-    """Exact dimension of the irreducible with dominant weight (c2, ..., c6)."""
+    """Exact dimension of the irreducible with dominant weight (c2, ..., c6):
+    the product of (lam + rho, alpha) over the positive roots, divided
+    exactly by the product of their heights (rho, alpha)."""
     if len(lam) != 5 or any(c < 0 for c in lam):
         raise ValueError("dominant weight needs five nonnegative coordinates")
     shifted = {i: c + 1 for i, c in zip(rd.IPRIME, lam)}
-    num = Fraction(1)
-    for root in D5_POSITIVE_ROOTS:
-        top = sum(shifted[i] * root[i] for i in rd.IPRIME)
-        bot = sum(root[i] for i in rd.IPRIME)
-        num *= Fraction(top, bot)
-    assert num.denominator == 1
-    return int(num)
+    num = prod(sum(shifted[i] * root[i] for i in rd.IPRIME) for root in D5_POSITIVE_ROOTS)
+    dim, rem = divmod(num, _HEIGHT_PRODUCT)
+    assert not rem
+    return dim
 
 
 def hw_certificate(name):

@@ -7,13 +7,18 @@ class) blocks.  On top sit the row and two-row subalgebra presentations, the
 rank facts from the published proofs, and the homomorphism/kernel checks that
 tie the rows back to the (twisted) quantum Schubert cell algebras.
 
-The braiding's coefficients repeat from block to block (every row class has
-coefficient q^2, every admissible pair (q^2 - 1, q), and all octet matrices
-are equal), so the 318 blocks of a two-row presentation are copies of six
-blocks up to an order-preserving renaming of their words.  One presentation
-call eliminates each distinct block once (see _relation_block).  This is
-exact: elimination and span comparison look at words only through their
-order, so a renamed copy has the renamed echelon and the same verdict.
+Every relation reads the braiding from one table per pair class, built once
+from the braiding matrix (_braiding_tables), and every stated straightening
+relation attaches its rows to a template built from root data alone
+(_straight_template).  The braiding's coefficients repeat from block to
+block (every row class has coefficient q^2, every admissible pair
+(q^2 - 1, q), and all octet matrices are equal), so the 318 blocks of a
+two-row presentation are copies of six blocks up to an order-preserving
+renaming of their words.  One presentation call eliminates each distinct
+block once, and every copy holds that one echelon over word numbers with its
+own numbering of its words (see _relation_block).  This is exact:
+elimination and span comparison look at words only through their order, so
+a renamed copy has the renamed echelon and the same verdict.
 
 Both kernel theorems are one routine, _kernel_check, over a tuple of rows:
 one row for the cell algebra "w" (psi_S_check), an admissible pair for the
@@ -34,37 +39,72 @@ from .schubert import (presentation, rule_relation_vectors, NCPoly, multiply,
 from .adjoint import theta, submodule_span, build_omega
 
 
+@cache
+def _braiding_tables():
+    """The braiding read once, class by class, for frt_relation: two dicts
+    over all 256 ordered pairs.  The row side maps (a, b) to the nonzero
+    (k, l, R^kl_ab) over (k, l) in class_of(a, b); the column side maps
+    (i, j) to the nonzero (k, l, -R^ij_kl), negated once here.  Both list
+    (k, l) in class order.  R^kl_ab is rhat_coeff(k, l, a, b); R is zero
+    off its class (bihomogeneity), so these 976 lookups read all of it."""
+    row_side, col_side = {}, {}
+    for cls in rd.CLASSES:
+        for (a, b), _ in cls:
+            for (k, l), _ in cls:
+                coeff = rhat_coeff(k, l, a, b)
+                if coeff:
+                    row_side.setdefault((a, b), []).append((k, l, coeff))
+                    col_side.setdefault((k, l), []).append((a, b, -coeff))
+    return row_side, col_side
+
+
 def frt_relation(s, t, i, j):
     """One defining relation of the ambient bialgebra, as a sparse vector
-    over degree-2 words ((row, col), (row, col))."""
-    vec = {}
-    for (k, l), _ in rd.class_of(t, s):
-        coeff = rhat_coeff(k, l, t, s)
-        if coeff:
-            accumulate(vec, ((k, i), (l, j)), coeff)
-    for (k, l), _ in rd.class_of(i, j):
-        coeff = rhat_coeff(i, j, k, l)
-        if coeff:
-            accumulate(vec, ((s, l), (t, k)), -coeff)
+    over degree-2 words ((row, col), (row, col)):
+
+        sum over (k, l) in class_of(t, s) of R^kl_ts X[k, i] X[l, j]
+      - sum over (k, l) in class_of(i, j) of R^ij_kl X[s, l] X[t, k].
+
+    The first sum's coefficients are read from the row side of
+    _braiding_tables at (t, s), the second's, already negated, from its
+    column side at (i, j).  Within a sum the words are distinct; a word of
+    the second sum can meet one of the first, so it is accumulated."""
+    row_side, col_side = _braiding_tables()
+    vec = {((k, i), (l, j)): coeff for k, l, coeff in row_side[(t, s)]}
+    for k, l, coeff in col_side[(i, j)]:
+        accumulate(vec, ((s, l), (t, k)), coeff)
     return vec
 
 
 # --- stated relation sets (built from root data only, independent of R) ------
 
-def _straight_vector(i, j, row_a, row_b, mixed):
-    """Stated straightening relation with rows attached to each factor."""
-    vec = {((row_a, i), (row_b, j)): ONE}
+@cache
+def _straight_template(i, j, mixed):
+    """The terms of _straight_vector over row positions, from root data
+    only: ((x, l, y, m), coefficient) for the word ((rows[x], l),
+    (rows[y], m)), rows = (row_a, row_b).  Terms that meet on one word,
+    here or once rows are attached, are summed, never overwritten."""
+    terms = {(0, i, 1, j): ONE}
     power = rd.INNER_WT[(i, j)] - (1 if mixed else 0)
-    accumulate(vec, ((row_b, j), (row_a, i)), -qpow(power))
+    accumulate(terms, (1, j, 0, i), -qpow(power))
     h0 = rd.HT_PAIR[(i, j)]
     for (l, m), h in rd.class_of(i, j):
         if l == i or not rd.LEQ[(i, l)]:
             continue
         if not mixed and rd.LEXCODE[m] > rd.LEXCODE[l]:
             continue
-        accumulate(vec, ((row_a, l), (row_b, m)), -QHAT * neg_qpow(h - h0 - 1))
+        accumulate(terms, (0, l, 1, m), -QHAT * neg_qpow(h - h0 - 1))
     if mixed and rd.EPS[(i, j)]:
-        accumulate(vec, ((row_a, j), (row_b, i)), -QHAT * QINV)
+        accumulate(terms, (0, j, 1, i), -QHAT * QINV)
+    return tuple(terms.items())
+
+
+def _straight_vector(i, j, row_a, row_b, mixed):
+    """Stated straightening relation with rows attached to each factor."""
+    rows = (row_a, row_b)
+    vec = {}
+    for (x, l, y, m), coeff in _straight_template(i, j, mixed):
+        accumulate(vec, ((rows[x], l), (rows[y], m)), coeff)
     return vec
 
 
@@ -101,30 +141,32 @@ def _relation_block(cls, computed, stated, shared):
     """One column-class block: the echelon of the computed relations and the
     verdict that they span the same space as the stated ones.
 
-    The block's words are numbered in sorted order, and the block is keyed
-    by its computed and stated vectors over those numbers, coefficients
-    included.  `shared`, one dict per presentation call, holds the echelon
-    over numbers and the verdict of each key, so a distinct block is
-    eliminated and compared once; each block gets that echelon's rows
-    renamed back to its own words.  Echelon and spans_equal compare words
-    only by order, and the renaming keeps the order, so every stored row,
-    the rank and the verdict equal those of eliminating the block itself.
+    The block's words are numbered in sorted order (its `numbering`, word
+    -> number), and the block is keyed by its computed and stated vectors
+    over those numbers, coefficients included.  `shared`, one dict per
+    presentation call, holds the echelon over numbers and the verdict of
+    each key, so a distinct block is eliminated and compared once, and
+    every block with that key holds the same Echelon.  That echelon is to
+    be read, never added to.  Echelon and spans_equal compare words only
+    by order, and the numbering keeps the order, so the echelon over
+    numbers, renamed by the numbering, is the block's own echelon, and
+    the rank and the verdict are the block's own.  A vector is in the
+    block's span exactly when its words are all numbered and its numbered
+    vector is in the echelon: reduction never removes a word that no
+    echelon row holds.
     """
     words = sorted({w for vec in computed + stated for w in vec})
     number = {w: n for n, w in enumerate(words)}
     key = (_numbered(computed, number), _numbered(stated, number))
     hit = shared.get(key)
     if hit is None:
-        base = Echelon()
-        base.add_all(dict(vec) for vec in key[0])
-        hit = shared[key] = base, spans_equal(base, [dict(vec) for vec in key[1]])
-    base, stated_ok = hit
-    ech = Echelon()
-    ech.rows = {words[c]: {words[k]: v for k, v in row.items()}
-                for c, row in base.rows.items()}
+        ech = Echelon()
+        ech.add_all(dict(vec) for vec in key[0])
+        hit = shared[key] = ech, spans_equal(ech, [dict(vec) for vec in key[1]])
+    ech, stated_ok = hit
     return {"class_head": (rd.label(cls.members[0][0]), rd.label(cls.members[0][1])),
             "size": cls.size, "rank": ech.rank, "stated_count": len(stated),
-            "stated_ok": stated_ok, "echelon": ech}
+            "stated_ok": stated_ok, "echelon": ech, "numbering": number}
 
 
 def failing_blocks(blocks):
@@ -343,7 +385,8 @@ def _kernel_check(rows, frt_rep, groups):
     twist.  On "w" every gen_delta is False and the twist is the identity
     (every weight of "w" has alpha_0 coordinate 0), so a row is a pair with
     one row.  A carried vector is checked in the block of its column class
-    in the group of the rows it uses (_GROUPS).
+    in the group of the rows it uses (_GROUPS), numbered by the block's
+    numbering; a word outside the block puts it outside the span.
 
     (a) every defining relation carries into the computed relation span;
     (b) so does every vector of kernel_module; (c) degree-2 dimensions
@@ -362,14 +405,18 @@ def _kernel_check(rows, frt_rep, groups):
     module = kernel_module(pres.algebra_id)
     image = [(rows[d], m) for d, m in zip(pres.gen_delta, pres.gen_mask)]
     bit = {row: 1 << n for n, row in enumerate(rows)}
-    echelons = {(name, ci): b["echelon"] for name, blocks in groups.items()
-                for ci, b in enumerate(blocks)}
+    by_key = {(name, ci): b for name, blocks in groups.items()
+              for ci, b in enumerate(blocks)}
 
     def carried(vec):
         out = {(image[g], image[h]): c
                for (g, h), c in twist(vec, pres, inverse=True).items()}
         ((r1, i), (r2, j)) = next(iter(out))
-        return echelons[_GROUPS[bit[r1] | bit[r2]], rd._CLASS_KEY[(i, j)]].contains(out)
+        block = by_key[_GROUPS[bit[r1] | bit[r2]], rd._CLASS_KEY[(i, j)]]
+        number = block["numbering"]
+        if not number.keys() >= out.keys():
+            return False
+        return block["echelon"].contains({number[w]: c for w, c in out.items()})
 
     hom_fails = [tuple(pres.gen_label[g] for g in pair)
                  for pair, vec in rule_relation_vectors(pres) if not carried(vec)]

@@ -1,13 +1,15 @@
 import json
 import random
+from functools import cache
 
 import pytest
 
 from qe6 import checks
 from qe6 import rootdata as rd
-from qe6.qcoeff import ONE, Q, QHAT
+from qe6.qcoeff import ONE, Q, QHAT, QINV, qpow, neg_qpow, accumulate
 from qe6.linalg import Echelon, spans_equal
 from qe6 import frt
+from qe6.rmatrix import rhat_coeff
 from qe6.schubert import presentation, twist
 
 M = rd.mask_of
@@ -33,6 +35,66 @@ def test_two_row_relation_lhs_coefficients():
     # the mirrored equation has the plain q alone on its left side
     vec2 = frt.frt_relation(t, s, i, j)
     assert vec2[((s, i), (t, j))] == Q
+
+
+def _reference_relation(s, t, i, j):
+    """frt_relation with one rhat_coeff lookup per class member."""
+    vec = {}
+    for (k, l), _ in rd.class_of(t, s):
+        coeff = rhat_coeff(k, l, t, s)
+        if coeff:
+            accumulate(vec, ((k, i), (l, j)), coeff)
+    for (k, l), _ in rd.class_of(i, j):
+        coeff = rhat_coeff(i, j, k, l)
+        if coeff:
+            accumulate(vec, ((s, l), (t, k)), -coeff)
+    return vec
+
+
+def _reference_straight_vector(i, j, row_a, row_b, mixed):
+    """_straight_vector built term by term with the rows attached."""
+    vec = {((row_a, i), (row_b, j)): ONE}
+    power = rd.INNER_WT[(i, j)] - (1 if mixed else 0)
+    accumulate(vec, ((row_b, j), (row_a, i)), -qpow(power))
+    h0 = rd.HT_PAIR[(i, j)]
+    for (l, m), h in rd.class_of(i, j):
+        if l == i or not rd.LEQ[(i, l)]:
+            continue
+        if not mixed and rd.LEXCODE[m] > rd.LEXCODE[l]:
+            continue
+        accumulate(vec, ((row_a, l), (row_b, m)), -QHAT * neg_qpow(h - h0 - 1))
+    if mixed and rd.EPS[(i, j)]:
+        accumulate(vec, ((row_a, j), (row_b, i)), -QHAT * QINV)
+    return vec
+
+
+# every row pair a presentation builds relations for: equal rows, and each
+# admissible pair in both orders
+_ROW_PAIRS = ([(s, s) for s in rd.ALL_MASKS]
+              + [p for s, t in frt.admissible_pairs() for p in ((s, t), (t, s))])
+
+
+def test_frt_relation_matches_the_per_member_reference():
+    for s, t in _ROW_PAIRS:
+        for i in rd.ALL_MASKS:
+            for j in rd.ALL_MASKS:
+                assert frt.frt_relation(s, t, i, j) == _reference_relation(s, t, i, j)
+
+
+def test_straight_vector_matches_the_term_by_term_reference():
+    # the stated sets use every (i, j) with rows attached; equal rows can put
+    # two terms on one word, which must be summed
+    s, t = frt.admissible_pairs()[0]
+    rows = [(s, s), (t, t), (s, t), (t, s)]
+    collided = 0
+    for i in rd.ALL_MASKS:
+        for j in rd.ALL_MASKS:
+            for mixed in (False, True):
+                for a, b in rows:
+                    vec = frt._straight_vector(i, j, a, b, mixed)
+                    assert vec == _reference_straight_vector(i, j, a, b, mixed)
+                    collided += len(vec) < len(frt._straight_template(i, j, mixed))
+    assert collided
 
 
 def test_bihomogeneity():
@@ -231,11 +293,19 @@ def _own_elimination(computed, stated):
     return ech.rows, ech.rank, spans_equal(ech, stated)
 
 
+def _renamed_rows(block):
+    """The block's shared echelon rows, renamed from numbers to its words."""
+    words = sorted(block["numbering"], key=block["numbering"].get)
+    assert words == sorted(words)    # the numbering keeps the word order
+    return {words[c]: {words[k]: v for k, v in row.items()}
+            for c, row in block["echelon"].rows.items()}
+
+
 def test_shared_blocks_equal_their_own_elimination():
     def check(blocks, computed, stated):
         for cls, block in zip(rd.CLASSES, blocks):
             own = _own_elimination(computed(cls), stated(cls))
-            assert (block["echelon"].rows, block["rank"], block["stated_ok"]) == own
+            assert (_renamed_rows(block), block["rank"], block["stated_ok"]) == own
 
     def row_relations(s):
         return lambda cls: [frt.frt_relation(s, s, i, j) for (i, j), _ in cls]
@@ -397,6 +467,24 @@ def test_kernel_check_counts_a_module_vector_that_does_not_carry(monkeypatch, ro
     json.dumps(rep)
 
 
+@pytest.mark.parametrize("foreign", [False, True], ids=["empty-block", "foreign-word"])
+@pytest.mark.parametrize("rows", _ROWS.values(), ids=_ROWS.keys())
+def test_kernel_check_rejects_a_word_outside_the_block(monkeypatch, rows, foreign):
+    # X[e, e] X[e, e] occurs in no relation, so its class block numbers no
+    # word: alone it is not carried, and added to a module vector it puts
+    # that vector outside its own block
+    pres = presentation("w" if len(rows) == 1 else "what")
+    e = next(g for g in range(pres.ngens)
+             if pres.gen_mask[g] == 0 and not pres.gen_delta[g])
+    module = frt.kernel_module
+    monkeypatch.setattr(frt, "kernel_module", lambda algebra: (
+        ({**module(algebra)[0], (e, e): ONE} if foreign else {(e, e): ONE}),)
+        + module(algebra)[1:])
+    rep = _kernel_check(rows)
+    assert rep["relations_carried"] and rep["kernel_failures"] == 1
+    assert not rep["kernel_vectors_carried"] and not rep["ok"]
+
+
 @pytest.mark.parametrize("rows", _ROWS.values(), ids=_ROWS.keys())
 def test_kernel_check_counts_the_module_by_rank(monkeypatch, rows):
     # a repeated vector changes no dimension; a dropped one still carries
@@ -476,6 +564,9 @@ def _times_q_at(monkeypatch, index):
     coeff = frt.rhat_coeff
     monkeypatch.setattr(frt, "rhat_coeff", lambda *idx: (
         coeff(*idx) * Q if idx == index else coeff(*idx)))
+    # frt_relation reads the braiding through a process-wide table; a fresh
+    # one, built from the mutated coefficient, serves this test alone
+    monkeypatch.setattr(frt, "_braiding_tables", cache(frt._braiding_tables.__wrapped__))
 
 
 M23, M14, M12 = M([2, 3]), M([1, 4]), M([1, 2])
