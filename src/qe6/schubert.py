@@ -8,6 +8,7 @@ Normal words are non-increasing in a fixed total order on generators; in the
 affine algebra every delta-shifted generator precedes every plain one.
 """
 
+import re
 from functools import cache
 from heapq import heapify, heappop, heappush
 from math import comb
@@ -86,7 +87,7 @@ class AlgebraPresentation:
     """Generators, straightening rules, and gradings of one cell algebra."""
 
     __slots__ = ("algebra_id", "ngens", "gen_mask", "gen_delta", "gen_weight",
-                 "gen_label", "rules")
+                 "gen_label", "gen_index", "rules")
 
     def __init__(self, algebra_id, ngens, gen_mask, gen_delta, rules):
         self.algebra_id = algebra_id
@@ -100,6 +101,7 @@ class AlgebraPresentation:
         self.gen_label = tuple(
             ("%s[%s]" % (kind or ("Zd" if dlt else "Z"), rd.label(m)))
             for m, dlt in zip(gen_mask, gen_delta))
+        self.gen_index = {lab: g for g, lab in enumerate(self.gen_label)}
         self.rules = rules
 
     def rank(self, mask, delta=False):
@@ -389,132 +391,131 @@ def format_poly(x, pres):
     return text
 
 
-_GEN_KINDS = ("Zd", "Z", "Y")
-
-
-def _tokenize(text):
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*()^":
-            toks.append((ch, ch))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("num", int(text[i:j])))
-            i = j
-            continue
-        for kind in _GEN_KINDS:
-            if text.startswith(kind + "[", i):
-                j = text.find("]", i)
-                if j < 0:
-                    raise ValueError("unterminated generator label in %r" % text)
-                toks.append(("gen", (kind, text[i + len(kind) + 1:j])))
-                i = j + 1
-                break
-        else:
-            if ch == "q":
-                toks.append(("q", "q"))
-                i += 1
-            else:
-                raise ValueError("unexpected character %r in expression" % ch)
-    return toks
-
-
-class _Parser:
-    def __init__(self, toks, pres):
-        self.toks = toks
-        self.pos = 0
-        self.pres = pres
-
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def take(self):
-        if self.pos == len(self.toks):
-            raise ValueError("unexpected end of expression")
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse_expr(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take()[0] == "-":
-                sign = -sign
-        acc = self.parse_term().scale(LaurentPoly.from_int(sign))
-        while self.peek() in ("+", "-"):
-            sign = 1
-            while self.peek() in ("+", "-"):
-                if self.take()[0] == "-":
-                    sign = -sign
-            acc = acc + self.parse_term().scale(LaurentPoly.from_int(sign))
-        return acc
-
-    def parse_term(self):
-        acc = self.parse_factor()
-        while True:
-            if self.peek() == "*":
-                self.take()
-                acc = acc.free_mul(self.parse_factor())
-            elif self.peek() in ("q", "num", "gen", "("):
-                acc = acc.free_mul(self.parse_factor())
-            else:
-                return acc
-
-    def _exponent(self):
-        if self.peek() != "^":
-            return 1
-        self.take()
-        sign = 1
-        while self.peek() == "-":
-            self.take()
-            sign = -sign
-        kind, val = self.take()
-        if kind != "num":
-            raise ValueError("expected an integer exponent")
-        return sign * val
-
-    def parse_factor(self):
-        kind, val = self.take()
-        if kind == "q":
-            return NCPoly.from_word((), qpow(self._exponent()))
-        if kind == "num":
-            return NCPoly.from_word((), LaurentPoly.from_int(val))
-        if kind == "gen":
-            gk, lab = val
-            mask = rd.parse_label(lab)
-            want_delta = gk == "Zd"
-            if self.pres.algebra_id == "w":
-                if gk != "Y":
-                    raise ValueError("generator %s[%s] does not live in this algebra" % (gk, lab))
-                g = self.pres.rank(mask)
-            else:
-                if gk == "Y":
-                    raise ValueError("Y generators do not live in the affine algebra")
-                g = self.pres.rank(mask, delta=want_delta)
-            return NCPoly.gen(g)
-        if kind == "(":
-            inner = self.parse_expr()
-            if self.peek() != ")":
-                raise ValueError("missing closing parenthesis")
-            self.take()
-            return inner
-        raise ValueError("unexpected token %r" % ((kind, val),))
+# a number, a generator label up to the first "]", or any other single
+# character, which the parser rejects unless it is one of + - * ( ) ^ q
+_TOKEN = re.compile(r"\d+|(?:Zd|Z|Y)\[[^\]]*\]|\S")
+MAX_NESTING = 100     # one _parse_sum frame per level: well under the recursion limit
 
 
 def parse_expr(text, pres):
-    """Parse the CLI expression grammar into a free NCPoly (not normalized)."""
-    parser = _Parser(_tokenize(text), pres)
-    out = parser.parse_expr()
-    if parser.pos != len(parser.toks):
-        raise ValueError("trailing tokens in expression %r" % text)
+    """Parse the CLI expression grammar into a free NCPoly (not normalized).
+
+        expr   := signs term (sign signs term)*      signs: a run of + and -
+        term   := factor ("*"? factor)*
+        factor := "q" ("^" "-"* digits)? | digits | generator | "(" expr ")"
+
+    Generators are Y[..] in "w", Z[..] and Zd[..] in "what", their subset
+    labels in any digit order; whitespace is free; parentheses nest at most
+    MAX_NESTING deep.  Terms are summed over raw {exponent: int} dicts and
+    zero sums dropped.  Raises ValueError on malformed input.
+    """
+    toks = _TOKEN.findall(text)
+    try:
+        terms, i = _parse_sum(toks, 0, pres, 0)
+        if i != len(toks):
+            raise ValueError("trailing tokens in expression %r" % text)
+    except ValueError:
+        _reject_characters(text)
+        raise
+    out = NCPoly()
+    for word, coeff in terms.items():
+        if not all(coeff.values()):
+            coeff = {e: v for e, v in coeff.items() if v}
+            if not coeff:
+                continue
+        out[word] = LaurentPoly._raw(coeff)
+    return out
+
+
+def _reject_characters(text):
+    """Raise for the first character that starts no token, if any."""
+    for m in _TOKEN.finditer(text):
+        ch = m.group()
+        if len(ch) == 1 and not ch.isdecimal() and ch not in "+-*()^q":
+            if text.startswith(("Zd[", "Z[", "Y["), m.start()):
+                raise ValueError("unterminated generator label in %r" % text)
+            raise ValueError("unexpected character %r in expression" % ch)
+
+
+def _generator(tok, pres):
+    """The generator of a label outside pres.gen_index (unsorted or invalid)."""
+    kind, lab = tok[:-1].split("[", 1)
+    mask = rd.parse_label(lab)
+    if (kind == "Y") != (pres.algebra_id == "w"):
+        raise ValueError("Y generators do not live in the affine algebra" if kind == "Y"
+                         else "generator %s does not live in this algebra" % tok)
+    return pres.rank(mask, delta=kind == "Zd")
+
+
+def _parse_sum(toks, i, pres, depth):
+    """Parse `expr` from toks[i]; return ({word: {exponent: int}}, next i).
+
+    A term is c*q^e times the product `poly` of its factors up to its last
+    parenthesis, then the generators since (`word`)."""
+    n = len(toks)
+    index = pres.gen_index
+    acc = {}
+    while True:
+        sign = 1
+        while i < n and toks[i] in ("-", "+"):
+            if toks[i] == "-":
+                sign = -sign
+            i += 1
+        word, e, c, poly = [], 0, sign, {(): {0: 1}}
+        want = True                             # a factor must come next
+        while True:
+            t = toks[i] if i < n else ""        # "" is the end of the text
+            g = index.get(t)
+            if g is not None:
+                word.append(g)
+            elif t == "*" and not want:
+                want = True
+                i += 1
+                continue
+            elif t == "q":
+                if i + 1 < n and toks[i + 1] == "^":
+                    i += 2
+                    s = 1
+                    while i < n and toks[i] == "-":
+                        s = -s
+                        i += 1
+                    if i == n or not toks[i].isdecimal():
+                        raise ValueError("expected an integer exponent" if i < n
+                                         else "unexpected end of expression")
+                    e += s * int(toks[i])
+                else:
+                    e += 1
+            elif t.isdecimal():
+                c *= int(t)
+            elif t == "(":
+                if depth == MAX_NESTING:
+                    raise ValueError("parentheses nest deeper than %d" % MAX_NESTING)
+                inner, i = _parse_sum(toks, i + 1, pres, depth + 1)
+                if i == n or toks[i] != ")":
+                    raise ValueError("missing closing parenthesis")
+                poly = _free_product(poly, tuple(word), inner, {})
+                word = []
+            elif len(t) > 1:
+                word.append(_generator(t, pres))
+            elif want:
+                raise ValueError("unexpected token %r" % ((t, t),) if t
+                                 else "unexpected end of expression")
+            else:
+                break
+            want = False
+            i += 1
+        _free_product(poly, tuple(word), {(): {e: c}}, acc)
+        if i == n or toks[i] not in ("-", "+"):
+            return acc, i
+
+
+def _free_product(left, middle, right, out):
+    """Add left * middle * right into `out`, all over raw coefficients."""
+    for w1, c1 in left.items():
+        w1 += middle
+        for w2, c2 in right.items():
+            dst = out.setdefault(w1 + w2, {})
+            for e1, v1 in c1.items():
+                for e2, v2 in c2.items():
+                    dst[e1 + e2] = dst.get(e1 + e2, 0) + v1 * v2
     return out

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +305,28 @@ def test_candidate_not_killed_by_raising_fails(monkeypatch):
     status, details = checks._chk_decompose("w", 2)()
     assert status == "fail"
     assert details["degrees"][-1]["candidate_failures"] == rep["candidate_failures"]
+
+
+def test_candidate_of_another_degree_fails(monkeypatch):
+    # Y_e^3 is killed by every ad_E and has a dominant weight, but it is not
+    # of degree 2
+    ye3 = sc.NCPoly.from_word((W.rank(0),) * 3)
+    _mutated_candidates(monkeypatch, lambda c: {**c, (0, 1): ye3})
+    rep = aj.decompose_degree("w", 2)
+    assert rep["verdict"] == "fail"
+    assert rep["candidate_failures"] == [{"monomial": [0, 1], "reason": "not of degree 2"}]
+
+
+@pytest.mark.parametrize("algebra, top", [("w", 4), ("what", 3)])
+def test_component_dim_is_the_enumerated_word_count(algebra, top):
+    # reference: the normal words grouped by weight, which decompose_degree
+    # enumerated before it took the dimension from hilbert_dim
+    pres = sc.presentation(algebra)
+    for d in range(top + 1):
+        blocks = Counter(pres.weight_of_word(word) for word in sc.normal_words(pres, d))
+        rep = aj.decompose_degree(algebra, d)
+        assert sum(blocks.values()) == rep["component_dim"] == rep["expected_component_dim"]
+        assert all(tuple(b["weight"]) in blocks for b in rep["blocks"])
 
 
 def test_omega_monomial_counts():

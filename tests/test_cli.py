@@ -40,6 +40,7 @@ def test_nf_parse_error_exit_2(capsys):
     ("verify", "--max-degree", "-5"),
     ("verify", "--max-degree", "4"),
     ("dump", "classes", "--format", "csv"),
+    ("nf", "(" * 1000 + "Y[e]" + ")" * 1000, "--algebra", "w"),
 ])
 def test_truncated_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)

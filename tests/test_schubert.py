@@ -320,3 +320,224 @@ def normal_forms(draw):
 def test_format_parse_normal_form_round_trip(case):
     nf, pres = case
     assert sc.normal_form(sc.parse_expr(sc.format_poly(nf, pres), pres), pres) == nf
+
+
+# --- the reference parser ------------------------------------------------------
+# The parser parse_expr replaced, kept as the reference: a tokenizer that scans
+# one character at a time, and a recursive-descent parser that makes an NCPoly
+# per factor and multiplies factors with free_mul.
+
+_GEN_KINDS = ("Zd", "Z", "Y")
+
+
+def _tokenize(text):
+    toks = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*()^":
+            toks.append((ch, ch))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            toks.append(("num", int(text[i:j])))
+            i = j
+            continue
+        for kind in _GEN_KINDS:
+            if text.startswith(kind + "[", i):
+                j = text.find("]", i)
+                if j < 0:
+                    raise ValueError("unterminated generator label in %r" % text)
+                toks.append(("gen", (kind, text[i + len(kind) + 1:j])))
+                i = j + 1
+                break
+        else:
+            if ch == "q":
+                toks.append(("q", "q"))
+                i += 1
+            else:
+                raise ValueError("unexpected character %r in expression" % ch)
+    return toks
+
+
+class _Parser:
+    def __init__(self, toks, pres):
+        self.toks = toks
+        self.pos = 0
+        self.pres = pres
+
+    def peek(self):
+        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+
+    def take(self):
+        if self.pos == len(self.toks):
+            raise ValueError("unexpected end of expression")
+        tok = self.toks[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse_expr(self):
+        sign = 1
+        while self.peek() in ("+", "-"):
+            if self.take()[0] == "-":
+                sign = -sign
+        acc = self.parse_term().scale(LaurentPoly.from_int(sign))
+        while self.peek() in ("+", "-"):
+            sign = 1
+            while self.peek() in ("+", "-"):
+                if self.take()[0] == "-":
+                    sign = -sign
+            acc = acc + self.parse_term().scale(LaurentPoly.from_int(sign))
+        return acc
+
+    def parse_term(self):
+        acc = self.parse_factor()
+        while True:
+            if self.peek() == "*":
+                self.take()
+                acc = acc.free_mul(self.parse_factor())
+            elif self.peek() in ("q", "num", "gen", "("):
+                acc = acc.free_mul(self.parse_factor())
+            else:
+                return acc
+
+    def _exponent(self):
+        if self.peek() != "^":
+            return 1
+        self.take()
+        sign = 1
+        while self.peek() == "-":
+            self.take()
+            sign = -sign
+        kind, val = self.take()
+        if kind != "num":
+            raise ValueError("expected an integer exponent")
+        return sign * val
+
+    def parse_factor(self):
+        kind, val = self.take()
+        if kind == "q":
+            return sc.NCPoly.from_word((), qpow(self._exponent()))
+        if kind == "num":
+            return sc.NCPoly.from_word((), LaurentPoly.from_int(val))
+        if kind == "gen":
+            gk, lab = val
+            mask = rd.parse_label(lab)
+            want_delta = gk == "Zd"
+            if self.pres.algebra_id == "w":
+                if gk != "Y":
+                    raise ValueError("generator %s[%s] does not live in this algebra" % (gk, lab))
+                g = self.pres.rank(mask)
+            else:
+                if gk == "Y":
+                    raise ValueError("Y generators do not live in the affine algebra")
+                g = self.pres.rank(mask, delta=want_delta)
+            return sc.NCPoly.gen(g)
+        if kind == "(":
+            inner = self.parse_expr()
+            if self.peek() != ")":
+                raise ValueError("missing closing parenthesis")
+            self.take()
+            return inner
+        raise ValueError("unexpected token %r" % ((kind, val),))
+
+
+def reference_parse(text, pres):
+    parser = _Parser(_tokenize(text), pres)
+    out = parser.parse_expr()
+    if parser.pos != len(parser.toks):
+        raise ValueError("trailing tokens in expression %r" % text)
+    return out
+
+
+def _outcome(parse, text, pres):
+    """The parsed element, or the message of the ValueError raised."""
+    try:
+        return parse(text, pres)
+    except ValueError as exc:
+        return "ValueError: %s" % exc
+
+
+SPACE = st.sampled_from(("", "", " ", "  ", "\t", "\n "))
+
+
+@st.composite
+def factor_texts(draw, pres, depth):
+    kinds = ["gen", "gen", "q", "num"] + (["paren"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "gen":
+        kind_text, digits = pres.gen_label[draw(st.integers(0, pres.ngens - 1))][:-1].split("[")
+        if digits != "e":
+            digits = "".join(draw(st.permutations(digits)))
+        return "%s[%s]" % (kind_text, digits)
+    if kind == "q":
+        if draw(st.booleans()):
+            return "q"
+        return "q%s^%s%s%s%d" % (draw(SPACE), draw(SPACE), "-" * draw(st.integers(0, 3)),
+                                 draw(SPACE), draw(st.integers(0, 9)))
+    if kind == "num":
+        return str(draw(st.integers(0, 12)))
+    wrap = draw(st.integers(1, 3))
+    return "(" * wrap + draw(expr_texts(pres, depth + 1)) + ")" * wrap
+
+
+@st.composite
+def expr_texts(draw, pres, depth=0):
+    text = draw(SPACE)
+    for k in range(draw(st.integers(1, 3))):
+        text += draw(st.text("+-", min_size=0 if k == 0 else 1, max_size=4)) + draw(SPACE)
+        for m in range(draw(st.integers(1, 3))):
+            factor = draw(factor_texts(pres, depth))
+            if m:
+                sep = draw(st.sampled_from(("*", " * ", " ", "")))
+                # juxtaposed digits would read as one number or exponent
+                text += " " if sep == "" and factor[0].isdigit() else sep
+            text += factor
+        text += draw(SPACE)
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((W, WH)).flatmap(lambda pres: st.tuples(st.just(pres), expr_texts(pres))))
+def test_parse_expr_matches_the_reference_parser(case):
+    # the whole grammar: nesting, implicit products, sign runs, q^--k,
+    # whitespace and labels in any digit order
+    pres, text = case
+    want = reference_parse(text, pres)
+    got = sc.parse_expr(text, pres)
+    assert got == want
+    assert all(c for c in got.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((W, WH)), st.text("YZd[]()12345eq^+-* 0", max_size=16))
+def test_parse_expr_accepts_and_rejects_what_the_reference_does(pres, text):
+    assert _outcome(sc.parse_expr, text, pres) == _outcome(reference_parse, text, pres)
+
+
+@pytest.mark.parametrize("text, pres", [
+    ("Y[12", W), ("Y[12]*", W), ("(", W), ("q^", W), ("q^Y[e]", W), ("()", W),
+    ("Y[12])", W), ("Y[123]", W), ("Y[11]", W), ("Y[12] $", W), ("Z[12]", W),
+    ("Y[e]", WH),
+], ids=lambda v: v.algebra_id if isinstance(v, sc.AlgebraPresentation) else v)
+def test_malformed_input_is_rejected_by_both_parsers(text, pres):
+    with pytest.raises(ValueError) as ref:
+        reference_parse(text, pres)
+    with pytest.raises(ValueError) as got:
+        sc.parse_expr(text, pres)
+    assert str(got.value) == str(ref.value)
+
+
+def test_parse_expr_nesting_cap():
+    deep = sc.MAX_NESTING
+    assert sc.parse_expr("(" * deep + "Y[e]" + ")" * deep, W) == Y(0)
+    for depth in (deep + 1, 1000):
+        with pytest.raises(ValueError, match="deeper than %d" % deep):
+            sc.parse_expr("(" * depth + "Y[e]" + ")" * depth, W)
