@@ -140,11 +140,12 @@ def is_highest_weight(x, pres):
 
 # --- the named highest-weight vectors ---------------------------------------
 
-def _printed_quadratic(pairs_with_coeffs, left_of, right_of, pres):
+def _printed_quadratic(pairs_with_coeffs, left_of, right_of):
+    """The printed quadratic as a free (unstraightened) polynomial."""
     acc = NCPoly()
     for (a, b), coeff in pairs_with_coeffs:
         acc.iadd_term((left_of(a), right_of(b)), coeff)
-    return normal_form(acc, pres)
+    return acc
 
 
 def _quad_pairs():
@@ -159,18 +160,22 @@ def _quad_pairs():
 def theta():
     """The degree-2 highest-weight vector of the 16-generator algebra."""
     pres = presentation("w")
-    return _printed_quadratic(_quad_pairs(), pres.rank, pres.rank, pres)
+    return normal_form(_printed_quadratic(_quad_pairs(), pres.rank, pres.rank), pres)
 
 
 @cache
 def build_omega(k):
-    """The k-th conjectured highest-weight generator in the affine algebra."""
+    """The k-th conjectured highest-weight generator in the affine algebra.
+
+    Each Omega is summed as a free (unstraightened) polynomial and then
+    straightened once: normal_form is linear, so words shared by the
+    products of a composite Omega are rewritten once, and words whose
+    summed coefficient cancels are never rewritten.
+    """
     pres = presentation("what")
     Zr = pres.rank
     Zdr = lambda m: pres.rank(m, delta=True)
-
-    def mul(x, y):
-        return multiply(x, y, pres)
+    mul = NCPoly.free_mul  # products stay free until the one normal_form
 
     def aF(seq, x):
         return ad_F_word(seq, x, pres)
@@ -180,14 +185,13 @@ def build_omega(k):
     elif k == 2:
         out = NCPoly.gen(Zdr(0))
     elif k == 3:
-        out = _printed_quadratic(_quad_pairs(), Zr, Zr, pres)
+        out = _printed_quadratic(_quad_pairs(), Zr, Zr)
     elif k == 4:
-        acc = NCPoly()
+        out = NCPoly()
         for (a, b), h in rd.class_of(rd.mask_of([1, 2, 3, 4]), 0):
-            acc.iadd_term((Zr(a), Zdr(b)), LaurentPoly.term(-1 if h & 1 else 1, h))
-        out = normal_form(acc, pres)
+            out.iadd_term((Zr(a), Zdr(b)), LaurentPoly.term(-1 if h & 1 else 1, h))
     elif k == 5:
-        out = _printed_quadratic(_quad_pairs(), Zdr, Zdr, pres)
+        out = _printed_quadratic(_quad_pairs(), Zdr, Zdr)
     elif k == 6:
         o1, o2 = build_omega(1), build_omega(2)
         out = mul(aF([2], o1), o2) - mul(o1, aF([2], o2)).scale(Q)
@@ -234,7 +238,7 @@ def build_omega(k):
                + mul(aF([5, 6], o3), o11).scale(qpow(-2)))
     else:
         raise ValueError("omega index must be 1..13")
-    return out
+    return normal_form(out, pres)
 
 
 NAMED_VECTORS = {

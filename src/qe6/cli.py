@@ -44,6 +44,8 @@ def cmd_verify(args):
 
 
 def cmd_nf(args):
+    if args.expr is None:
+        raise ValueError("the following arguments are required: expr")
     pres = sc.presentation(args.algebra)
     free = sc.parse_expr(args.expr, pres)
     if args.twisted:
@@ -147,7 +149,10 @@ def build_parser():
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("nf", help="normal form of an expression")
-    p.add_argument("expr")
+    # optional only to argparse: an expression that starts with a sign, such
+    # as -Y[e], reads to it as an unknown option, and main takes it from the
+    # leftovers
+    p.add_argument("expr", nargs="?")
     p.add_argument("--algebra", required=True, choices=("w", "what"))
     p.add_argument("--twisted", action="store_true")
     p.set_defaults(fn=cmd_nf)
@@ -179,7 +184,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if getattr(args, "expr", "") is None and extra:
+            args.expr = extra.pop(0)
+        if extra:
+            parser.error("unrecognized arguments: %s" % " ".join(extra))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

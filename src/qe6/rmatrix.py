@@ -46,31 +46,25 @@ def pair_label(idx):
     return [rd.label(a), rd.label(b)]
 
 
-def phi_factor(i, j, primed):
-    """One ordered q-exponential factor: identity plus its linear correction.
-
-    The series stops there because the square of every root vector acts as
-    zero on the module; the surviving coefficient is exactly q - q^{-1}.
-    """
-    if not i < j:
-        raise ValueError("factors are indexed by i < j")
-    kind = "Eprime" if primed else "E"
-    first = rho_matrix(kind, i, j)
-    second = rho_matrix(kind, j, i)
-    return SparseMat.identity(TDIM).add(first.kron(second).scale(QHAT))
-
-
 _FACTOR_ORDER = [(4, 5), (3, 5), (2, 5), (1, 5), (3, 4), (2, 4), (1, 4),
                  (2, 3), (1, 3), (1, 2)]
 
 @cache
 def build_rhat():
-    """The exact 256x256 braiding matrix on the lex-ordered pair basis."""
+    """The exact 256x256 braiding matrix on the lex-ordered pair basis.
+
+    Each q-exponential factor is I + N with N = (q - q^{-1}) E_ij (x) E_ji
+    (or its primed twin) acting on the module: the series stops at its
+    linear term because the square of every root vector acts as zero there.
+    N has 16 nonzeros, so a factor is applied as acc + N acc, which equals
+    (I + N) acc.
+    """
     acc = SparseMat.identity(TDIM)
     # rightmost factor acts first: all primed factors, then the plain ones
-    for primed in (True, False):
+    for kind in ("Eprime", "E"):
         for i, j in reversed(_FACTOR_ORDER):
-            acc = phi_factor(i, j, primed).mul(acc)
+            n = rho_matrix(kind, i, j).kron(rho_matrix(kind, j, i)).scale(QHAT)
+            acc = acc.add(n.mul(acc))
     # weight-pairing diagonal, then the flip of tensor legs
     entries = {}
     for (r, c), v in acc.entries.items():

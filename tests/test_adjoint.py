@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qe6 import checks
 from qe6.cli import main
 from qe6 import rootdata as rd
-from qe6.qcoeff import LaurentPoly, Q, QINV, qpow
+from qe6.qcoeff import LaurentPoly, Q, QINV, neg_qpow, qpow
 from qe6 import schubert as sc
 from qe6 import adjoint as aj
 from qe6 import spinrep as sp
@@ -147,6 +147,61 @@ def test_omega_construction_small():
     om4 = aj.build_omega(4)
     assert len(om4) == 8
     assert sc.q_degree(om4, WH)[0] == 1  # one delta generator per term
+
+
+def reference_omega(k):
+    """Omega 6-13 with every product straightened on its own by multiply and
+    the straightened products summed, as the formulas are printed."""
+    o = aj.build_omega
+
+    def mul(x, y):
+        return sc.multiply(x, y, WH)
+
+    def aF(seq, x):
+        return aj.ad_F_word(seq, x, WH)
+
+    if k == 6:
+        return mul(aF([2], o(1)), o(2)) - mul(o(1), aF([2], o(2))).scale(Q)
+    if k == 7:
+        o3, o2 = o(3), o(2)
+        return (mul(aF([2, 4, 5, 6], o3), o2)
+                - mul(aF([4, 5, 6], o3), aF([2], o2)).scale(Q)
+                + mul(aF([5, 6], o3), aF([4, 2], o2)).scale(qpow(2))
+                - mul(aF([6], o3), aF([5, 4, 2], o2)).scale(qpow(3))
+                + mul(o3, aF([6, 5, 4, 2], o2)).scale(qpow(4)))
+    if k == 8:
+        o1, o5 = o(1), o(5)
+        return (mul(o1, aF([2, 4, 5, 6], o5))
+                - mul(aF([2], o1), aF([4, 5, 6], o5)).scale(QINV)
+                + mul(aF([4, 2], o1), aF([5, 6], o5)).scale(qpow(-2))
+                - mul(aF([5, 4, 2], o1), aF([6], o5)).scale(qpow(-3))
+                + mul(aF([6, 5, 4, 2], o1), o5).scale(qpow(-4)))
+    if k in (9, 10, 11):
+        a, b = (o(m) for m in {9: (3, 4), 10: (3, 5), 11: (4, 5)}[k])
+        return mul(a, aF([6], b)) - mul(aF([6], a), b).scale(QINV)
+    if k == 12:
+        o3, o5 = o(3), o(5)
+        full = [6, 5, 4, 3, 2, 4, 5, 6]
+        terms = [(full, [], 0), (full[1:], [6], 1), (full[2:], [5, 6], 2),
+                 (full[3:], [4, 5, 6], 3), (full[4:], [3, 4, 5, 6], 4),
+                 ([3, 4, 5, 6], [2, 4, 5, 6], 4), ([4, 5, 6], [3, 2, 4, 5, 6], 5),
+                 ([5, 6], [4, 3, 2, 4, 5, 6], 6), ([6], [5, 4, 3, 2, 4, 5, 6], 7),
+                 ([], full, 8)]
+        out = sc.NCPoly()
+        for wl, wr, e in terms:
+            out = out + mul(aF(wl, o3), aF(wr, o5)).scale(neg_qpow(e))
+        return out
+    assert k == 13
+    o3, o11 = o(3), o(11)
+    return (mul(o3, aF([6, 5], o11))
+            - mul(aF([6], o3), aF([5], o11)).scale(QINV)
+            + mul(aF([5, 6], o3), o11).scale(qpow(-2)))
+
+
+@pytest.mark.parametrize("k", range(6, 14))
+def test_omega_matches_the_product_by_product_reference(k):
+    got = aj.build_omega(k)
+    assert got and got == reference_omega(k)
 
 
 def test_omega_highest_weight_table():

@@ -24,6 +24,27 @@ def test_nf_affine_and_twisted(capsys):
     assert code == 0 and out.strip() == "q*Zd[e]*Z[12]"
 
 
+@pytest.mark.parametrize("expr, want", [
+    ("-Y[e]", "-Y[e]"),
+    ("-2*Y[e]", "-2*Y[e]"),
+    ("-(q+1)*Y[e]", "(-q - 1)*Y[e]"),
+])
+def test_nf_expression_may_start_with_a_sign(capsys, expr, want):
+    # the options parse in any position around it, and `--` still works
+    for argv in (("nf", expr, "--algebra", "w"),
+                 ("nf", "--algebra", "w", expr),
+                 ("nf", "--algebra", "w", "--", expr)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (0, want + "\n", "")
+
+
+def test_nf_signed_expression_with_twisted_and_help(capsys):
+    code, out, _ = run(capsys, "nf", "--twisted", "-Zd[e]*Z[12]", "--algebra", "what")
+    assert code == 0 and out.strip() == "-q*Zd[e]*Z[12]"
+    code, out, _ = run(capsys, "nf", "-Y[e]", "-h")
+    assert code == 0 and out.startswith("usage: qe6 nf")
+
+
 def test_nf_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "nf", "Y[12", "--algebra", "w")
     assert code == 2
@@ -41,6 +62,7 @@ def test_nf_parse_error_exit_2(capsys):
     ("verify", "--max-degree", "4"),
     ("dump", "classes", "--format", "csv"),
     ("nf", "(" * 1000 + "Y[e]" + ")" * 1000, "--algebra", "w"),
+    ("nf", "--algebra", "w"),
 ])
 def test_truncated_input_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -50,7 +72,9 @@ def test_truncated_input_exit_2(capsys, argv):
 
 def test_usage_error_exit_2(capsys):
     assert main(["verify", "--suite", "nonsense"]) == 2
-    capsys.readouterr()
+    # a second expression is left over, whatever its first character
+    assert main(["nf", "Y[e]", "-Y[e]", "--algebra", "w"]) == 2
+    assert "unrecognized arguments: -Y[e]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ from qe6.report import FAIL
 from qe6.qcoeff import ONE, Q, QHAT, qpow
 from qe6.linalg import SparseMat
 from qe6 import rmatrix as rm
+from qe6 import spinrep as sp
 
 M = rd.mask_of
 
@@ -16,8 +17,37 @@ def _commutant():
     return rm.commutant_failures(rm.build_rhat())
 
 
+def phi_factor(i, j, primed):
+    """One full ordered q-exponential factor, identity plus its linear term."""
+    kind = "Eprime" if primed else "E"
+    first = sp.rho_matrix(kind, i, j)
+    second = sp.rho_matrix(kind, j, i)
+    return SparseMat.identity(rm.TDIM).add(first.kron(second).scale(QHAT))
+
+
+def reference_rhat():
+    """The braiding as the product of the twenty full 256x256 factors, the
+    rightmost acting first, then the weight-pairing diagonal and the flip."""
+    acc = SparseMat.identity(rm.TDIM)
+    for primed in (True, False):
+        for i, j in reversed(rm._FACTOR_ORDER):
+            acc = phi_factor(i, j, primed).mul(acc)
+    entries = {}
+    for (r, c), v in acc.entries.items():
+        a, b = rm.tensor_masks(r)
+        entries[(rm.tensor_index(b, a), c)] = v * qpow(rd.INNER_WT[(a, b)])
+    return SparseMat(rm.TDIM, rm.TDIM, entries)
+
+
+def test_build_rhat_matches_the_full_factor_product():
+    want = reference_rhat()
+    got = rm.build_rhat()
+    assert len(want.entries) == len(got.entries) == 606
+    assert got == want
+
+
 def test_phi_factor_shape():
-    f = rm.phi_factor(1, 2, primed=False)
+    f = phi_factor(1, 2, primed=False)
     assert f.nrows == f.ncols == 256
     # identity on u_e (x) u_e: the correction needs index 2 in the first leg
     idx = rm.tensor_index(0, 0)
