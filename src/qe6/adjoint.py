@@ -7,6 +7,10 @@ highest-weight detection, the named vectors (Theta and the thirteen Omegas)
 with one table of their weights and degrees, cyclic submodule spans, the Weyl
 dimension formula, the named vectors' highest-weight certificates (span
 dimensions by theorem), and the degree-by-degree decomposition reports.
+The generator-span matrices (generator_matrices) are the action itself on
+degree 1, read off ad_E, ad_F and ad_K, so the operator relations and the
+half-spin module isomorphism are checked on the operators everything else
+uses.
 """
 
 from fractions import Fraction
@@ -20,7 +24,6 @@ from .schubert import (NCPoly, presentation, normal_form, multiply, q_degree,
 from .linalg import Echelon, SparseMat, cyclic_span
 
 NEG_Q = LaurentPoly.term(-1, 1)
-NEG_QINV = LaurentPoly.term(-1, -1)
 
 
 class _ActionTables:
@@ -325,51 +328,32 @@ def identity_check(d):
 
 # --- degree-by-degree decomposition ------------------------------------------
 
-def hw_candidates_w(d):
-    """The products Y_empty^m Theta^n of total degree d, keyed by (m, n)."""
-    pres = presentation("w")
-    g0 = pres.rank(0)
+def hw_candidates(algebra, d):
+    """The highest-weight candidates of degree d: the products of the
+    algebra's factors, each taken as often as its key says and multiplied
+    in from the left.  For "w" the factors are Y_empty (degree 1) and Theta
+    (degree 2), keyed by (m, n); for "what" they are Omega_1 ... Omega_13
+    with their NAMED_VECTORS degrees, keyed by (r1..r13), with r5 r9 = 0
+    (Omega_5 Omega_9 lies in the span of Omega_3 Omega_11 and
+    Omega_4 Omega_10)."""
+    pres = presentation(algebra)
+    if algebra == "w":
+        factors = [(NCPoly.gen(pres.rank(0)), 1), (theta(), 2)]
+    else:
+        factors = [(build_omega(k), NAMED_VECTORS["omega%d" % k][2]) for k in range(1, 14)]
+    keys = [((), 0)]
+    for _, step in factors:
+        keys = [(key + (r,), used + r * step) for key, used in keys
+                for r in range((d - used) // step + 1)]
     out = {}
-    th_pow = NCPoly.one()
-    for n in range(d // 2 + 1):
-        m = d - 2 * n
-        vec = NCPoly.from_word((g0,) * m)
-        out[(m, n)] = multiply(vec, th_pow, pres) if n else vec
-        th_pow = multiply(th_pow, theta(), pres)
-    return out
-
-
-OMEGA_DEGREES = {k: NAMED_VECTORS["omega%d" % k][2] for k in range(1, 14)}
-
-
-def omega_monomial_exponents(d):
-    """Exponent tuples (r1..r13) of total degree d with r5 r9 = 0."""
-    out = []
-
-    def rec(k, left, acc):
-        if k == 14:
-            if left == 0:
-                out.append(tuple(acc))
-            return
-        step = OMEGA_DEGREES[k]
-        for r in range(left // step + 1):
-            acc.append(r)
-            rec(k + 1, left - r * step, acc)
-            acc.pop()
-
-    rec(1, d, [])
-    return [r for r in out if r[4] * r[8] == 0]
-
-
-def hw_candidates_what(d):
-    pres = presentation("what")
-    out = {}
-    for exps in omega_monomial_exponents(d):
+    for key, used in keys:
+        if used != d or algebra == "what" and key[4] * key[8]:
+            continue
         vec = NCPoly.one()
-        for k, r in enumerate(exps, start=1):
+        for (factor, _), r in zip(factors, key):
             for _ in range(r):
-                vec = multiply(vec, build_omega(k), pres)
-        out[exps] = vec
+                vec = multiply(vec, factor, pres)
+        out[key] = vec
     return out
 
 
@@ -385,9 +369,10 @@ def decompose_degree(algebra, d):
     finite-dimensional type-1 U_q(so10)-module, hence semisimple (Jantzen,
     Lectures on Quantum Groups, ch. 5; the fact ybe_check rests on too).  So
     the highest-weight vectors of weight lambda span a space whose dimension
-    is the multiplicity m_lambda of L(lambda) in M.  The candidates that every
-    ad_E kills, that have dominant weight lambda and that are independent in
-    their weight block number c_lambda <= m_lambda.  Hence
+    is the multiplicity m_lambda of L(lambda) in M.  The hw_candidates of
+    degree d that is_highest_weight accepts (every ad_E kills them), that have
+    dominant weight lambda and that are independent in their weight block
+    number c_lambda <= m_lambda.  Hence
     dim M = sum m_lambda weyl_dim(lambda) >= sum c_lambda weyl_dim(lambda),
     and equality (the report's weyl_dim_total == component_dim) forces
     m_lambda = c_lambda for every lambda, including every lambda with no
@@ -401,18 +386,19 @@ def decompose_degree(algebra, d):
     pres = presentation(algebra)
     total = hilbert_dim(pres, d)
 
-    cands = hw_candidates_w(d) if algebra == "w" else hw_candidates_what(d)
+    cands = hw_candidates(algebra, d)
     by_mu = {}
     cand_fail = []
     for key, vec in cands.items():
-        if not vec or any(ad_E(i, vec, pres) for i in rd.IPRIME):
-            reason = "not a highest weight vector"
-        elif any(len(word) != d for word in vec):
+        # the degree first: q_degree refuses an inhomogeneous vector
+        if any(len(word) != d for word in vec):
             reason = "not of degree %d" % d
-        elif min(_pairings(mu := q_degree(vec, pres))) < 0:
+        elif not vec or not (lam := is_highest_weight(vec, pres)[1]):
+            reason = "not a highest weight vector"
+        elif min(lam) < 0:
             reason = "weight is not dominant"
         else:
-            by_mu.setdefault(mu, []).append(vec)
+            by_mu.setdefault(q_degree(vec, pres), []).append(vec)
             continue
         cand_fail.append({"monomial": list(key), "reason": reason})
 
@@ -447,29 +433,19 @@ def decompose_degree(algebra, d):
 # --- operator-level consistency on the generator span ------------------------
 
 def generator_matrices(pres):
-    """Matrices of the adjoint generators on the span of the algebra generators."""
+    """The adjoint action on the span of the algebra generators, as
+    {(kind, i): SparseMat} for kind in E, F, K, Kinv: column g is ad_E,
+    ad_F or ad_K (Kinv: inverse=True) applied to generator g itself."""
     n = pres.ngens
-    tab = _tables(pres)
+    acts = {"E": ad_E, "F": ad_F, "K": ad_K,
+            "Kinv": lambda i, x, pres: ad_K(i, x, pres, inverse=True)}
     mats = {}
-    for i in rd.IPRIME:
-        e = {}
-        f = {}
-        k = {}
-        kinv = {}
-        for g in range(n):
-            tgt = tab.raises[i][g]
-            if tgt is not None:
-                e[(tgt, g)] = NEG_Q
-            tgt = tab.lowers[i][g]
-            if tgt is not None:
-                f[(tgt, g)] = NEG_QINV
-            pe = tab.pairs[i][g]
-            k[(g, g)] = qpow(pe)
-            kinv[(g, g)] = qpow(-pe)
-        mats[("E", i)] = SparseMat(n, n, e)
-        mats[("F", i)] = SparseMat(n, n, f)
-        mats[("K", i)] = SparseMat(n, n, k)
-        mats[("Kinv", i)] = SparseMat(n, n, kinv)
+    for kind, act in acts.items():
+        for i in rd.IPRIME:
+            # the action keeps the degree: each image word is one generator h
+            entries = {(h, g): c for g in range(n)
+                       for (h,), c in act(i, NCPoly.gen(g), pres).items()}
+            mats[(kind, i)] = SparseMat(n, n, entries)
     return mats
 
 

@@ -202,11 +202,12 @@ def row_coefficients(rows):
     to renaming rows, which changes no span, containment or rank.  A None
     key puts another row's word into a computed relation, which then spans
     no stated set: a passing template has none.  is_face is not covered.
+    The coefficients are read from the row side of _braiding_tables.
     """
     pos = {row: n for n, row in enumerate(rows)}
-    table = {(pos[a], pos[b], pos.get(k), pos.get(l)): rhat_coeff(k, l, a, b)
-             for a in rows for b in rows for (k, l), _ in rd.class_of(a, b)}
-    return {key: coeff for key, coeff in table.items() if coeff}
+    row_side = _braiding_tables()[0]
+    return {(pos[a], pos[b], pos.get(k), pos.get(l)): coeff
+            for a in rows for b in rows for k, l, coeff in row_side[(a, b)]}
 
 
 def admissible(s, t):

@@ -57,9 +57,6 @@ class SparseMat:
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and \
             self.entries == other.entries
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def get(self, r, c):
         return self.entries.get((r, c), ZERO)
 
@@ -82,13 +79,12 @@ class SparseMat:
                               {k: v * s for k, v in self.entries.items()})
 
     def mul(self, other):
+        """The product self * other, through self's cached column index."""
         assert self.ncols == other.nrows
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
+        cols = self.by_col()
         out = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
+        for (k, c), w in other.entries.items():
+            for r, v in cols.get(k, ()):
                 accumulate(out, (r, c), v * w)
         return SparseMat._raw(self.nrows, other.ncols, out)
 

@@ -43,9 +43,6 @@ class LaurentPoly:
             return self.c == ({0: other} if other else {})
         return isinstance(other, LaurentPoly) and self.c == other.c
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(frozenset(self.c.items()))
 
@@ -125,12 +122,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return out
-
-    def shift(self, k):
-        """Multiply by q^k."""
-        if not k:
-            return self
-        return LaurentPoly._raw({e + k: v for e, v in self.c.items()})
 
     def min_exp(self):
         return min(self.c) if self.c else 0
@@ -221,13 +212,6 @@ def qpow(k):
 def neg_qpow(k):
     """(-q)^k, for any integer k."""
     return LaurentPoly.term(-1 if k & 1 else 1, k)
-
-
-def qint(n):
-    """Balanced q-integer [n] = q^{n-1} + q^{n-3} + ... + q^{1-n}; [0] = 0."""
-    if n < 0:
-        raise ValueError("q-integers are defined for n >= 0 here")
-    return LaurentPoly._raw({e: 1 for e in range(1 - n, n, 2)})
 
 
 def qhat():

@@ -8,7 +8,8 @@ representing matrices are assembled from that count plus the displayed closed
 formulas, and every defining relation of the rank-5 quantized enveloping
 algebra is then checked as an exact 16x16 matrix identity.  Irreducibility is
 the linalg.cyclic_span of the top vector; phi_check(mats, gen_mask) tests the
-module isomorphism against adjoint.generator_matrices on the generator span.
+module isomorphism against adjoint.generator_matrices, which is the adjoint
+action itself on the generator span (degree 1).
 """
 
 from functools import cache
@@ -191,7 +192,8 @@ def phi_check(mats, gen_mask):
     """The diagonal rescaling phi intertwines the adjoint action on the span
     of the 16 cell generators with the half-spin matrices, for every
     Chevalley generator.  `mats` is that action as {(kind, i): SparseMat}
-    (adjoint.generator_matrices), and generator g spans the subset
+    (adjoint.generator_matrices, read off ad_E, ad_F and ad_K on each
+    generator), and generator g spans the subset
     gen_mask[g]; phi sends it to phi_scalars()[gen_mask[g]] u_gen_mask[g]."""
     scal = phi_scalars()
     phi = SparseMat(DIM, len(gen_mask),

@@ -270,6 +270,21 @@ def test_operator_relations_on_spans():
     assert sp.relation_failures(aj.generator_matrices(WH)) == []
 
 
+def test_generator_matrices_are_the_action(monkeypatch):
+    # the generator-span matrices are read off ad_F itself, so ad_F times q
+    # breaks the E-F commutators and the F intertwining with the spin module
+    real = aj.ad_F
+    monkeypatch.setattr(aj, "ad_F", lambda i, x, pres: real(i, x, pres).scale(Q))
+    rng = random.Random(0)
+    adjoint = {c.claim_id: c.fn for c in checks.adjoint_checks(3, "exact", rng)}
+    spin = {c.claim_id: c.fn for c in checks.spinrep_checks(3, "exact", rng)}
+    status, details = adjoint["operator-relations"]()
+    assert status == "fail" and "commutator E2 F2" in details["failures"]
+    status, details = spin["module-isomorphism"]()
+    assert status == "fail"
+    assert details["failures"] == ["F%d does not intertwine" % i for i in rd.IPRIME]
+
+
 def test_decompose_finite_low_degrees():
     for d in (0, 1, 2):
         rep = aj.decompose_degree("w", d)
@@ -320,9 +335,9 @@ def test_hw_dims_match_the_stacked_rank_reference(algebra, top):
 
 def _mutated_candidates(monkeypatch, change):
     """Apply `change` to the finite algebra's degree-2 candidates."""
-    real = aj.hw_candidates_w
-    monkeypatch.setattr(aj, "hw_candidates_w",
-                        lambda d: change(dict(real(d))) if d == 2 else real(d))
+    real = aj.hw_candidates
+    monkeypatch.setattr(aj, "hw_candidates", lambda algebra, d: (
+        change(dict(real(algebra, d))) if (algebra, d) == ("w", 2) else real(algebra, d)))
 
 
 def test_dropped_candidate_fails_the_dimension_count(monkeypatch):
@@ -384,11 +399,15 @@ def test_component_dim_is_the_enumerated_word_count(algebra, top):
         assert all(tuple(b["weight"]) in blocks for b in rep["blocks"])
 
 
-def test_omega_monomial_counts():
-    assert [len(aj.omega_monomial_exponents(d)) for d in range(4)] == [1, 2, 7, 14]
-    # r5 r9 = 0 first bites at degree 6
-    with_relation = aj.omega_monomial_exponents(6)
+def test_candidate_counts():
+    assert [len(aj.hw_candidates("w", d)) for d in range(6)] == [1, 1, 2, 2, 3, 3]
+    assert [len(aj.hw_candidates("what", d)) for d in range(4)] == [1, 2, 7, 14]
+    # r5 r9 = 0 first bites at degree 6, where it drops Omega_5 Omega_9
+    # alone from the 133 monomials
+    with_relation = aj.hw_candidates("what", 6)
     assert all(r[4] * r[8] == 0 for r in with_relation)
+    assert len(with_relation) == 132
+    assert (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0) not in with_relation
 
 
 def test_omega_dependence_coefficients():

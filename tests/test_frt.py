@@ -544,14 +544,19 @@ def test_row_coefficient_tables():
 
 
 def test_far_pairs_differ_from_the_template():
-    # two moves apart: other coefficients, and for 20 of the 80 ordered
-    # pairs a class member with a row outside the pair, at position None
+    # two moves apart: other coefficients, and for every one of the 80
+    # ordered pairs a nonzero coefficient at a class member with a row
+    # outside the pair, at position None
     template = frt.row_coefficients(frt.admissible_pairs()[0])
     far = [(s, t) for s in rd.ALL_MASKS for t in rd.ALL_MASKS
            if s != t and bin(s ^ t).count("1") == 4]
     tables = [frt.row_coefficients(pair) for pair in far]
     assert len(far) == 80 and template not in tables
-    assert sum(any(None in key for key in table) for table in tables) == 20
+    outside = [pair for pair in far
+               if any(frt.rhat_coeff(k, l, a, b) and not {k, l} <= set(pair)
+                      for a in pair for b in pair for (k, l), _ in rd.class_of(a, b))]
+    assert [any(None in key for key in table) for table in tables] == [True] * 80
+    assert outside == far
     comparable = [table for pair, table in zip(far, tables) if rd.LEQ[pair]]
     assert len(comparable) == 30
     assert len({tuple(sorted(map(repr, table.items()))) for table in comparable}) == 3

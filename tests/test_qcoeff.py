@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qe6.qcoeff import (LaurentPoly, ONE, ZERO, Q, QINV, QHAT,
-                        qpow, neg_qpow, qint, qhat, accumulate)
+from qe6.qcoeff import (LaurentPoly, ONE, ZERO, Q, QINV,
+                        qpow, neg_qpow, qhat, accumulate)
 
 # Laurent polynomials with up to four terms, exponents in [-6, 6]
 laurent = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
@@ -33,25 +33,11 @@ def test_accumulate_drops_zero_sums(value):
     assert terms == {}
 
 
-def test_qint():
-    assert qint(1) == ONE
-    assert qint(2) == Q + QINV
-    assert qint(0) == ZERO
-    with pytest.raises(ValueError):
-        qint(-1)
-
-
 def test_qhat():
     assert qhat() == Q - QINV
     assert qhat().eval_mod(1, 5) == 0
-    assert qhat() * qint(2) == qpow(2) - qpow(-2)
     # the degree-1 coefficient of the truncating q-exponential
     assert Q * (ONE - qpow(-2)) == qhat()
-
-
-def test_qint_qhat_identity():
-    for n in range(1, 51):
-        assert qint(n) * QHAT == qpow(n) - qpow(-n)
 
 
 def test_eval_mod():
