@@ -20,7 +20,7 @@ from math import comb, prod
 from .qcoeff import LaurentPoly, ONE, Q, QINV, qpow
 from . import rootdata as rd
 from .schubert import (NCPoly, presentation, normal_form, multiply, q_degree,
-                       hilbert_dim)
+                       hilbert_dim, rule_relation_vectors)
 from .linalg import Echelon, SparseMat, cyclic_span
 
 NEG_Q = LaurentPoly.term(-1, 1)
@@ -286,11 +286,22 @@ def weyl_dim(lam):
     return dim
 
 
+# each algebra's candidate factors in key order; "y_e" is Y_empty of "w"
+FACTORS = {"w": ("y_e", "theta"), "what": tuple("omega%d" % k for k in range(1, 14))}
+
+
+def _factor(name):
+    """A named vector or Y_empty, and its (algebra, weight, degree) entry."""
+    if name == "y_e":
+        return NCPoly.gen(presentation("w").rank(0)), ("w", (1, 0, 0, 0, 0), 1)
+    return theta() if name == "theta" else build_omega(int(name[5:])), NAMED_VECTORS[name]
+
+
 def hw_certificate(name):
-    """Highest-weight certificate of a named vector v: whether v is nonzero,
-    whether every ad_E kills it, its weight lambda and degree, and the
-    dimension of its cyclic span U.v, decided by theorem instead of closing
-    the span (tests keep the closure as the reference).
+    """Highest-weight certificate of a named vector v or of Y_empty ("y_e"):
+    whether v is nonzero, whether every ad_E kills it, its weight lambda and
+    degree, and the dimension of its cyclic span U.v, decided by theorem
+    instead of closing the span (tests keep the closure as the reference).
 
     The graded piece holding v is a finite-dimensional type-1
     U_q(so10)-module, hence semisimple (Jantzen, Lectures on Quantum Groups,
@@ -300,9 +311,8 @@ def hw_certificate(name):
     of dimension weyl_dim(lambda).  `ok` holds when all that applies and
     lambda and the degree are the tabulated ones.
     """
-    algebra, want, degree = NAMED_VECTORS[name]
+    vec, (algebra, want, degree) = _factor(name)
     pres = presentation(algebra)
-    vec = theta() if name == "theta" else build_omega(int(name[5:]))
     killed, lam = is_highest_weight(vec, pres) if vec else (False, None)
     deg = len(next(iter(vec))) if vec else None
     return {"nonzero": bool(vec), "highest_weight": killed,
@@ -330,17 +340,12 @@ def identity_check(d):
 
 def hw_candidates(algebra, d):
     """The highest-weight candidates of degree d: the products of the
-    algebra's factors, each taken as often as its key says and multiplied
-    in from the left.  For "w" the factors are Y_empty (degree 1) and Theta
-    (degree 2), keyed by (m, n); for "what" they are Omega_1 ... Omega_13
-    with their NAMED_VECTORS degrees, keyed by (r1..r13), with r5 r9 = 0
-    (Omega_5 Omega_9 lies in the span of Omega_3 Omega_11 and
-    Omega_4 Omega_10)."""
+    algebra's FACTORS, each taken as often as its key says and multiplied
+    in from the left: keys (m, n) for Y_empty^m Theta^n, and (r1..r13) with
+    r5 r9 = 0 for the Omegas (Omega_5 Omega_9 lies in the span of
+    Omega_3 Omega_11 and Omega_4 Omega_10)."""
     pres = presentation(algebra)
-    if algebra == "w":
-        factors = [(NCPoly.gen(pres.rank(0)), 1), (theta(), 2)]
-    else:
-        factors = [(build_omega(k), NAMED_VECTORS["omega%d" % k][2]) for k in range(1, 14)]
+    factors = [(vec, entry[2]) for vec, entry in map(_factor, FACTORS[algebra])]
     keys = [((), 0)]
     for _, step in factors:
         keys = [(key + (r,), used + r * step) for key, used in keys
@@ -369,10 +374,12 @@ def decompose_degree(algebra, d):
     finite-dimensional type-1 U_q(so10)-module, hence semisimple (Jantzen,
     Lectures on Quantum Groups, ch. 5; the fact ybe_check rests on too).  So
     the highest-weight vectors of weight lambda span a space whose dimension
-    is the multiplicity m_lambda of L(lambda) in M.  The hw_candidates of
-    degree d that is_highest_weight accepts (every ad_E kills them), that have
-    dominant weight lambda and that are independent in their weight block
-    number c_lambda <= m_lambda.  Hence
+    is the multiplicity m_lambda of L(lambda) in M.  Each factor of degree
+    <= d is certified once (hw_certificate).  The action is a module-algebra
+    action (module_algebra_failures), so a nonzero product of certified
+    factors is killed by every ad_E, of dominant weight sum r_k
+    weight(factor_k): no candidate goes to ad_E.  The candidates of weight
+    lambda independent in their block number c_lambda <= m_lambda.  Hence
     dim M = sum m_lambda weyl_dim(lambda) >= sum c_lambda weyl_dim(lambda),
     and equality (the report's weyl_dim_total == component_dim) forces
     m_lambda = c_lambda for every lambda, including every lambda with no
@@ -385,20 +392,25 @@ def decompose_degree(algebra, d):
     """
     pres = presentation(algebra)
     total = hilbert_dim(pres, d)
+    names = FACTORS[algebra]
+    # the 7-coordinate weight of each certified factor of degree <= d
+    weights = {name: q_degree(vec, pres)
+               for name, (vec, entry) in zip(names, map(_factor, names))
+               if entry[2] <= d and hw_certificate(name)["ok"]}
 
     cands = hw_candidates(algebra, d)
     by_mu = {}
     cand_fail = []
     for key, vec in cands.items():
-        # the degree first: q_degree refuses an inhomogeneous vector
-        if any(len(word) != d for word in vec):
-            reason = "not of degree %d" % d
-        elif not vec or not (lam := is_highest_weight(vec, pres)[1]):
-            reason = "not a highest weight vector"
-        elif min(lam) < 0:
-            reason = "weight is not dominant"
+        failed = [name for name, r in zip(names, key) if r and name not in weights]
+        if failed:
+            reason = "uses a factor that failed its certificate: %s" % ", ".join(failed)
+        elif not vec:
+            reason = "the product is zero"
         else:
-            by_mu.setdefault(q_degree(vec, pres), []).append(vec)
+            mu = tuple(sum(r * weights[name][c] for name, r in zip(names, key) if r)
+                       for c in range(7))
+            by_mu.setdefault(mu, []).append(vec)
             continue
         cand_fail.append({"monomial": list(key), "reason": reason})
 
@@ -415,7 +427,6 @@ def decompose_degree(algebra, d):
         "degree": d,
         "mode": "exact",
         "component_dim": total,
-        "expected_component_dim": total,
         "hw_vector_count": sum(found.values()),
         "expected_hw_count": len(cands),
         "weyl_dim_total": weyl_total,
@@ -449,27 +460,30 @@ def generator_matrices(pres):
     return mats
 
 
-def module_algebra_failures(pres, samples, rng):
-    """Spot-check the module-algebra axiom on `samples` random pairs of words
-    of degree 1 or 2 (the first with a random q-power coefficient)."""
+def module_algebra_failures(pres):
+    """Decide the module-algebra axiom from the defining relations; returns
+    the failures, [] when it holds.
+
+    ad_E and ad_F act letter by letter through the coproduct rule, so on
+    the free algebra they are twisted derivations,
+    ad_E(xy) = ad_K^-1(x) ad_E(y) + ad_E(x) y and
+    ad_F(xy) = x ad_F(y) + ad_F(x) ad_K(y), and ad_K is an automorphism.
+    They descend to the algebra, the free algebra modulo the ideal I of its
+    relations, exactly when they map I into I.  ad_K scales a
+    weight-homogeneous relation r; by the twisted Leibniz rule ad_E(a r b)
+    and ad_F(a r b) lie in I once ad_E(r) and ad_F(r) do, and an image with
+    normal form 0 lies in I.  So the axiom holds when every relation of
+    rule_relation_vectors is homogeneous and every ad_E(i) and ad_F(i),
+    i in IPRIME, sends it to 0.  A failure names the rule's pair, the
+    operator ("K": not homogeneous, with i None) and i.
+    """
     fails = []
-    n = pres.ngens
-    for t in range(samples):
-        dx = rng.randrange(1, 3)
-        dy = rng.randrange(1, 3)
-        x = NCPoly.from_word(tuple(rng.randrange(n) for _ in range(dx)),
-                             qpow(rng.randrange(-2, 3)))
-        y = NCPoly.from_word(tuple(rng.randrange(n) for _ in range(dy)))
-        xy = multiply(x, y, pres)
-        i = rd.IPRIME[rng.randrange(5)]
-        lhs_e = ad_E(i, xy, pres)
-        rhs_e = (multiply(ad_K(i, x, pres, inverse=True), ad_E(i, y, pres), pres)
-                 + multiply(ad_E(i, x, pres), y, pres))
-        if lhs_e != rhs_e:
-            fails.append(("E", i, t))
-        lhs_f = ad_F(i, xy, pres)
-        rhs_f = (multiply(x, ad_F(i, y, pres), pres)
-                 + multiply(ad_F(i, x, pres), ad_K(i, y, pres), pres))
-        if lhs_f != rhs_f:
-            fails.append(("F", i, t))
+    for (a, b), rel in rule_relation_vectors(pres):
+        pair = [pres.gen_label[a], pres.gen_label[b]]
+        if len({pres.weight_of_word(word) for word in rel}) != 1:
+            fails.append({"relation": pair, "operator": "K", "i": None})
+        for i in rd.IPRIME:
+            for name, act in (("E", ad_E), ("F", ad_F)):
+                if act(i, rel, pres):
+                    fails.append({"relation": pair, "operator": name, "i": i})
     return fails

@@ -35,7 +35,7 @@ from . import rootdata as rd
 from .linalg import Echelon, bareiss_rank, spans_equal
 from .rmatrix import rhat_coeff
 from .schubert import (presentation, rule_relation_vectors, NCPoly, multiply,
-                       hilbert_dim, twist)
+                       hilbert_dim, twist, correction_terms)
 from .adjoint import theta, submodule_span, build_omega
 
 
@@ -87,15 +87,8 @@ def _straight_template(i, j, mixed):
     terms = {(0, i, 1, j): ONE}
     power = rd.INNER_WT[(i, j)] - (1 if mixed else 0)
     accumulate(terms, (1, j, 0, i), -qpow(power))
-    h0 = rd.HT_PAIR[(i, j)]
-    for (l, m), h in rd.class_of(i, j):
-        if l == i or not rd.LEQ[(i, l)]:
-            continue
-        if not mixed and rd.LEXCODE[m] > rd.LEXCODE[l]:
-            continue
-        accumulate(terms, (0, l, 1, m), -QHAT * neg_qpow(h - h0 - 1))
-    if mixed and rd.EPS[(i, j)]:
-        accumulate(terms, (0, j, 1, i), -QHAT * QINV)
+    for (l, m), coeff in correction_terms(i, j, mixed):
+        accumulate(terms, (0, l, 1, m), -coeff)
     return tuple(terms.items())
 
 
@@ -192,21 +185,22 @@ def row_presentation(s):
 
 
 def row_coefficients(rows):
-    """{(pos a, pos b, pos k, pos l): R^kl_ab != 0} over rows a, b of `rows`
-    and (k, l) in class_of(a, b), a row outside `rows` at position None.
+    """{(key a, key b, key k, key l): R^kl_ab != 0} over rows a, b of `rows`
+    and (k, l) in class_of(a, b); a row's key is its position in `rows`, or
+    its label (a string, never a position) for a row outside `rows`.
 
     Rows enter frt_relation only through its first sum, as these
     coefficients; its second sum, the stated relations, _kernel_check and
     kernel_module use rows only as labels of words.  So row sets with equal
-    tables and no None key have the same presentation and kernel reports up
-    to renaming rows, which changes no span, containment or rank.  A None
+    tables and no label key have the same presentation and kernel reports up
+    to renaming rows, which changes no span, containment or rank.  A label
     key puts another row's word into a computed relation, which then spans
     no stated set: a passing template has none.  is_face is not covered.
     The coefficients are read from the row side of _braiding_tables.
     """
-    pos = {row: n for n, row in enumerate(rows)}
+    key = {row: rows.index(row) if row in rows else rd.label(row) for row in rd.ALL_MASKS}
     row_side = _braiding_tables()[0]
-    return {(pos[a], pos[b], pos.get(k), pos.get(l)): coeff
+    return {(key[a], key[b], key[k], key[l]): coeff
             for a in rows for b in rows for k, l, coeff in row_side[(a, b)]}
 
 

@@ -117,55 +117,46 @@ class AlgebraPresentation:
         return tuple(map(sum, zip(*map(self.gen_weight.__getitem__, word))))
 
 
-def _straighten_items(I, J, lex_filter, left_of, right_of):
-    """Rule right-hand side for the pair (I, J): the swapped leading term plus
-    the graded correction terms of its equivalence class."""
-    items = [(qpow(rd.INNER_WT[(I, J)]), (right_of(J), left_of(I)))]
+def correction_terms(I, J, mixed):
+    """The published correction terms ((L, M), QHAT (-q)^(h - h0 - 1)) of the
+    pair (I, J) of height h0: its class members (L, M) of height h with L
+    above I, unless `mixed` only those with LEXCODE[M] <= LEXCODE[L], and
+    ((J, I), QHAT q^-1) for a mixed pair with EPS.  The rules of both cell
+    algebras and the stated FRT relations read them here."""
     h0 = rd.HT_PAIR[(I, J)]
     for (L, M), h in rd.class_of(I, J):
         if L == I or not rd.LEQ[(I, L)]:
             continue
-        if lex_filter and rd.LEXCODE[M] > rd.LEXCODE[L]:
+        if not mixed and rd.LEXCODE[M] > rd.LEXCODE[L]:
             continue
-        items.append((QHAT * neg_qpow(h - h0 - 1), (left_of(L), right_of(M))))
-    return items
-
-
-def _build_w():
-    order = rd.TOT_ORDER
-    rules = {}
-    ident = lambda m: rd.TOT_RANK[m]
-    for a in range(16):
-        for b in range(a + 1, 16):
-            rules[(a, b)] = tuple(_straighten_items(order[a], order[b], True, ident, ident))
-    return AlgebraPresentation("w", 16, order, (False,) * 16, rules)
-
-
-def _build_what():
-    order = rd.TOT_ORDER
-    plain = lambda m: rd.TOT_RANK[m]
-    shifted = lambda m: rd.TOT_RANK[m] + 16
-    rules = {}
-    for a in range(16):
-        for b in range(a + 1, 16):
-            I, J = order[a], order[b]
-            rules[(a, b)] = tuple(_straighten_items(I, J, True, plain, plain))
-            rules[(a + 16, b + 16)] = tuple(_straighten_items(I, J, True, shifted, shifted))
-    # mixed rules exist for every pair, with the epsilon term and no lex filter
-    for x in range(16):
-        for y in range(16):
-            I, J = order[x], order[y]
-            items = _straighten_items(I, J, False, plain, shifted)
-            if rd.EPS[(I, J)]:
-                items.append((QHAT * qpow(-1), (plain(J), shifted(I))))
-            rules[(x, y + 16)] = tuple(items)
-    return AlgebraPresentation(
-        "what", 32, order + order, (False,) * 16 + (True,) * 16, rules)
+        yield (L, M), QHAT * neg_qpow(h - h0 - 1)
+    if mixed and rd.EPS[(I, J)]:
+        yield (J, I), QHAT * qpow(-1)
 
 
 @cache
 def presentation(algebra_id):
-    return _build_w() if algebra_id == "w" else _build_what()
+    """One rule per out-of-order pair of plain (and in "what" of shifted)
+    generators, and in "what" one per plain-shifted pair: the pair goes to
+    the swapped leading term plus the correction terms."""
+    order = rd.TOT_ORDER
+    plain = lambda m: rd.TOT_RANK[m]
+    shifted = lambda m: rd.TOT_RANK[m] + 16
+    kinds = [(plain, plain, False)]
+    if algebra_id != "w":
+        kinds += [(shifted, shifted, False), (plain, shifted, True)]
+    rules = {}
+    for left_of, right_of, mixed in kinds:
+        for a, I in enumerate(order):
+            for b, J in enumerate(order):
+                if mixed or a < b:
+                    rule = [(qpow(rd.INNER_WT[(I, J)]), (right_of(J), left_of(I)))]
+                    for (L, M), coeff in correction_terms(I, J, mixed):
+                        rule.append((coeff, (left_of(L), right_of(M))))
+                    rules[(left_of(I), right_of(J))] = tuple(rule)
+    if algebra_id == "w":
+        return AlgebraPresentation("w", 16, order, (False,) * 16, rules)
+    return AlgebraPresentation("what", 32, order + order, (False,) * 16 + (True,) * 16, rules)
 
 
 REWRITE_BUDGET = 10 ** 6

@@ -259,10 +259,77 @@ def test_identity_check():
         assert aj.identity_check(d)
 
 
+def sampled_module_algebra_failures(pres, samples, rng):
+    """Reference: the module-algebra axiom spot-checked on `samples` random
+    pairs of words of degree 1 or 2 (the first with a random q-power
+    coefficient), as the check did before it was decided from the
+    relations."""
+    fails = []
+    n = pres.ngens
+    for t in range(samples):
+        dx = rng.randrange(1, 3)
+        dy = rng.randrange(1, 3)
+        x = sc.NCPoly.from_word(tuple(rng.randrange(n) for _ in range(dx)),
+                                qpow(rng.randrange(-2, 3)))
+        y = sc.NCPoly.from_word(tuple(rng.randrange(n) for _ in range(dy)))
+        xy = sc.multiply(x, y, pres)
+        i = rd.IPRIME[rng.randrange(5)]
+        lhs_e = aj.ad_E(i, xy, pres)
+        rhs_e = (sc.multiply(aj.ad_K(i, x, pres, inverse=True), aj.ad_E(i, y, pres), pres)
+                 + sc.multiply(aj.ad_E(i, x, pres), y, pres))
+        if lhs_e != rhs_e:
+            fails.append(("E", i, t))
+        lhs_f = aj.ad_F(i, xy, pres)
+        rhs_f = (sc.multiply(x, aj.ad_F(i, y, pres), pres)
+                 + sc.multiply(aj.ad_F(i, x, pres), aj.ad_K(i, y, pres), pres))
+        if lhs_f != rhs_f:
+            fails.append(("F", i, t))
+    return fails
+
+
 def test_module_algebra_sample():
     rng = random.Random(99)
-    assert aj.module_algebra_failures(W, 30, rng) == []
-    assert aj.module_algebra_failures(WH, 30, rng) == []
+    for pres in (W, WH):
+        assert sampled_module_algebra_failures(pres, 30, rng) == []
+        assert aj.module_algebra_failures(pres) == []
+
+
+def _mutated_rule(pres, pair, index, change):
+    """A copy of `pres` with term `index`, (coeff, word), of the rule for
+    `pair` replaced by change(coeff, word)."""
+    rules = dict(pres.rules)
+    items = list(rules[pair])
+    items[index] = change(*items[index])
+    rules[pair] = tuple(items)
+    return sc.AlgebraPresentation(pres.algebra_id, pres.ngens, pres.gen_mask,
+                                  pres.gen_delta, rules)
+
+
+# a correction term of the first rule of "w" that has one, and the epsilon
+# term of the first mixed rule of "what" that has one
+@pytest.mark.parametrize("algebra, pair, index", [("w", (0, 9), 1), ("what", (0, 25), -1)],
+                         ids=["w", "what"])
+def test_module_algebra_axiom_fails_on_a_mutated_rule(monkeypatch, algebra, pair, index):
+    pres = sc.presentation(algebra)
+    mutant = _mutated_rule(pres, pair, index, lambda coeff, word: (coeff * Q, word))
+    fails = aj.module_algebra_failures(mutant)
+    labels = [pres.gen_label[g] for g in pair]
+    assert {f["operator"] for f in fails if f["relation"] == labels} == {"E", "F"}
+    assert all(f["operator"] in "EF" and f["i"] in rd.IPRIME for f in fails)
+    real = sc.presentation
+    monkeypatch.setattr(sc, "presentation", lambda a: mutant if a == algebra else real(a))
+    status, details = checks._chk_module_algebra()
+    assert status == "fail"
+    assert (details["relations"], details["applications"]) == (616, 6160)
+    assert details["failures"] == fails[:5]
+
+
+def test_inhomogeneous_relation_fails():
+    # the swapped term of Y_a Y_b moved to the word Y_b Y_b: another weight
+    pair = (0, 9)
+    mutant = _mutated_rule(W, pair, 0, lambda coeff, word: (coeff, (word[0], word[0])))
+    labels = [W.gen_label[g] for g in pair]
+    assert {"relation": labels, "operator": "K", "i": None} in aj.module_algebra_failures(mutant)
 
 
 def test_operator_relations_on_spans():
@@ -333,16 +400,17 @@ def test_hw_dims_match_the_stacked_rank_reference(algebra, top):
         assert all(b["certified"] for b in rep["blocks"])
 
 
-def _mutated_candidates(monkeypatch, change):
-    """Apply `change` to the finite algebra's degree-2 candidates."""
+def _mutated_candidates(monkeypatch, where, change):
+    """Apply `change` to the candidates of `where`, (algebra, degree)."""
     real = aj.hw_candidates
     monkeypatch.setattr(aj, "hw_candidates", lambda algebra, d: (
-        change(dict(real(algebra, d))) if (algebra, d) == ("w", 2) else real(algebra, d)))
+        change(dict(real(algebra, d))) if (algebra, d) == where else real(algebra, d)))
 
 
 def test_dropped_candidate_fails_the_dimension_count(monkeypatch):
     # without theta the exhibited vectors span 126 of the 136 dimensions
-    _mutated_candidates(monkeypatch, lambda c: {k: v for k, v in c.items() if k != (0, 1)})
+    _mutated_candidates(monkeypatch, ("w", 2),
+                        lambda c: {k: v for k, v in c.items() if k != (0, 1)})
     rep = aj.decompose_degree("w", 2)
     assert rep["verdict"] == "fail"
     assert (rep["weyl_dim_total"], rep["component_dim"]) == (126, 136)
@@ -350,41 +418,47 @@ def test_dropped_candidate_fails_the_dimension_count(monkeypatch):
     assert not any(b["certified"] for b in rep["blocks"])
 
 
-def test_duplicated_candidate_is_a_mismatched_block(monkeypatch):
-    # the count still closes, so the block's hw_dim of 1 is proved, and the
-    # two candidates predicted there are one too many
-    _mutated_candidates(monkeypatch, lambda c: {**c, (9, 9): c[(0, 1)]})
+def test_zero_candidate_fails(monkeypatch):
+    _mutated_candidates(monkeypatch, ("w", 2), lambda c: {**c, (0, 1): sc.NCPoly()})
     rep = aj.decompose_degree("w", 2)
     assert rep["verdict"] == "fail"
-    assert rep["weyl_dim_total"] == rep["component_dim"] == 136
-    theta_mu = list(sc.q_degree(aj.theta(), W))
-    assert [(b["weight"], b["hw_dim"], b["expected_hw"], b["certified"])
-            for b in rep["mismatched_blocks"]] == [(theta_mu, 1, 2, True)]
-    status, details = checks._chk_decompose("w", 2)()
-    assert status == "fail"
-    assert details["degrees"][-1]["mismatched_blocks"] == rep["mismatched_blocks"]
-
-
-def test_candidate_not_killed_by_raising_fails(monkeypatch):
-    word = (W.rank(0), W.rank(M([1, 2])))
-    _mutated_candidates(monkeypatch, lambda c: {**c, (0, 1): sc.NCPoly.from_word(word)})
-    rep = aj.decompose_degree("w", 2)
-    assert rep["verdict"] == "fail"
-    assert rep["candidate_failures"] == [
-        {"monomial": [0, 1], "reason": "not a highest weight vector"}]
+    assert rep["candidate_failures"] == [{"monomial": [0, 1], "reason": "the product is zero"}]
     status, details = checks._chk_decompose("w", 2)()
     assert status == "fail"
     assert details["degrees"][-1]["candidate_failures"] == rep["candidate_failures"]
 
 
-def test_candidate_of_another_degree_fails(monkeypatch):
-    # Y_e^3 is killed by every ad_E and has a dominant weight, but it is not
-    # of degree 2
-    ye3 = sc.NCPoly.from_word((W.rank(0),) * 3)
-    _mutated_candidates(monkeypatch, lambda c: {**c, (0, 1): ye3})
-    rep = aj.decompose_degree("w", 2)
-    assert rep["verdict"] == "fail"
-    assert rep["candidate_failures"] == [{"monomial": [0, 1], "reason": "not of degree 2"}]
+def test_duplicated_candidate_is_a_mismatched_block(monkeypatch):
+    # Omega_5 Omega_9, which r5 r9 = 0 leaves out, duplicates a combination
+    # of Omega_3 Omega_11 and Omega_4 Omega_10 in its block; the count still
+    # closes, so the block's hw_dim of 2 is proved, and the three candidates
+    # predicted there are one too many
+    key = (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0)
+    p59 = sc.multiply(aj.build_omega(5), aj.build_omega(9), WH)
+    _mutated_candidates(monkeypatch, ("what", 6), lambda c: {**c, key: p59})
+    status, details = checks._chk_decompose("what", 6)()
+    rep = details["degrees"][-1]
+    assert status == "fail" and rep["degree"] == 6 and rep["verdict"] == "fail"
+    assert rep["weyl_dim_total"] == rep["component_dim"] == 2324784
+    assert [(b["weight"], b["hw_dim"], b["expected_hw"], b["certified"])
+            for b in rep["mismatched_blocks"]] == [(list(sc.q_degree(p59, WH)), 2, 3, True)]
+    assert rep["candidate_failures"] == []
+
+
+def test_decomposition_hands_only_factors_to_ad_E(monkeypatch):
+    # each factor of degree <= d is certified once per call, and no product
+    # candidate reaches a raising operator
+    seen = []
+    real = aj.ad_E
+    monkeypatch.setattr(aj, "ad_E", lambda i, x, pres: seen.append(x) or real(i, x, pres))
+    for algebra, top in (("w", 4), ("what", 3)):
+        factors = [aj._factor(name)[0] for name in aj.FACTORS[algebra]]
+        degrees = [aj._factor(name)[1][2] for name in aj.FACTORS[algebra]]
+        for d in range(top + 1):
+            seen.clear()
+            assert aj.decompose_degree(algebra, d)["verdict"] == "pass"
+            assert len(seen) == 5 * sum(deg <= d for deg in degrees)
+            assert all(x in factors for x in seen)
 
 
 @pytest.mark.parametrize("algebra, top", [("w", 4), ("what", 3)])
@@ -395,8 +469,25 @@ def test_component_dim_is_the_enumerated_word_count(algebra, top):
     for d in range(top + 1):
         blocks = Counter(pres.weight_of_word(word) for word in sc.normal_words(pres, d))
         rep = aj.decompose_degree(algebra, d)
-        assert sum(blocks.values()) == rep["component_dim"] == rep["expected_component_dim"]
+        assert sum(blocks.values()) == rep["component_dim"]
         assert all(tuple(b["weight"]) in blocks for b in rep["blocks"])
+
+
+@pytest.mark.parametrize("algebra, top", [("w", 4), ("what", 3)])
+def test_candidates_pass_the_raising_reference(algebra, top):
+    # reference for the factor certificates: each candidate, handed to
+    # is_highest_weight itself, is killed by every ad_E, and its own weight
+    # is the one decompose_degree reads off its key
+    pres = sc.presentation(algebra)
+    for d in range(top + 1):
+        blocks = {tuple(b["weight"]): b["expected_hw"]
+                  for b in aj.decompose_degree(algebra, d)["blocks"]}
+        weights = Counter()
+        for vec in aj.hw_candidates(algebra, d).values():
+            ok, lam = aj.is_highest_weight(vec, pres)
+            assert ok and min(lam) >= 0
+            weights[sc.q_degree(vec, pres)] += 1
+        assert weights == blocks
 
 
 def test_candidate_counts():
@@ -458,8 +549,20 @@ def test_certificate_mutants_fail(monkeypatch, capsys, mutant):
     assert not cert["ok"]
     assert cert["nonzero"] == (mutant != "zero")
     assert cert["highest_weight"] == (mutant in ("weight", "degree"))
+    # the decomposition at the vector's degree fails every candidate that
+    # uses it as a factor, and only those
+    algebra, _, degree = aj.NAMED_VECTORS[name]
+    k = aj.FACTORS[algebra].index(name)
+    rep = aj.decompose_degree(algebra, degree)
+    assert rep["verdict"] == "fail"
+    assert rep["candidate_failures"] == [
+        {"monomial": list(key), "reason": "uses a factor that failed its certificate: %s" % name}
+        for key in aj.hw_candidates(algebra, degree) if key[k]]
     suite = {c.claim_id: c.fn for c in checks.adjoint_checks(3, "exact", random.Random(0))}
     assert suite["highest-weight-vectors"]()[0] == "fail"
+    # verify decomposes the affine algebra through degree 3 only
+    claim = "decomposition-finite" if algebra == "w" else "decomposition-affine-evidence"
+    assert suite[claim]()[0] == ("fail" if degree <= 3 else "pass")
     status, details = suite["submodule-span-dimensions"]()
     assert status == "fail" and len(details["spans"]) == 14
     capsys.readouterr()

@@ -543,10 +543,16 @@ def test_row_coefficient_tables():
         (1, 0, 0, 1): q2 - ONE}
 
 
+def _outside_keys(table):
+    """The keys of a row_coefficients table that name a row outside its
+    row set, by label."""
+    return [key for key in table if any(isinstance(x, str) for x in key)]
+
+
 def test_far_pairs_differ_from_the_template():
     # two moves apart: other coefficients, and for every one of the 80
     # ordered pairs a nonzero coefficient at a class member with a row
-    # outside the pair, at position None
+    # outside the pair, keyed by that row's label
     template = frt.row_coefficients(frt.admissible_pairs()[0])
     far = [(s, t) for s in rd.ALL_MASKS for t in rd.ALL_MASKS
            if s != t and bin(s ^ t).count("1") == 4]
@@ -555,11 +561,31 @@ def test_far_pairs_differ_from_the_template():
     outside = [pair for pair in far
                if any(frt.rhat_coeff(k, l, a, b) and not {k, l} <= set(pair)
                       for a in pair for b in pair for (k, l), _ in rd.class_of(a, b))]
-    assert [any(None in key for key in table) for table in tables] == [True] * 80
+    assert [bool(_outside_keys(table)) for table in tables] == [True] * 80
     assert outside == far
     comparable = [table for pair, table in zip(far, tables) if rd.LEQ[pair]]
     assert len(comparable) == 30
-    assert len({tuple(sorted(map(repr, table.items()))) for table in comparable}) == 3
+    # their coefficients within the pair fall into three tables; with the
+    # outside rows named, each of the 30 is its own
+    inside = [{k: v for k, v in table.items() if k not in _outside_keys(table)}
+              for table in comparable]
+    assert len({tuple(sorted(map(repr, table.items()))) for table in inside}) == 3
+    assert len({tuple(sorted(map(repr, table.items()))) for table in comparable}) == 30
+
+
+def test_row_coefficients_keep_every_outside_coefficient():
+    # e and 1234 are two moves apart: each nonzero R^kl_ab with a, b in the
+    # pair and k or l outside it keeps its own entry
+    pair = (0, M([1, 2, 3, 4]))
+    outside = {(a, b, k, l): frt.rhat_coeff(k, l, a, b)
+               for a in pair for b in pair for (k, l), _ in rd.class_of(a, b)
+               if frt.rhat_coeff(k, l, a, b) and not {k, l} <= set(pair)}
+    table = frt.row_coefficients(pair)
+    keys = _outside_keys(table)
+    assert len(keys) == len(outside) > 1
+    key = {row: pair.index(row) if row in pair else rd.label(row) for row in rd.ALL_MASKS}
+    assert {k: table[k] for k in keys} == {
+        tuple(key[row] for row in idx): coeff for idx, coeff in outside.items()}
 
 
 def _times_q_at(monkeypatch, index):
