@@ -428,6 +428,36 @@ def test_zero_candidate_fails(monkeypatch):
     assert details["degrees"][-1]["candidate_failures"] == rep["candidate_failures"]
 
 
+def _theta_replaced_by(monkeypatch, vec):
+    """Patch Theta to `vec`; return the w degree-2 decomposition report."""
+    monkeypatch.setattr(aj, "theta", lambda: vec)
+    rep = aj.decompose_degree("w", 2)
+    assert rep["verdict"] == "fail"
+    assert rep["candidate_failures"] == [
+        {"monomial": [0, 1], "reason": "uses a factor that failed its certificate: theta"}]
+    status, details = checks._chk_decompose("w", 2)()
+    assert status == "fail"
+    assert details["degrees"][-1]["candidate_failures"] == rep["candidate_failures"]
+    return rep
+
+
+def test_candidate_not_killed_by_raising_fails(monkeypatch):
+    # the candidate (0, 1) is Theta itself; a degree-2 word in its place is
+    # not killed by every ad_E, so Theta fails its certificate
+    word = (W.rank(0), W.rank(M([1, 2])))
+    _theta_replaced_by(monkeypatch, sc.NCPoly.from_word(word))
+    cert = aj.hw_certificate("theta")
+    assert cert["nonzero"] and not cert["highest_weight"] and cert["degree"] == 2
+
+
+def test_candidate_of_another_degree_fails(monkeypatch):
+    # Y_e^3 is killed by every ad_E and has a dominant weight, but it is not
+    # of degree 2
+    _theta_replaced_by(monkeypatch, sc.NCPoly.from_word((W.rank(0),) * 3))
+    cert = aj.hw_certificate("theta")
+    assert cert["highest_weight"] and cert["degree"] == 3 and not cert["ok"]
+
+
 def test_duplicated_candidate_is_a_mismatched_block(monkeypatch):
     # Omega_5 Omega_9, which r5 r9 = 0 leaves out, duplicates a combination
     # of Omega_3 Omega_11 and Omega_4 Omega_10 in its block; the count still
