@@ -387,8 +387,8 @@ def decompose_degree(algebra, d):
     hw_dim is its c_lambda, certified exactly when the count closes.
 
     dim M is hilbert_dim(pres, d), the number of degree-d normal words; that
-    they are a basis is the PBW theorem, which the count rests on.  No word
-    is enumerated.
+    they are a basis is the PBW theorem, which the count rests on, decided by
+    schubert.rule_failures and confluence_check.  No word is enumerated.
     """
     pres = presentation(algebra)
     total = hilbert_dim(pres, d)
@@ -425,7 +425,6 @@ def decompose_degree(algebra, d):
     report = {
         "algebra": algebra,
         "degree": d,
-        "mode": "exact",
         "component_dim": total,
         "hw_vector_count": sum(found.values()),
         "expected_hw_count": len(cands),

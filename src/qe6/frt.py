@@ -388,8 +388,9 @@ def _kernel_check(rows, frt_rep, groups):
     agree, the quotient being hilbert_dim(2) minus the module's rank.
 
     With the rows a face (rootdata.is_face) this decides every degree.  The
-    rules are independent (each rewrites its pair (a, b) to words with first
-    letter above a) and the module vectors lie on normal words, so by
+    rules are independent (each relation's head (a, b) outranks its other
+    words in the order of schubert.rule_failures, and the heads are
+    distinct) and the module vectors lie on normal words, so by
     (a)-(c) they span the relation space of the rows: 120 + 10 = 256 - 126
     dimensions for a row, 496 + 30 = 1024 - 498 for a pair.  The relations
     are homogeneous in row-weight sum, so on a face the row subalgebra is

@@ -171,10 +171,6 @@ class LaurentPoly:
     def to_json(self):
         return {str(e): str(v) for e, v in sorted(self.c.items())}
 
-    @classmethod
-    def from_json(cls, obj):
-        return cls({int(e): int(v) for e, v in obj.items()})
-
     def __str__(self):
         if not self.c:
             return "0"

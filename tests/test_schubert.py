@@ -1,8 +1,10 @@
 import random
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qe6 import checks
 from qe6 import rootdata as rd
 from qe6.qcoeff import ONE, ZERO, Q, QHAT, LaurentPoly, qpow
 from qe6 import schubert as sc
@@ -106,9 +108,87 @@ def test_q_degree():
 def test_hilbert_dims():
     assert [sc.hilbert_dim(W, d) for d in range(5)] == [1, 16, 136, 816, 3876]
     assert [sc.hilbert_dim(WH, d) for d in range(4)] == [1, 32, 528, 5984]
-    for d in range(4):
-        assert sum(1 for _ in sc.normal_words(W, d)) == sc.hilbert_dim(W, d)
-    assert sum(1 for _ in sc.normal_words(WH, 2)) == 528
+    # reference: the normal words among all words are the non-increasing tuples
+    for pres, top in ((W, 3), (WH, 2)):
+        for d in range(top + 1):
+            words = set(combinations_with_replacement(range(pres.ngens - 1, -1, -1), d))
+            assert words == set(filter(pres.is_normal, product(range(pres.ngens), repeat=d)))
+            assert len(words) == sc.hilbert_dim(pres, d)
+
+
+def test_rule_table_decides_pbw():
+    for pres in (W, WH):
+        assert sc.rule_failures(pres) == []
+    assert sc.confluence_check(W) == {"overlaps_checked": 4096, "failures": [], "ok": True}
+
+
+def _schubert_check(claim_id):
+    suite = {c.claim_id: c.fn for c in checks.schubert_checks(3, "exact", random.Random(0))}
+    return suite[claim_id]()
+
+
+# a rule of "w" with correction terms, and a mixed rule of "what" with its
+# epsilon term; the heads are (a, b) = (0, 9) and (0, 25)
+PAIRS = {"w": (0, 9), "what": (0, 25)}
+
+
+def _drop(rules, a, b):
+    del rules[(a, b)]
+
+
+def _on_normal_pair(rules, a, b):
+    rules[(b, a)] = rules[(a, b)]
+
+
+def _term_outside(rules, a, b):
+    (c0, swap), (c1, (u, _v)), *rest = rules[(a, b)]
+    rules[(a, b)] = ((c0, swap), (c1, (u, b)), *rest)
+
+
+def _non_unit_swap(rules, a, b):
+    (c0, swap), *rest = rules[(a, b)]
+    rules[(a, b)] = ((c0 * (ONE + Q), swap), *rest)
+
+
+@pytest.mark.parametrize("algebra", ["w", "what"])
+@pytest.mark.parametrize("change, named, reason", [
+    (_drop, lambda a, b: (a, b), "no rule"),
+    (_on_normal_pair, lambda a, b: (b, a), "a rule on a normal pair"),
+    (_term_outside, lambda a, b: (a, b), "a term has a letter outside (a, b)"),
+    (_non_unit_swap, lambda a, b: (a, b), "the first term is not a unit times the swap"),
+], ids=["missing-rule", "normal-pair-rule", "term-outside", "non-unit-swap"])
+def test_rule_table_mutant_fails_hilbert(monkeypatch, algebra, change, named, reason):
+    # the mutant is built on a copy of the rules; the cached presentation
+    # is left as it is
+    pres = sc.presentation(algebra)
+    rules = dict(pres.rules)
+    change(rules, *PAIRS[algebra])
+    mutant = sc.AlgebraPresentation(pres.algebra_id, pres.ngens, pres.gen_mask,
+                                    pres.gen_delta, rules)
+    real = sc.presentation
+    monkeypatch.setattr(sc, "presentation", lambda a: mutant if a == algebra else real(a))
+    want = [{"pair": [pres.gen_label[g] for g in named(*PAIRS[algebra])], "reason": reason}]
+    assert sc.rule_failures(mutant) == want
+    status, details = _schubert_check(
+        "hilbert-series-finite" if algebra == "w" else "hilbert-series-affine")
+    assert status == "fail" and details["failures"] == want
+    assert sc.rule_failures(real(algebra)) == []
+
+
+def test_perturbed_coefficient_fails_confluence(monkeypatch):
+    # a correction coefficient times q keeps the rule table's shape, so only
+    # the overlaps catch it, among them (a, 1, b) with a < 1 < b
+    a, b = PAIRS["w"]
+    rules = dict(W.rules)
+    (c0, swap), (c1, word), *rest = rules[(a, b)]
+    rules[(a, b)] = ((c0, swap), (c1 * Q, word), *rest)
+    mutant = sc.AlgebraPresentation("w", W.ngens, W.gen_mask, W.gen_delta, rules)
+    monkeypatch.setattr(sc, "presentation", lambda alg: mutant)
+    assert sc.rule_failures(mutant) == []
+    assert _schubert_check("hilbert-series-finite")[0] == "pass"
+    status, details = _schubert_check("confluence-finite")
+    assert status == "fail" and details["overlaps_checked"] == 4096
+    assert (a, 1, b) in details["failures"]
 
 
 def test_single_overlap_by_hand():
