@@ -293,27 +293,24 @@ def _mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def derive_two_row_matrix(cls, s, t):
-    """The 16x16 mixed-block coefficient matrix of one octet class, read off
-    the braiding for an admissible row pair (S, T)."""
-    firsts, seconds, pairs = _octet_pattern(cls)
+def derive_two_row_matrix(octet_matrix, s, t):
+    """The 16x16 mixed-block coefficient matrix of an octet class for an
+    admissible row pair (S, T): the class's derive_octet_matrix in both
+    diagonal blocks, adjusted by the pair's two braiding coefficients."""
     qhat_q = rhat_coeff(s, t, t, s)       # flip coefficient of the row class
     q_diag = rhat_coeff(t, s, t, s)       # straight coefficient
     mat = [[ZERO] * 16 for _ in range(16)]
-    for r, (i, j) in enumerate(pairs):
-        for c in range(8):
-            coeff = rhat_coeff(i, j, seconds[c], firsts[c])
-            mat[r][c] = coeff
-            mat[8 + r][8 + c] = coeff
+    for r, row in enumerate(octet_matrix):
+        mat[r][:8] = row
+        mat[8 + r][8:] = row
         mat[r][7 - r] = mat[r][7 - r] - qhat_q
         mat[r][8 + 7 - r] = -q_diag
         mat[8 + r][7 - r] = -q_diag
     return mat
 
 
-def assembled_two_row_matrix(octet):
+def assembled_two_row_matrix(a):
     """[[A - Skew(q qhat), Skew(-q)], [Skew(-q), A]] built from a derived A."""
-    a = derive_octet_matrix(octet)
     top = [row_a[:8] + row_s[:] for row_a, row_s in
            zip(_mat_sub(a, _skew(8, Q * QHAT)), _skew(8, -Q))]
     bottom = [row_s[:] + row_a[:8] for row_s, row_a in zip(_skew(8, -Q), a)]
@@ -332,10 +329,9 @@ def rank_checks():
              for r in range(8) for c in range(8) if printed[r][c] != a[r][c]]
     rank_a = bareiss_rank(_mat_sub(a, _skew(8, Q * Q)))
     rank_printed = bareiss_rank(_mat_sub(printed, _skew(8, Q * Q)))
-    two_rows = [derive_two_row_matrix(rd.OCTETS[0], s, t)
-                for s, t in admissible_pairs()]
+    two_rows = [derive_two_row_matrix(a, s, t) for s, t in admissible_pairs()]
     two_row = two_rows[0]
-    assembled = assembled_two_row_matrix(rd.OCTETS[0])
+    assembled = assembled_two_row_matrix(a)
     two_rank = bareiss_rank(two_row)
     pairs_consistent = all(m == two_row for m in two_rows[1:])
     return {

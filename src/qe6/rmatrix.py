@@ -7,27 +7,36 @@ Everything downstream is then checked against it: the closed coefficient
 table, the braid identity, module-map equivariance, and the eigenspace that
 recovers the quadratic relations of the 16-generator cell algebra.
 
-The braid identity is proved without forming an operator on the triple
-tensor power.  The braiding commutes with the coproduct action of every
-generator (commutant_failures, shared with equivariance_check), so by
-coassociativity R12 R23 R12 - R23 R12 R23 is a module map of
-V (x) V (x) V.  That module is semisimple and each summand is generated by a
-highest-weight vector of dominant weight, so the difference vanishes once it
-kills the dominant weight spaces: 91 basis triples across 5 weights.
-
 16 (x) 16 = 120 + 126 + 10 is multiplicity-free and the braiding acts on each
 summand by a signed power of q, so it satisfies the cubic
 (R + 1)(R - q^2)(R - q^-6) = 0.  That identity, checked exactly, is the
 invertibility proof: its constant term is q^-4, a unit, so
 R^-1 = -q^4 (R^2 + (1 - q^2 - q^-6) R + (q^-4 - q^2 - q^-6)) over Z[q, q^-1].
+
+Three of the checks rest on one module-map argument.  The braiding
+commutes with the coproduct action of every generator (commutant_failures:
+E_i and F_i as matrix products, the diagonal K_i entry by entry).  V is a
+type-1 U_q(so10)-module (the spinrep defining-relation check) on which each
+K_i acts diagonally by powers of q, so basis tensors are weight vectors.
+Each tensor power of V is semisimple (Jantzen, Lectures on Quantum Groups,
+ch. 5) and each summand is generated by a highest-weight vector of dominant
+weight, so a module map vanishes once it kills the dominant weight spaces.
+The braid identity: by coassociativity R12 R23 R12 - R23 R12 R23 is a
+module map of V (x) V (x) V, checked on its 91 dominant basis triples
+(5 weights).  The cubic above: a polynomial in the braiding, checked on the
+11 dominant basis pairs of V (x) V (3 weights).  The eigenspace: the seed
+is a highest-weight vector, so its cyclic module is irreducible of Weyl
+dimension 120, and it lies in the kernel of the module map R + 1 once the
+seed does.  Each check applies the braiding to tens of vectors instead of
+multiplying matrices.
 """
 
 from functools import cache
-from itertools import product
+from operator import add
 
 from .qcoeff import ONE, ZERO, QHAT, Q, qpow, neg_qpow, accumulate
 from . import rootdata as rd
-from .linalg import SparseMat, Echelon, bareiss_rank, cyclic_span
+from .linalg import SparseMat, Echelon, bareiss_rank
 from .spinrep import SPIN_BASIS, SPIN_INDEX, DIM, rho_matrix, chevalley_action, phi_scalars
 
 TDIM = DIM * DIM
@@ -160,30 +169,45 @@ def support_check():
     return {"ok": not bad, "violations": bad}
 
 
+def k_exponents():
+    """K_i acts on u_m by q^k[n][m], i the n-th index of IPRIME: the
+    exponents, read off the diagonal action."""
+    return [[chevalley_action("K", i).get(m, m).max_exp() for m in range(DIM)]
+            for i in rd.IPRIME]
+
+
+def dominant_tuples(n):
+    """The basis tuples (a_1, ..., a_n) of V^(x)n of dominant weight, in lex
+    order, each with its weight: the summed K_i exponents (k_exponents), all
+    >= 0.  Prefixes are grouped by weight, so each sum is formed once a group."""
+    wts = list(zip(*k_exponents()))
+    level = {(0,) * len(rd.IPRIME): [()]}
+    for step in range(n):
+        grown = {}
+        for weight, tups in level.items():
+            for a, wt in enumerate(wts):
+                total = tuple(map(add, weight, wt))
+                if step < n - 1 or min(total) >= 0:
+                    grown.setdefault(total, []).extend(tup + (a,) for tup in tups)
+        level = grown
+    return sorted((tup, weight) for weight, tups in level.items() for tup in tups)
+
+
 def ybe_check(failures):
-    """The braid identity R12 R23 R12 = R23 R12 R23 on V (x) V (x) V, exactly.
+    """The braid identity R12 R23 R12 = R23 R12 R23 on V (x) V (x) V, exactly,
+    by the module-map argument of the module docstring.
 
-    (a) The braiding commutes with the coproduct action of E_i, F_i and K_i
-    on V (x) V (commutant_failures).  The coproduct is coassociative and an
-    algebra map, so R12 and R23 both commute with the action of every
-    generator on V (x) V (x) V, and so does their difference
-    D = R12 R23 R12 - R23 R12 R23.
+    (a) `failures` is commutant_failures of the braiding.  When it is empty,
+    R12 and R23 commute with the action of every generator on
+    V (x) V (x) V, the coproduct being coassociative and an algebra map, and
+    so does D = R12 R23 R12 - R23 R12 R23.
 
-    (b) D kills every basis triple u_a (x) u_b (x) u_c of dominant weight: the
-    summed exponents of the diagonal K_i, read from the same action as in
-    (a), are all >= 0.  R12 and R23 act through the braiding's nonzeros,
-    indexed once by column.
+    (b) D kills every basis triple u_a (x) u_b (x) u_c of dominant weight
+    (dominant_tuples): 91 of the 4096, across 5 weights.  R12 and R23 act
+    through the braiding's nonzeros, indexed once by column.
 
-    V is a type-1 U_q(so10)-module (the spinrep defining-relation check) on
-    which each K_i acts diagonally by powers of q, so the basis triples are
-    weight vectors.  Finite-dimensional type-1 modules over Q(q) are
-    semisimple (Jantzen, Lectures on Quantum Groups, ch. 5), and each summand
-    of V (x) V (x) V is generated by a highest-weight vector, whose weight is
-    dominant.  D is a module map by (a) and kills the dominant weight spaces
-    by (b), so it kills every summand: D = 0.  Of the 4096 triples, 91 are
-    dominant, across 5 weights.  `failures` is commutant_failures of the
-    braiding, the result of (a).  The report names the first failing triple
-    with its weight, and the generators that fail (a).
+    The report names the first failing triple with its weight, and the
+    generators that fail (a).
     """
     by_col = build_rhat().by_col()
 
@@ -203,25 +227,17 @@ def ybe_check(failures):
                 accumulate(out, a * TDIM + row, v * x)
         return out
 
-    k_exps = [[chevalley_action("K", i).get(m, m).max_exp() for m in range(DIM)]
-              for i in rd.IPRIME]
-    columns = 0
-    weights = set()
+    columns = dominant_tuples(3)
     failing = []
-    for a, b, c in product(range(DIM), repeat=3):
-        weight = [exps[a] + exps[b] + exps[c] for exps in k_exps]
-        if min(weight) < 0:
-            continue
-        columns += 1
-        weights.add(tuple(weight))
+    for (a, b, c), weight in columns:
         e = {(a * DIM + b) * DIM + c: ONE}
         if r12(r23(r12(e))) != r23(r12(r23(e))):
             failing.append({"triple": [rd.label(SPIN_BASIS[x]) for x in (a, b, c)],
-                            "weight": weight})
+                            "weight": list(weight)})
     return {"ok": not failures and not failing,
             "commutant_failures": failures,
-            "columns_checked": columns,
-            "dominant_weights": len(weights),
+            "columns_checked": len(columns),
+            "dominant_weights": len({weight for _, weight in columns}),
             "failing_columns": len(failing),
             "first_failure": failing[0] if failing else None}
 
@@ -242,19 +258,35 @@ def coproduct_action(kind, i):
 
 def class_kernel_dim(mat):
     """Exact kernel dimension of a 256x256 matrix supported, like the
-    braiding, inside the pair-class blocks."""
+    braiding, inside the pair-class blocks.  A block is ranked once per
+    call however often it recurs: the ten octet blocks of the braiding plus
+    a scalar are all equal."""
+    ranks = {}
     dim = 0
     for cls in rd.CLASSES:
         idxs = [tensor_index(a, b) for (a, b) in cls.members]
-        dim += len(idxs) - bareiss_rank([[mat.get(r, c) for c in idxs] for r in idxs])
+        block = tuple(tuple(mat.get(r, c) for c in idxs) for r in idxs)
+        if block not in ranks:
+            ranks[block] = bareiss_rank(block)
+        dim += len(idxs) - ranks[block]
     return dim
 
 
 def commutant_failures(rhat):
     """Names of the generators E_i, F_i, K_i (i in IPRIME) whose coproduct
-    action on the tensor square does not commute with `rhat`."""
-    return ["%s%d" % (kind, i) for kind in ("E", "F", "K") for i in rd.IPRIME
-            if not coproduct_action(kind, i).commutes_with(rhat)]
+    action on the tensor square does not commute with `rhat`.
+
+    E_i and F_i are tested as matrix products.  Delta(K_i) = K_i (x) K_i is
+    diagonal, q^k_r on pair r, so (K R - R K)_rc = (q^k_r - q^k_c) R_rc,
+    which over the domain Z[q, q^-1] vanishes exactly when R_rc = 0 or
+    k_r = k_c: K_i is tested entry by entry."""
+    fails = ["%s%d" % (kind, i) for kind in ("E", "F") for i in rd.IPRIME
+             if not coproduct_action(kind, i).commutes_with(rhat)]
+    for i, exps in zip(rd.IPRIME, k_exponents()):
+        pair = [x + y for x in exps for y in exps]
+        if any(pair[r] != pair[c] for r, c in rhat.entries):
+            fails.append("K%d" % i)
+    return fails
 
 
 # the braiding's eigenvalues on the summands 120, 126 and 10 of 16 (x) 16
@@ -263,17 +295,31 @@ EIGENVALUES = (-ONE, qpow(2), qpow(-6))
 
 def equivariance_check(failures):
     """The braiding commutes with the whole acting algebra and is invertible:
-    the product of (braiding - lambda) over EIGENVALUES is exactly zero.
-    `failures` is commutant_failures of the braiding."""
+    the cubic, the product of (braiding - lambda) over EIGENVALUES, is
+    exactly zero.
+
+    `failures` is commutant_failures of the braiding.  When it is empty the
+    cubic, a polynomial in the braiding, is a module map of V (x) V, so (as
+    in ybe_check) it is zero once it kills the 11 dominant basis pairs
+    (dominant_tuples), each carried through the three factors as a vector.
+    `invertible` holds when both hold."""
     rhat = build_rhat()
-    eye = SparseMat.identity(TDIM)
-    cubic = eye
-    for lam in EIGENVALUES:
-        cubic = cubic.mul(rhat.sub(eye.scale(lam)))
-    invertible = cubic.is_zero()
-    return {"ok": not failures and invertible,
+
+    def cubic(vec):
+        for lam in EIGENVALUES:
+            image = rhat.apply(vec)
+            for k, v in vec.items():
+                accumulate(image, k, -lam * v)
+            vec = image
+        return vec
+
+    pairs = dominant_tuples(2)
+    invertible = not failures and not any(cubic({a * DIM + b: ONE})
+                                          for (a, b), _ in pairs)
+    return {"ok": invertible,
             "commutant_failures": failures,
             "invertible": invertible,
+            "columns_checked": len(pairs),
             "eigenvalues": [str(lam) for lam in EIGENVALUES]}
 
 
@@ -299,23 +345,37 @@ def generator_vector():
     return {tensor_index(m12, 0): ONE, tensor_index(0, m12): -Q}
 
 
-def eigen_split():
+def eigen_split(failures):
     """Kernel of (braiding + 1): dimension, seed membership, module closure,
-    and equality with the transported quadratic relation span."""
+    and equality with the transported quadratic relation span.
+
+    `failures` is commutant_failures of the braiding.  The seed's cyclic
+    module U.seed is decided by a highest-weight certificate, not spanned.
+    When the seed is nonzero, of one weight lambda and killed by every
+    Delta(E_i), U.seed is a highest-weight submodule of the semisimple
+    V (x) V, hence L(lambda), of dimension adjoint.weyl_dim(lambda)
+    (closure_dim, None without the certificate).  When also `failures` is
+    empty, R + 1 is a module map, so U.seed lies in its kernel once the seed
+    does (closure_in_kernel).
+    """
+    from .adjoint import weyl_dim
     rhat = build_rhat()
     mplus = rhat.add(SparseMat.identity(TDIM))
     kernel_dim = class_kernel_dim(mplus)
     seed = generator_vector()
     seed_in = not mplus.apply(seed)
+    k = k_exponents()
+    weights = {tuple(e[idx // DIM] + e[idx % DIM] for e in k)
+               for idx, x in seed.items() if x}
+    lam = weights.pop() if len(weights) == 1 else None
+    highest = (lam is not None and min(lam) >= 0 and
+               not any(coproduct_action("E", i).apply(seed) for i in rd.IPRIME))
+    closure_dim = weyl_dim(lam) if highest else None
+    closure_in_kernel = seed_in and not failures
 
     def key_of(vec):
         a, b = tensor_masks(min(vec))
         return rd.wadd(rd.WT[a], rd.WT[b])
-
-    # closure of the seed under the tensor-square action
-    ops = [coproduct_action(k, i).apply for k in ("E", "F") for i in rd.IPRIME]
-    closure = cyclic_span(seed, ops, key_of)
-    closure_in_kernel = all(not mplus.apply(v) for v in closure)
 
     relations = transported_relation_vectors()
     rel_ech = {}
@@ -327,13 +387,13 @@ def eigen_split():
         ech = rel_ech.setdefault(key_of(vec), Echelon())
         if ech.add(vec):
             rel_rank += 1
-    ok = (kernel_dim == 120 and seed_in and len(closure) == 120 and
+    ok = (kernel_dim == 120 and seed_in and closure_dim == 120 and
           closure_in_kernel and rel_rank == 120 and rel_in_kernel)
     return {
         "kernel_dim": kernel_dim,
         "expected_kernel_dim": 120,
         "seed_in_kernel": seed_in,
-        "closure_dim": len(closure),
+        "closure_dim": closure_dim,
         "closure_in_kernel": closure_in_kernel,
         "relation_span_dim": rel_rank,
         "relations_in_kernel": rel_in_kernel,

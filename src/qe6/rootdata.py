@@ -11,6 +11,7 @@ for the alpha-coordinates; nothing irrational leaks out.
 """
 
 from fractions import Fraction
+from operator import mul
 
 NODES = range(7)          # simple roots alpha_0 .. alpha_6
 IPRIME = (2, 3, 4, 5, 6)  # D5 sub-diagram
@@ -46,13 +47,15 @@ ALPHA = tuple(tuple(1 if j == i else 0 for j in NODES) for i in NODES)
 
 def roots(nodes):
     """Root system of the sub-diagram on `nodes`: the closure of its simple
-    roots under the simple reflections s_i, i in `nodes`."""
+    roots under the simple reflections s_i, i in `nodes`.  s_i r =
+    r - (r, alpha_i) alpha_i changes only coordinate i, by the pairing of r
+    with row i of GRAM."""
     nodes = tuple(nodes)
     found = set()
     new = {ALPHA[i] for i in nodes}
     while new:
         found |= new
-        new = {wsub(r, tuple(inner(r, ALPHA[i]) * a for a in ALPHA[i]))
+        new = {r[:i] + (r[i] - sum(map(mul, r, GRAM[i])),) + r[i + 1:]
                for r in new for i in nodes} - found
     return frozenset(found)
 

@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -6,7 +7,7 @@ from qe6 import rootdata as rd
 from qe6.checks import rmatrix_checks
 from qe6.report import FAIL
 from qe6.qcoeff import ONE, Q, QHAT, qpow
-from qe6.linalg import SparseMat
+from qe6.linalg import SparseMat, bareiss_rank, cyclic_span
 from qe6 import rmatrix as rm
 from qe6 import spinrep as sp
 
@@ -111,6 +112,18 @@ def test_ybe():
     assert rep["failing_columns"] == 0 and rep["first_failure"] is None
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dominant_tuples_match_the_filtered_product(n):
+    exps = rm.k_exponents()
+    want = []
+    for tup in product(range(rm.DIM), repeat=n):
+        weight = tuple(sum(e[a] for a in tup) for e in exps)
+        if min(weight) >= 0:
+            want.append((tup, weight))
+    assert rm.dominant_tuples(n) == want
+    assert len(want) == {1: 1, 2: 11, 3: 91}[n]
+
+
 def _one_entry_mutant():
     rhat = rm.build_rhat()
     key = min(k for k in rhat.entries if k[0] != k[1])
@@ -148,15 +161,41 @@ def test_equivariance_and_inverse():
     assert rep["ok"]
     assert rep["commutant_failures"] == []
     assert rep["invertible"]
+    assert rep["columns_checked"] == 11
+    assert len({w for _, w in rm.dominant_tuples(2)}) == 3
     assert rep["eigenvalues"] == ["-1", "q^2", "q^-6"]
-    # the inverse read off the cubic identity, over the Laurent ring
+    # reference: the cubic as the full product of 256x256 matrices
     rhat = rm.build_rhat()
     eye = SparseMat.identity(rm.TDIM)
+    cubic = eye
+    for lam in rm.EIGENVALUES:
+        cubic = cubic.mul(rhat.sub(eye.scale(lam)))
+    assert cubic.is_zero()
+    # the inverse read off the cubic identity, over the Laurent ring
     inverse = (rhat.mul(rhat)
                .add(rhat.scale(ONE - qpow(2) - qpow(-6)))
                .add(eye.scale(qpow(-4) - qpow(2) - qpow(-6)))
                .scale(-qpow(4)))
     assert rhat.mul(inverse) == eye
+
+
+@pytest.mark.parametrize("name", ["plus_one", "square", "ten_summand"])
+def test_equivariant_mutants_fail_the_cubic(monkeypatch, name):
+    # polynomials in R commute with the action, so only the dominant pairs
+    # can catch them; R + (R + 1)(R - q^2) keeps the eigenvalues on 120 and
+    # 126 and moves the one on 10, whose dominant pairs come last
+    rhat = rm.build_rhat()
+    eye = SparseMat.identity(rm.TDIM)
+    mutant = {"plus_one": lambda: rhat.add(eye),
+              "square": lambda: rhat.mul(rhat),
+              "ten_summand": lambda: rhat.add(rhat.add(eye).mul(rhat.sub(eye.scale(qpow(2)))))
+              }[name]()
+    monkeypatch.setattr(rm, "build_rhat", lambda: mutant)
+    check, = [c for c in rmatrix_checks(3, "exact", None) if c.claim_id == "module-map"]
+    status, details = check.fn()
+    assert status == FAIL
+    assert details["commutant_failures"] == []
+    assert not details["invertible"]
 
 
 def test_one_entry_mutant_fails_the_cubic_identity(monkeypatch):
@@ -169,6 +208,32 @@ def test_one_entry_mutant_fails_the_cubic_identity(monkeypatch):
     braid = rm.ybe_check(_commutant())
     assert not braid["ok"]
     assert braid["commutant_failures"] == rep["commutant_failures"] != []
+    # and so does the eigenspace check: R + 1 is no module map
+    eig = rm.eigen_split(_commutant())
+    assert not eig["ok"] and not eig["closure_in_kernel"]
+
+
+def test_a_failed_commutant_fails_every_module_map_check():
+    # the module-map argument needs the commutant: with a failure passed in,
+    # no check may pass on the true braiding
+    assert not rm.ybe_check(["E2"])["ok"]
+    assert not rm.equivariance_check(["E2"])["invertible"]
+    eig = rm.eigen_split(["E2"])
+    assert not eig["ok"] and not eig["closure_in_kernel"]
+
+
+def test_k_commutation_is_decided_entry_by_entry():
+    # an entry from u_12 (x) u_e to u_e (x) u_e joins weights that differ by
+    # alpha_2, which pairs nonzero with alpha_2 and alpha_4 only
+    m12 = M([1, 2])
+    joins = {(rm.tensor_index(0, 0), rm.tensor_index(m12, 0)): ONE}
+    mutant = rm.build_rhat().add(SparseMat(rm.TDIM, rm.TDIM, joins))
+    fails = rm.commutant_failures(mutant)
+    assert [name for name in fails if name[0] == "K"] == ["K2", "K4"]
+    for mat in (rm.build_rhat(), _one_entry_mutant(), mutant):
+        fails = rm.commutant_failures(mat)
+        for i in rd.IPRIME:
+            assert ("K%d" % i in fails) == (not rm.coproduct_action("K", i).commutes_with(mat))
 
 
 def test_suite_computes_the_commutant_once_per_pass(monkeypatch):
@@ -178,8 +243,8 @@ def test_suite_computes_the_commutant_once_per_pass(monkeypatch):
                         lambda rhat: calls.append(1) or real(rhat))
     for passes in (1, 2):
         checks = [c for c in rmatrix_checks(3, "exact", None)
-                  if c.claim_id in ("braid-relation", "module-map")]
-        assert [c.fn()[0] for c in checks] == ["pass", "pass"]
+                  if c.claim_id in ("braid-relation", "module-map", "negative-eigenspace")]
+        assert [c.fn()[0] for c in checks] == ["pass", "pass", "pass"]
         assert len(calls) == passes
 
 
@@ -192,14 +257,61 @@ def test_eigenspace_dimensions():
     assert dims == [120, 126, 10]
 
 
+def _block_by_block_kernel_dim(mat):
+    dim = 0
+    for cls in rd.CLASSES:
+        idxs = [rm.tensor_index(a, b) for (a, b) in cls.members]
+        dim += len(idxs) - bareiss_rank([[mat.get(r, c) for c in idxs] for r in idxs])
+    return dim
+
+
+@pytest.mark.parametrize("name", ["plus_one", "mutant", "mutant_plus_one"])
+def test_class_kernel_dim_matches_the_block_by_block_sum(name):
+    # equal blocks are ranked once; a changed block must not be merged
+    eye = SparseMat.identity(rm.TDIM)
+    mat = rm.build_rhat() if name == "plus_one" else _one_entry_mutant()
+    if name != "mutant":
+        mat = mat.add(eye)
+    want = {"plus_one": 120, "mutant": 0, "mutant_plus_one": 119}[name]
+    assert rm.class_kernel_dim(mat) == _block_by_block_kernel_dim(mat) == want
+
+
 def test_eigen_split():
-    rep = rm.eigen_split()
+    rep = rm.eigen_split(_commutant())
     assert rep["ok"]
     assert rep["kernel_dim"] == 120
     assert rep["complement_dim"] == 136
     assert rep["seed_in_kernel"]
     assert rep["closure_dim"] == 120
+    assert rep["closure_in_kernel"]
     assert rep["relation_span_dim"] == 120
+    # reference: the closure of the seed under the tensor-square action
+    mplus = rm.build_rhat().add(SparseMat.identity(rm.TDIM))
+    ops = [rm.coproduct_action(k, i).apply for k in ("E", "F") for i in rd.IPRIME]
+    closure = cyclic_span(rm.generator_vector(), ops,
+                          lambda v: rd.wadd(*(rd.WT[m] for m in rm.tensor_masks(min(v)))))
+    assert len(closure) == 120
+    assert all(not mplus.apply(v) for v in closure)
+
+
+@pytest.mark.parametrize("name", ["not_in_kernel", "lowered", "two_weights"])
+def test_seed_not_of_highest_weight_fails_the_eigenspace_check(monkeypatch, name):
+    # u_e (x) u_12 alone is not raised to zero by E_2; Delta(F_4) of the seed
+    # lies in the kernel but is not raised to zero by E_4; the seed plus
+    # u_e (x) u_e is raised to zero but has two weights
+    if name == "not_in_kernel":
+        seed = {rm.tensor_index(0, M([1, 2])): ONE}
+    elif name == "lowered":
+        seed = rm.coproduct_action("F", 4).apply(rm.generator_vector())
+    else:
+        seed = {**rm.generator_vector(), rm.tensor_index(0, 0): ONE}
+    monkeypatch.setattr(rm, "generator_vector", lambda: seed)
+    check, = [c for c in rmatrix_checks(3, "exact", None)
+              if c.claim_id == "negative-eigenspace"]
+    status, details = check.fn()
+    assert status == FAIL
+    assert details["closure_dim"] is None
+    assert details["seed_in_kernel"] == (name == "lowered")
 
 
 def test_dump_shapes():
