@@ -14,11 +14,12 @@ relation attaches its rows to a template built from root data alone
 block (every row class has coefficient q^2, every admissible pair
 (q^2 - 1, q), and all octet matrices are equal), so the 318 blocks of a
 two-row presentation are copies of six blocks up to an order-preserving
-renaming of their words.  One presentation call eliminates each distinct
-block once, and every copy holds that one echelon over word numbers with its
-own numbering of its words (see _relation_block).  This is exact:
-elimination and span comparison look at words only through their order, so
-a renamed copy has the renamed echelon and the same verdict.
+renaming of their words.  A process eliminates each distinct block once
+(_eliminated; the 96 row and two-row presentations share 6), and every copy
+holds that echelon over word numbers with its own numbering of its words
+(_relation_block).  This is exact: elimination and span comparison look at
+words only through their order, so a renamed copy has the renamed echelon
+and the same verdict.
 
 Both kernel theorems are one routine, _kernel_check, over a tuple of rows:
 one row for the cell algebra "w" (psi_S_check), an admissible pair for the
@@ -130,36 +131,36 @@ def _numbered(vecs, number):
     return tuple(tuple(sorted((number[w], c) for w, c in vec.items())) for vec in vecs)
 
 
-def _relation_block(cls, computed, stated, shared):
+@cache
+def _eliminated(computed, stated):
+    """The echelon (read, never added to) of a numbered block's computed
+    vectors, and whether they span what its stated ones do (_relation_block)."""
+    ech = Echelon()
+    ech.add_all(dict(vec) for vec in computed)
+    return ech, spans_equal(ech, [dict(vec) for vec in stated])
+
+
+def _relation_block(cls, computed, stated):
     """One column-class block: the echelon of the computed relations and the
     verdict that they span the same space as the stated ones.
 
     The block's words are numbered in sorted order (its `numbering`, word
     -> number), and the block is keyed by its computed and stated vectors
-    over those numbers, coefficients included.  `shared`, one dict per
-    presentation call, holds the echelon over numbers and the verdict of
-    each key, so a distinct block is eliminated and compared once, and
-    every block with that key holds the same Echelon.  That echelon is to
-    be read, never added to.  Echelon and spans_equal compare words only
-    by order, and the numbering keeps the order, so the echelon over
-    numbers, renamed by the numbering, is the block's own echelon, and
-    the rank and the verdict are the block's own.  A vector is in the
-    block's span exactly when its words are all numbered and its numbered
-    vector is in the echelon: reduction never removes a word that no
-    echelon row holds.
+    over those numbers, coefficients included, so every block with one key
+    holds the one Echelon that _eliminated keeps for the process.  Echelon
+    and spans_equal compare words only by order, and the numbering keeps
+    the order, so the echelon over numbers, renamed by the numbering, is
+    the block's own echelon, and the rank and the verdict are the block's
+    own.  A vector is in the block's span exactly when its words are all
+    numbered and its numbered vector is in the echelon: reduction never
+    removes a word that no echelon row holds.
     """
     words = sorted({w for vec in computed + stated for w in vec})
     number = {w: n for n, w in enumerate(words)}
-    key = (_numbered(computed, number), _numbered(stated, number))
-    hit = shared.get(key)
-    if hit is None:
-        ech = Echelon()
-        ech.add_all(dict(vec) for vec in key[0])
-        hit = shared[key] = ech, spans_equal(ech, [dict(vec) for vec in key[1]])
-    ech, stated_ok = hit
-    return {"class_head": (rd.label(cls.members[0][0]), rd.label(cls.members[0][1])),
-            "size": cls.size, "rank": ech.rank, "stated_count": len(stated),
-            "stated_ok": stated_ok, "echelon": ech, "numbering": number}
+    ech, stated_ok = _eliminated(_numbered(computed, number), _numbered(stated, number))
+    return {"class_head": cls.head, "size": cls.size, "rank": ech.rank,
+            "stated_count": len(stated), "stated_ok": stated_ok, "echelon": ech,
+            "numbering": number}
 
 
 def failing_blocks(blocks):
@@ -169,9 +170,9 @@ def failing_blocks(blocks):
             for b in blocks if not b["stated_ok"]]
 
 
-def _row_presentation(s, shared):
+def _row_presentation(s):
     blocks = [_relation_block(cls, [frt_relation(s, s, i, j) for (i, j), _ in cls],
-                              stated_row_relations(s, cls), shared)
+                              stated_row_relations(s, cls))
               for cls in rd.CLASSES]
     return {"row": rd.label(s),
             "degree2_dim": sum(b["size"] - b["rank"] for b in blocks),
@@ -181,7 +182,7 @@ def _row_presentation(s, shared):
 def row_presentation(s):
     """Blockwise relation bases of one row subalgebra, with the span-equality
     verdict against the published relation set and the degree-2 dimension."""
-    return _row_presentation(s, {})
+    return _row_presentation(s)
 
 
 def row_coefficients(rows):
@@ -218,15 +219,13 @@ def two_row_presentation(s, t):
     """Blockwise relation bases of a two-row subalgebra and the span-equality
     verdict against the published set; requires an admissible (S, T).  The S
     and T groups are the blocks of the two row presentations; the mixed group
-    has one block of the same form per column class.  The three groups share
-    one elimination per distinct block."""
+    has one block of the same form per column class."""
     if not admissible(s, t):
         raise ValueError("rows must differ by one move with S < T")
-    shared = {}
-    row_s, row_t = _row_presentation(s, shared), _row_presentation(t, shared)
+    row_s, row_t = _row_presentation(s), _row_presentation(t)
     mixed = [_relation_block(cls, [frt_relation(a, b, i, j) for a, b in ((s, t), (t, s))
                                    for (i, j), _ in cls],
-                             stated_mixed_relations(s, t, cls), shared)
+                             stated_mixed_relations(s, t, cls))
              for cls in rd.CLASSES]
     dim = (row_s["degree2_dim"] + row_t["degree2_dim"]
            + sum(2 * b["size"] - b["rank"] for b in mixed))
@@ -268,9 +267,7 @@ def derive_octet_matrix(cls):
 def printed_octet_matrix():
     """The straightening matrix as printed in the source proof (including its
     one misprinted cell at row 4, column 6)."""
-    qh = QHAT
-    one = ONE
-    z = ZERO
+    qh, one, z = QHAT, ONE, ZERO
     return [
         [one, qh, -qh * QINV, qh * qpow(-2), qh * qpow(-2), -qh * qpow(-3),
          qh * qpow(-4), qh * (Q - qpow(-5))],

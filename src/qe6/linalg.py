@@ -14,7 +14,7 @@ Every cyclic submodule is closed by cyclic_span, one Echelon per weight.
 rank_mod and EchelonMod rank rows specialized at q = q0 over GF(p).  No
 check calls them: they remain only for the degree-3 ranks that perfbench's
 frt-spans workload times and for their own tests, until that workload stops
-using them (ROADMAP items 3 and 6).
+using them (ROADMAP items 3 and 5).
 """
 
 from math import gcd

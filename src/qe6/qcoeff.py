@@ -8,17 +8,14 @@ relation spans) is computed over these coefficients; no floating point anywhere.
 class LaurentPoly:
     """Laurent polynomial in q with arbitrary-precision integer coefficients.
 
-    Stored as a dict {exponent: coefficient} with no zero values; the zero
-    polynomial has an empty dict.  Instances are treated as immutable.
+    Stored as a dict {exponent: coefficient} with no zero values.  Immutable,
+    with the hash kept on first use: no dict that _raw wraps may change later.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "_hash")
 
     def __init__(self, c=None):
-        if c:
-            self.c = {e: v for e, v in c.items() if v}
-        else:
-            self.c = {}
+        self.c = {e: v for e, v in c.items() if v} if c else {}
 
     @classmethod
     def _raw(cls, c):
@@ -44,7 +41,11 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.c == other.c
 
     def __hash__(self):
-        return hash(frozenset(self.c.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self.c.items()))
+            return self._hash
 
     def __neg__(self):
         return LaurentPoly._raw({e: -v for e, v in self.c.items()})

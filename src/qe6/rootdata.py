@@ -183,11 +183,12 @@ LEQ = {(a, b): leq_B(a, b) for a in ALL_MASKS for b in ALL_MASKS}
 class PairClass:
     """One equivalence class of pairs under wt(I)+wt(J) = wt(K)+wt(L)."""
 
-    __slots__ = ("members", "heights")
+    __slots__ = ("members", "heights", "head")
 
     def __init__(self, mem, heights):
         self.members = tuple(mem)
         self.heights = tuple(heights)
+        self.head = tuple(map(label, self.members[0]))    # first member, labelled
 
     @property
     def size(self):

@@ -243,10 +243,13 @@ def _times_q_at_first(vec):
 
 # each mutant rewrites the stated set of a size-8 class, whose octet
 # relation comes last
-@pytest.mark.parametrize("mutate", [
+_OCTET_MUTANTS = pytest.mark.parametrize("mutate", [
     lambda stated: stated[:-1],
     lambda stated: stated[:-1] + [_times_q_at_first(stated[-1])],
 ], ids=["octet-dropped", "octet-entry-times-q"])
+
+
+@_OCTET_MUTANTS
 def test_row_presentation_rejects_mutated_stated_set(monkeypatch, mutate):
     # a dropped relation leaves the stated span inside the computed one at
     # lower rank; an entry times q keeps the rank but leaves the span
@@ -256,6 +259,36 @@ def test_row_presentation_rejects_mutated_stated_set(monkeypatch, mutate):
     rep = frt.row_presentation(0)
     assert not rep["ok"]
     assert {b["size"] for b in rep["blocks"] if not b["stated_ok"]} == {8}
+
+
+@_OCTET_MUTANTS
+def test_block_cache_is_order_independent(monkeypatch, mutate):
+    # blocks are cached by their full numbered content: a mutant met after
+    # a clean call is still flagged, and a clean call after it still passes
+    s, t = frt.admissible_pairs()[0]
+    assert frt.row_presentation(s)["ok"] and frt.two_row_presentation(s, t)["ok"]
+    stated = frt.stated_row_relations
+    monkeypatch.setattr(frt, "stated_row_relations", lambda row, cls: (
+        mutate(stated(row, cls)) if cls.size == 8 else stated(row, cls)))
+    assert {b["size"] for b in frt.row_presentation(s)["blocks"] if not b["stated_ok"]} == {8}
+    groups = frt.two_row_presentation(s, t)["groups"]
+    assert {g: {b["size"] for b in blocks if not b["stated_ok"]}
+            for g, blocks in groups.items()} == {"S": {8}, "T": {8}, "mixed": set()}
+    monkeypatch.undo()
+    assert frt.row_presentation(s)["ok"] and frt.two_row_presentation(s, t)["ok"]
+
+
+def test_block_cache_holds_six_eliminations(monkeypatch):
+    # a fresh cache for this test: the 16 rows hold 3 distinct numbered
+    # blocks and the 80 pairs 3 more, each block holding its key's echelon
+    eliminated = cache(frt._eliminated.__wrapped__)
+    monkeypatch.setattr(frt, "_eliminated", eliminated)
+    blocks = [b for s in rd.ALL_MASKS for b in frt.row_presentation(s)["blocks"]]
+    assert eliminated.cache_info().currsize == 3
+    blocks += [b for s, t in frt.admissible_pairs()
+               for group in frt.two_row_presentation(s, t)["groups"].values()
+               for b in group]
+    assert eliminated.cache_info().currsize == len({id(b["echelon"]) for b in blocks}) == 6
 
 
 def _flagged(blocks):
@@ -519,10 +552,20 @@ _SWEEPS = {"row-presentations": checks._chk_row_sweep,
            "two-row-homomorphism-kernel": checks._chk_psi_st_sweep}
 
 
+def _echelon_content(ech):
+    return ech.rank, {c: dict(row) for c, row in ech.rows.items()}
+
+
 def test_template_reference_full_sweep():
     # test-only reference for the template checks: every row set's concrete
     # kernel report, which includes its presentation's verdict and
-    # dimension, is the template's but for `rows`, and so is its table
+    # dimension, is the template's but for `rows`, and so is its table.
+    # The sweeps only read the cached echelons, which the template row and
+    # pair hold all of (test_block_cache_holds_six_eliminations)
+    groups = frt.two_row_presentation(*_ROW_SETS["pairs"][0])["groups"].values()
+    echelons = {id(b["echelon"]): b["echelon"] for blocks in groups for b in blocks}
+    assert len(echelons) == 6
+    before = [_echelon_content(ech) for ech in echelons.values()]
     for row_sets, check in ((_ROW_SETS["rows"], frt.psi_S_check),
                             (_ROW_SETS["pairs"], frt.psi_ST_check)):
         template = dict(check(*row_sets[0]), rows=None)
@@ -533,6 +576,7 @@ def test_template_reference_full_sweep():
             assert rep["rows"] == tuple(map(rd.label, rows))
             assert dict(rep, rows=None) == template
             assert frt.row_coefficients(rows) == table
+    assert [_echelon_content(ech) for ech in echelons.values()] == before
 
 
 def test_row_coefficient_tables():

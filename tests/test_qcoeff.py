@@ -74,6 +74,16 @@ def test_commutativity_distributivity_random(a, b, c):
 
 @settings(max_examples=200, deadline=None)
 @given(laurent, laurent)
+def test_cached_hash_is_the_content_hash(a, b):
+    # the hash is kept on first use, so no operation may change a dict that
+    # a polynomial wraps: operands and results hash as fresh copies do
+    hashes = hash(a), hash(b)
+    for p in (a + b, a - b, a * b, -a, 3 * a, a ** 2):
+        assert hash(p) == hash(LaurentPoly(dict(p.c)))
+    assert hashes == (hash(LaurentPoly(dict(a.c))), hash(LaurentPoly(dict(b.c))))
+
+
+@given(laurent, laurent)
 def test_exact_div(a, b):
     assume(b)
     assert (a * b).exact_div(b) == a
