@@ -106,7 +106,16 @@ def cmd_dump(args):
     return 0
 
 
+# the highest --degree decompose accepts: the candidates grow fast with the
+# degree, and each of these degrees takes 10-30 s
+DECOMPOSE_MAX_DEGREE = {"w": 30, "what": 8}
+
+
 def cmd_decompose(args):
+    top = DECOMPOSE_MAX_DEGREE[args.algebra]
+    if not 0 <= args.degree <= top:
+        raise ValueError("--degree must be between 0 and %d for --algebra %s"
+                         % (top, args.algebra))
     rep = aj.decompose_degree(args.algebra, args.degree)
     sys.stdout.write(rp.dumps(rep))
     return 0 if rep["verdict"] == "pass" else 1

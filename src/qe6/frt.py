@@ -33,7 +33,7 @@ from functools import cache
 
 from .qcoeff import ONE, ZERO, QHAT, Q, QINV, qpow, neg_qpow, accumulate
 from . import rootdata as rd
-from .linalg import Echelon, bareiss_rank, spans_equal
+from .linalg import Echelon, dense_rank, spans_equal
 from .rmatrix import rhat_coeff
 from .schubert import (presentation, rule_relation_vectors, NCPoly, multiply,
                        hilbert_dim, twist, correction_terms)
@@ -316,7 +316,14 @@ def assembled_two_row_matrix(a):
 
 def rank_checks():
     """Ranks of the proof matrices, their re-derivation from the braiding,
-    and the comparison with the printed display."""
+    and the comparison with the printed display.
+
+    derive_two_row_matrix reads a pair (S, T) only through its two braiding
+    coefficients rhat_coeff(S, T, T, S) and rhat_coeff(T, S, T, S), so the
+    two-row matrix is derived for the first admissible pair alone.  Every
+    pair derives the same matrix exactly when its two coefficients equal
+    that pair's: the first shifts a fixed entry of A, the second is an entry
+    of the matrix.  The four ranks are exact (dense_rank)."""
     derived = [derive_octet_matrix(c) for c in rd.OCTETS]
     consistent = all(m == derived[0] for m in derived[1:])
     a = derived[0]
@@ -324,13 +331,14 @@ def rank_checks():
     diffs = [{"row": r + 1, "col": c + 1, "printed": str(printed[r][c]),
               "derived": str(a[r][c])}
              for r in range(8) for c in range(8) if printed[r][c] != a[r][c]]
-    rank_a = bareiss_rank(_mat_sub(a, _skew(8, Q * Q)))
-    rank_printed = bareiss_rank(_mat_sub(printed, _skew(8, Q * Q)))
-    two_rows = [derive_two_row_matrix(a, s, t) for s, t in admissible_pairs()]
-    two_row = two_rows[0]
+    rank_a = dense_rank(_mat_sub(a, _skew(8, Q * Q)))
+    rank_printed = dense_rank(_mat_sub(printed, _skew(8, Q * Q)))
+    pairs = admissible_pairs()
+    coeffs = [(rhat_coeff(s, t, t, s), rhat_coeff(t, s, t, s)) for s, t in pairs]
+    two_row = derive_two_row_matrix(a, *pairs[0])
     assembled = assembled_two_row_matrix(a)
-    two_rank = bareiss_rank(two_row)
-    pairs_consistent = all(m == two_row for m in two_rows[1:])
+    two_rank = dense_rank(two_row)
+    pairs_consistent = all(c == coeffs[0] for c in coeffs[1:])
     return {
         "octet_matrices_identical": consistent,
         "rank_straightening": rank_a,
@@ -341,7 +349,7 @@ def rank_checks():
         "two_row_consistent_across_pairs": pairs_consistent,
         "display_diffs": diffs,
         "display_rank_as_printed": rank_printed,
-        "plain_rank_unitriangular": bareiss_rank(a),
+        "plain_rank_unitriangular": dense_rank(a),
         "ok": (consistent and rank_a == 5 and two_rank == 9
                and two_row == assembled and pairs_consistent),
     }

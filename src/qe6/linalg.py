@@ -6,15 +6,18 @@ leading coefficient over the pivot; only a non-unit pivot cross-multiplies.
 Residues are re-normalized by their integer content and a power of q (units
 or contents, so row spans over the fraction field are preserved).
 spans_equal compares a built Echelon with a row list by rank and one-way
-containment.  Dense Bareiss elimination is provided for the small proof
-matrices.
+containment; dense_rank ranks the small proof matrices and braiding blocks
+with it.
 
 Every cyclic submodule is closed by cyclic_span, one Echelon per weight.
 
 rank_mod and EchelonMod rank rows specialized at q = q0 over GF(p).  No
 check calls them: they remain only for the degree-3 ranks that perfbench's
 frt-spans workload times and for their own tests, until that workload stops
-using them (ROADMAP items 3 and 5).
+using them (ROADMAP items 3 and 5).  Likewise no check calls dense Bareiss
+elimination (bareiss_echelon, bareiss_rank) any more: it remains as the
+reference the Echelon tests compare with and as a layer name perfbench
+traces.
 """
 
 from math import gcd
@@ -282,6 +285,17 @@ def cyclic_span(seed, ops, grade):
             return basis
         basis += grew
         images = (op(v) for v in grew for op in ops)
+
+
+def dense_rank(mat):
+    """Exact rank of a dense list-of-lists matrix by Echelon.  Rows go in
+    last first and columns are numbered from the right (a rank is unchanged
+    by reordering either): the braiding's class blocks and the FRT proof
+    matrices carry a unit toward the right end of each lower row, so in
+    this order most pivots are units and few rows are cross-multiplied."""
+    width = len(mat[0]) if mat else 0
+    return Echelon().add_all({width - 1 - c: v for c, v in enumerate(row) if v}
+                             for row in reversed(mat))
 
 
 def rank_mod(rows, q0, p):

@@ -13,14 +13,16 @@ summand by a signed power of q, so it satisfies the cubic
 invertibility proof: its constant term is q^-4, a unit, so
 R^-1 = -q^4 (R^2 + (1 - q^2 - q^-6) R + (q^-4 - q^2 - q^-6)) over Z[q, q^-1].
 
-Three of the checks rest on one module-map argument.  The braiding
-commutes with the coproduct action of every generator (commutant_failures:
-E_i and F_i as matrix products, the diagonal K_i entry by entry).  V is a
-type-1 U_q(so10)-module (the spinrep defining-relation check) on which each
-K_i acts diagonally by powers of q, so basis tensors are weight vectors.
-Each tensor power of V is semisimple (Jantzen, Lectures on Quantum Groups,
-ch. 5) and each summand is generated by a highest-weight vector of dominant
-weight, so a module map vanishes once it kills the dominant weight spaces.
+Three of the checks rest on one module-map argument.  V is a type-1
+U_q(so10)-module (the spinrep defining-relation check) on which each K_i
+acts diagonally by powers of q, so basis tensors are weight vectors.  Each
+tensor power of V is semisimple (Jantzen, Lectures on Quantum Groups,
+ch. 5) and each summand L(lambda) is U^-.v_lambda for a highest-weight
+vector v_lambda of dominant weight, so a map that commutes with every F_j
+vanishes once it kills the dominant weight spaces.  The braiding commutes
+with the coproduct action of every generator (commutant_failures: the
+diagonal K_i entry by entry, F_i as matrix products, and E_i on the
+dominant basis pairs by this same argument).
 The braid identity: by coassociativity R12 R23 R12 - R23 R12 R23 is a
 module map of V (x) V (x) V, checked on its 91 dominant basis triples
 (5 weights).  The cubic above: a polynomial in the braiding, checked on the
@@ -36,7 +38,7 @@ from operator import add
 
 from .qcoeff import ONE, ZERO, QHAT, Q, qpow, neg_qpow, accumulate
 from . import rootdata as rd
-from .linalg import SparseMat, Echelon, bareiss_rank
+from .linalg import SparseMat, Echelon, dense_rank
 from .spinrep import SPIN_BASIS, SPIN_INDEX, DIM, rho_matrix, chevalley_action, phi_scalars
 
 TDIM = DIM * DIM
@@ -242,8 +244,9 @@ def ybe_check(failures):
             "first_failure": failing[0] if failing else None}
 
 
+@cache
 def coproduct_action(kind, i):
-    """Action of one Chevalley generator on the tensor square."""
+    """Action of one Chevalley generator on the tensor square, built once."""
     eye = SparseMat.identity(DIM)
     if kind == "E":
         return (chevalley_action("Kinv", i).kron(chevalley_action("E", i))
@@ -267,26 +270,46 @@ def class_kernel_dim(mat):
         idxs = [tensor_index(a, b) for (a, b) in cls.members]
         block = tuple(tuple(mat.get(r, c) for c in idxs) for r in idxs)
         if block not in ranks:
-            ranks[block] = bareiss_rank(block)
+            ranks[block] = dense_rank(block)
         dim += len(idxs) - ranks[block]
     return dim
 
 
 def commutant_failures(rhat):
     """Names of the generators E_i, F_i, K_i (i in IPRIME) whose coproduct
-    action on the tensor square does not commute with `rhat`.
+    action on the tensor square does not commute with `rhat`, in that order.
 
-    E_i and F_i are tested as matrix products.  Delta(K_i) = K_i (x) K_i is
-    diagonal, q^k_r on pair r, so (K R - R K)_rc = (q^k_r - q^k_c) R_rc,
-    which over the domain Z[q, q^-1] vanishes exactly when R_rc = 0 or
-    k_r = k_c: K_i is tested entry by entry."""
-    fails = ["%s%d" % (kind, i) for kind in ("E", "F") for i in rd.IPRIME
-             if not coproduct_action(kind, i).commutes_with(rhat)]
+    Delta(K_i) = K_i (x) K_i is diagonal, q^k_r on pair r, so
+    (K R - R K)_rc = (q^k_r - q^k_c) R_rc, which over the domain
+    Z[q, q^-1] vanishes exactly when R_rc = 0 or k_r = k_c: K_i is tested
+    entry by entry.  F_i is tested as matrix products.
+
+    When every K_j and F_j commutes with R, D = R E_i - E_i R commutes with
+    every F_j: the coproduct is an algebra map, so on V (x) V
+    E_i F_j - F_j E_i = delta_ij [K_i], and R commutes with
+    [K_i] = (K_i - K_i^-1)/(q - q^-1).  So the kernel of D is F-stable.  By
+    the module docstring's argument each summand L(lambda) of V (x) V is
+    U^-.v_lambda with v_lambda in a dominant weight space, so D = 0 once it
+    kills the 11 dominant basis pairs (dominant_tuples(2)), and E_i is tested
+    on those.  Otherwise E_i is tested as matrix products, like F_i.
+    """
+    k_fails = []
     for i, exps in zip(rd.IPRIME, k_exponents()):
         pair = [x + y for x in exps for y in exps]
         if any(pair[r] != pair[c] for r, c in rhat.entries):
-            fails.append("K%d" % i)
-    return fails
+            k_fails.append("K%d" % i)
+    f_fails = ["F%d" % i for i in rd.IPRIME
+               if not coproduct_action("F", i).commutes_with(rhat)]
+    if k_fails or f_fails:
+        def commutes(e):
+            return e.commutes_with(rhat)
+    else:
+        seeds = [{a * DIM + b: ONE} for (a, b), _ in dominant_tuples(2)]
+
+        def commutes(e):
+            return all(rhat.apply(e.apply(v)) == e.apply(rhat.apply(v)) for v in seeds)
+    e_fails = ["E%d" % i for i in rd.IPRIME if not commutes(coproduct_action("E", i))]
+    return e_fails + f_fails + k_fails
 
 
 # the braiding's eigenvalues on the summands 120, 126 and 10 of 16 (x) 16

@@ -13,7 +13,7 @@ from qe6.qcoeff import LaurentPoly, Q, QINV, neg_qpow, qpow
 from qe6 import schubert as sc
 from qe6 import adjoint as aj
 from qe6 import spinrep as sp
-from qe6.linalg import Echelon
+from qe6.linalg import Echelon, SparseMat
 
 M = rd.mask_of
 W = sc.presentation("w")
@@ -336,6 +336,49 @@ def test_inhomogeneous_relation_fails():
 def test_operator_relations_on_spans():
     assert sp.relation_failures(aj.generator_matrices(W)) == []
     assert sp.relation_failures(aj.generator_matrices(WH)) == []
+
+
+def _operator_relations_check(monkeypatch):
+    """The operator-relations check, and the dimensions of the actions it
+    hands to relation_failures."""
+    sizes = []
+    real = sp.relation_failures
+    monkeypatch.setattr(sp, "relation_failures",
+                        lambda mats: sizes.append(mats[("K", 2)].nrows) or real(mats))
+    fn, = [c.fn for c in checks.adjoint_checks(3, "exact", random.Random(0))
+           if c.claim_id == "operator-relations"]
+    return fn, sizes
+
+
+def test_operator_relations_certify_the_affine_span_by_two_copies(monkeypatch):
+    # every affine generator matrix is diag(A, A) for the finite one A, so
+    # the relations run on the 16-dimensional span alone
+    fn, sizes = _operator_relations_check(monkeypatch)
+    assert fn() == ("pass", {"failures": []})
+    assert sizes == [16]
+
+
+@pytest.mark.parametrize("kind", ["E", "Kinv"])
+def test_operator_relations_fall_back_when_a_shifted_block_differs(monkeypatch, kind):
+    # one entry of the Zd block of an affine matrix times q: the copies
+    # differ, and the check names what the 32-dimensional action fails
+    real = aj.generator_matrices
+
+    def mutated(pres):
+        mats = real(pres)
+        if pres is WH:
+            mat = mats[(kind, 3)]
+            (r, c), v = max(mat.entries.items())
+            assert r >= 16 and c >= 16
+            mats[(kind, 3)] = SparseMat(32, 32, {**mat.entries, (r, c): v * Q})
+        return mats
+
+    want = sp.relation_failures(mutated(WH))
+    monkeypatch.setattr(aj, "generator_matrices", mutated)
+    fn, sizes = _operator_relations_check(monkeypatch)
+    status, details = fn()
+    assert want and status == "fail" and details == {"failures": want[:5]}
+    assert sizes == [16, 32]
 
 
 def test_generator_matrices_are_the_action(monkeypatch):

@@ -165,6 +165,23 @@ def test_dump_classes(capsys):
     assert len(json.loads(out)) == 106
 
 
+@pytest.mark.parametrize("algebra, top", [("w", 30), ("what", 8)])
+def test_decompose_rejects_a_degree_above_its_maximum(capsys, monkeypatch, algebra, top):
+    # rejected before any work; the top degree itself reaches the (here
+    # stubbed) decomposition, which the large degrees never do
+    called = []
+    monkeypatch.setattr("qe6.adjoint.decompose_degree",
+                        lambda *args: called.append(args) or {"verdict": "pass"})
+    for degree in (top + 1, 99):
+        code, out, err = run(capsys, "decompose", "--algebra", algebra, "--degree", str(degree))
+        assert code == 2 and out == ""
+        assert err == "error: --degree must be between 0 and %d for --algebra %s\n" % (
+            top, algebra)
+    assert called == []
+    assert run(capsys, "decompose", "--algebra", algebra, "--degree", str(top))[0] == 0
+    assert called == [(algebra, top)]
+
+
 def test_decompose_cli(capsys):
     code, out, _ = run(capsys, "decompose", "--algebra", "w", "--degree", "2")
     assert code == 0

@@ -698,6 +698,29 @@ def test_rank_checks_compare_every_pair(monkeypatch):
     assert status == "fail" and details["two_row_consistent_across_pairs"] is False
 
 
+def _two_rows_consistent_reference():
+    """Every admissible pair derives the template pair's 16x16 matrix: the
+    80-matrix comparison that two_row_consistent_across_pairs decides from
+    two coefficients per pair."""
+    a = frt.derive_octet_matrix(rd.OCTETS[0])
+    mats = [frt.derive_two_row_matrix(a, s, t) for s, t in frt.admissible_pairs()]
+    return all(m == mats[0] for m in mats[1:])
+
+
+@pytest.mark.parametrize("index", [None, (M14, M12, M12, M14), (M12, M14, M12, M14),
+                                   (M12, M12, M12, M12)],
+                         ids=["true", "flip-coefficient", "straight-coefficient",
+                              "unread-coefficient"])
+def test_two_row_consistency_matches_the_80_matrix_reference(monkeypatch, index):
+    # pair (14, 12) reads rhat_coeff(14, 12, 12, 14) and
+    # rhat_coeff(12, 14, 12, 14); no pair reads the diagonal R^{12,12}_{12,12}
+    if index is not None:
+        _times_q_at(monkeypatch, index)
+    want = _two_rows_consistent_reference()
+    assert frt.rank_checks()["two_row_consistent_across_pairs"] == want
+    assert want == (index is None or index == (M12, M12, M12, M12))
+
+
 @pytest.mark.parametrize("claim", _SWEEPS)
 def test_sweep_checks_build_one_presentation(monkeypatch, claim):
     builds = []

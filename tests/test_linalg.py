@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from qe6.qcoeff import LaurentPoly, ONE, ZERO, Q, QINV, QHAT, qpow
 from qe6.linalg import (SparseMat, Echelon, EchelonMod, spans_equal, rank_mod,
-                        bareiss_rank, row_normalize, cyclic_span)
+                        bareiss_rank, dense_rank, row_normalize, cyclic_span)
 from qe6 import rootdata as rd
 from qe6 import spinrep as sp
 
@@ -126,8 +126,8 @@ def test_echelon_rank_matches_bareiss(rows, data):
     ech = Echelon()
     rank = ech.add_all(rows)
     assert rank == ech.rank
-    assert rank == bareiss_rank([[row.get(c, ZERO) for c in range(NCOLS)]
-                                 for row in rows])
+    dense = [[row.get(c, ZERO) for c in range(NCOLS)] for row in rows]
+    assert rank == bareiss_rank(dense) == dense_rank(dense)
     assert all(ech.contains(row) for row in rows)
     assert rank_mod(rows, 12345, P) <= rank
     # rank_mod reorders its rows; the order they come in cannot matter

@@ -225,15 +225,96 @@ def test_a_failed_commutant_fails_every_module_map_check():
 def test_k_commutation_is_decided_entry_by_entry():
     # an entry from u_12 (x) u_e to u_e (x) u_e joins weights that differ by
     # alpha_2, which pairs nonzero with alpha_2 and alpha_4 only
-    m12 = M([1, 2])
-    joins = {(rm.tensor_index(0, 0), rm.tensor_index(m12, 0)): ONE}
-    mutant = rm.build_rhat().add(SparseMat(rm.TDIM, rm.TDIM, joins))
+    mutant = _k_joining_mutant()
     fails = rm.commutant_failures(mutant)
     assert [name for name in fails if name[0] == "K"] == ["K2", "K4"]
     for mat in (rm.build_rhat(), _one_entry_mutant(), mutant):
         fails = rm.commutant_failures(mat)
         for i in rd.IPRIME:
             assert ("K%d" % i in fails) == (not rm.coproduct_action("K", i).commutes_with(mat))
+
+
+def _all_products_commutant(rhat):
+    """The commutant's reference: every Delta(E_i), Delta(F_i) and
+    Delta(K_i) tested as two full 256x256 products."""
+    return ["%s%d" % (kind, i) for kind in ("E", "F", "K") for i in rd.IPRIME
+            if not rm.coproduct_action(kind, i).commutes_with(rhat)]
+
+
+def _k_joining_mutant():
+    m12 = M([1, 2])
+    joins = {(rm.tensor_index(0, 0), rm.tensor_index(m12, 0)): ONE}
+    return rm.build_rhat().add(SparseMat(rm.TDIM, rm.TDIM, joins))
+
+
+def _top_to_lowest_mutant():
+    # u_e (x) u_e to the lowest pair u_2345 (x) u_2345: no Delta(F_j) reaches
+    # the top pair and every one kills the lowest, so only K and E fail
+    low = M([2, 3, 4, 5])
+    joins = {(rm.tensor_index(low, low), rm.tensor_index(0, 0)): ONE}
+    return rm.build_rhat().add(SparseMat(rm.TDIM, rm.TDIM, joins))
+
+
+def _ten_summand_mutant():
+    rhat, eye = rm.build_rhat(), SparseMat.identity(rm.TDIM)
+    return rhat.add(rhat.add(eye).mul(rhat.sub(eye.scale(qpow(2)))))
+
+
+_BRAIDING_MUTANTS = {
+    "true": rm.build_rhat,
+    "one_entry": _one_entry_mutant,
+    "k_joining": _k_joining_mutant,
+    "top_to_lowest": _top_to_lowest_mutant,
+    "plus_one": lambda: rm.build_rhat().add(SparseMat.identity(rm.TDIM)),
+    "square": lambda: rm.build_rhat().mul(rm.build_rhat()),
+    "ten_summand": _ten_summand_mutant,
+}
+
+
+def _counted_products(monkeypatch):
+    """A list that grows by one at each full-product commutation test."""
+    products = []
+    real = SparseMat.commutes_with
+    monkeypatch.setattr(SparseMat, "commutes_with",
+                        lambda self, other: products.append(1) or real(self, other))
+    return products
+
+
+@pytest.mark.parametrize("name", _BRAIDING_MUTANTS)
+def test_commutant_matches_the_all_products_reference(monkeypatch, name):
+    # E_i goes to full products only when a K_j or F_j fails; otherwise it is
+    # decided on the 11 dominant pairs, and the names must not change
+    mat = _BRAIDING_MUTANTS[name]()
+    want = _all_products_commutant(mat)
+    products = _counted_products(monkeypatch)
+    assert rm.commutant_failures(mat) == want
+    assert len(products) == (5 if not any(f[0] in "FK" for f in want) else 10)
+    assert (want == []) == (name in ("true", "plus_one", "square", "ten_summand"))
+
+
+def test_coproduct_action_satisfies_the_defining_relations():
+    # the hypothesis of the dominant-pair test of E_i: the coproduct makes
+    # V (x) V a module, so E_i F_j - F_j E_i = delta_ij [K_i] holds there
+    mats = {(kind, i): rm.coproduct_action(kind, i)
+            for kind in ("E", "F", "K") for i in rd.IPRIME}
+    for i in rd.IPRIME:
+        kinv = sp.chevalley_action("Kinv", i)
+        mats[("Kinv", i)] = kinv.kron(kinv)
+    assert sp.relation_failures(mats) == []
+
+
+def test_dominant_pairs_catch_a_raising_action_that_does_not_commute(monkeypatch):
+    # Delta(E_2) replaced by the opposite coproduct: K and F still commute,
+    # so E_2 is decided on the dominant pairs alone, and they see it fail
+    e, kinv = sp.chevalley_action("E", 2), sp.chevalley_action("Kinv", 2)
+    opposite = e.kron(kinv).add(SparseMat.identity(rm.DIM).kron(e))
+    real = rm.coproduct_action
+    monkeypatch.setattr(rm, "coproduct_action", lambda kind, i: (
+        opposite if (kind, i) == ("E", 2) else real(kind, i)))
+    products = _counted_products(monkeypatch)
+    assert rm.commutant_failures(rm.build_rhat()) == ["E2"]
+    assert len(products) == 5
+    assert _all_products_commutant(rm.build_rhat()) == ["E2"]
 
 
 def test_suite_computes_the_commutant_once_per_pass(monkeypatch):
