@@ -5,7 +5,9 @@ are presented by straightening rules, one for every generator pair that is
 out of order; rule_failures checks that rewriting terminates, and with
 confluence_check that the normal words are a basis (PBW).  Normal words are
 non-increasing in a fixed total order on generators; in the affine algebra
-every delta-shifted generator precedes every plain one.
+every delta-shifted generator precedes every plain one.  Rewriting uses the
+inter-reduced table of reduced_rules, whose confluence decides PBW for the
+published rules (rule_failures).
 """
 
 import re
@@ -162,8 +164,24 @@ def presentation(algebra_id):
 REWRITE_BUDGET = 10 ** 6
 
 
+@cache
+def reduced_rules(pres):
+    """The inter-reduced rule table: each head (a, b) of pres.rules maps to
+    N(ab), its degree-2 normal form under the published rules, as
+    ((coeff, word), ...) with the swap (b, a) first.  Built on the first
+    rewrite over pres, not with it, so a mutant table that cannot be reduced
+    still reaches rule_failures; why its confluence proves PBW for the
+    published rules is stated there."""
+    out = {}
+    for head in pres.rules:
+        nf = _rewrite({head: {0: 1}}, pres.rules, "left", REWRITE_BUDGET)
+        swap = head[::-1]
+        out[head] = tuple(sorted(((c, w) for w, c in nf.items()), key=lambda t: t[1] != swap))
+    return out
+
+
 def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
-    """Straighten to the PBW normal form.
+    """Straighten to the PBW normal form, rewriting with reduced_rules(pres).
 
     `strategy` picks which out-of-order pair of a word is rewritten: the
     leftmost ("left") or the rightmost; the result is strategy-independent.
@@ -182,15 +200,17 @@ def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
 
     `budget` bounds the number of words rewritten, which is the number of
     distinct non-normal words reached with a nonzero summed coefficient;
-    exceeding it raises RewriteDepthError.
+    exceeding it raises RewriteDepthError.  Why the reduced table gives the
+    normal form of the published rules is stated in rule_failures.
     """
-    return _rewrite({w: dict(c.c) for w, c in x.items() if c}, pres, strategy, budget)
+    return _rewrite({w: dict(c.c) for w, c in x.items() if c}, reduced_rules(pres),
+                    strategy, budget)
 
 
-def _rewrite(pending, pres, strategy, budget):
+def _rewrite(pending, rules, strategy, budget):
     """normal_form's loop over `pending`, {word: {exponent: int}}, which it
-    consumes; a dict may hold zero values and sum to zero."""
-    rules = pres.rules
+    consumes; a dict may hold zero values and sum to zero.  `rules` maps each
+    out-of-order pair to ((coeff, word), ...), as pres.rules does."""
     out = NCPoly()
     # each key of `pending` has exactly one entry in `heap`
     heap = list(pending)
@@ -278,6 +298,17 @@ def rule_failures(pres):
     confluence_check resolves among all degree-3 words.  The unit swap
     coefficient is the Levendorskii-Soibelman form: each relation can be
     solved over the Laurent ring for either order of its pair.
+
+    Rewriting, confluence_check included, uses the inter-reduced table of
+    reduced_rules, which sends each head ab to N(ab), its normal form under
+    these rules.  Its confluence proves PBW for the published rules: it has
+    the same heads, so the same irreducible words; N(ab) - ab lies in the
+    ideal of the published relations, and ab - rhs(ab) in that of the
+    reduced ones (by induction up the order: rhs(ab) reaches N(ab) by rules
+    on heads below ab), so the ideals agree; every word of N(ab) lies below
+    ab in the order above, being reached by rules that lower it; and the
+    table keeps the three facts above (the swap is never produced again,
+    since every other word holds letters strictly between a and b only).
     """
     rules = pres.rules
     pairs = set(combinations(range(pres.ngens), 2))
@@ -301,8 +332,9 @@ def rule_failures(pres):
 def confluence_check(pres):
     """Diamond test at degree 3: every word must reach the same normal form
     under both rewriting strategies.  The words include every overlap
-    ambiguity of rule_failures.  Returns a report dict; failures identify the
-    word."""
+    ambiguity of rule_failures.  Rewriting uses reduced_rules; rule_failures
+    states why its confluence decides PBW for the published rules.  Returns a
+    report dict; failures identify the word."""
     n = pres.ngens
     failures = []
     for word in product(range(n), repeat=3):

@@ -209,8 +209,11 @@ def test_strategy_independence_random():
 
 
 def test_rewrite_budget_guard():
+    # Y12 Y1234 Ye rewrites two words: (Y1234, Ye), then (Y12, Ye)
+    x = sc.parse_expr("Y[12]*Y[1234]*Y[e]", W)
     with pytest.raises(sc.RewriteDepthError):
-        sc.normal_form(Y(M([1, 2, 3, 4])).free_mul(Y(0)), W, budget=1)
+        sc.normal_form(x, W, budget=1)
+    assert sc.normal_form(x, W, budget=2) == nf(x)
 
 
 def test_seed_105_termination_word_within_budget():
@@ -232,14 +235,14 @@ def _cancelling_sum():
 
 
 @pytest.mark.parametrize("build, pres, least, terms", [
-    (lambda: sc.parse_expr("Z[45]*Z[2345]*Zd[12]*Zd[35]*Zd[12]*Zd[23]", WH), WH, 8619, 745),
-    (lambda: sc.parse_expr("Y[45]*Y[35]*Y[2345]*Y[14]*Y[e]*Y[12]", W), W, 435, 58),
-    (_cancelling_sum, W, 11, 0),
+    (lambda: sc.parse_expr("Z[45]*Z[2345]*Zd[12]*Zd[35]*Zd[12]*Zd[23]", WH), WH, 6833, 745),
+    (lambda: sc.parse_expr("Y[45]*Y[35]*Y[2345]*Y[14]*Y[e]*Y[12]", W), W, 429, 58),
+    (_cancelling_sum, W, 7, 0),
 ], ids=["seed-105", "w-degree-6", "cancelling-sum"])
 def test_rewrite_budget_counts_distinct_nonzero_words(build, pres, least, terms):
     # the smallest budget that suffices is the number of distinct non-normal
     # words reached with a nonzero summed coefficient (the cancelling sum
-    # reaches 18 counting its zero sums); nf-mix's refusals rest on it
+    # reaches 14 counting its zero sums); nf-mix's refusals rest on it
     x = build()
     assert len(sc.normal_form(x, pres, budget=least)) == terms
     with pytest.raises(sc.RewriteDepthError):
@@ -368,6 +371,41 @@ def test_normal_form_properties(case):
     assert sc.normal_form(left, pres) == left
     assert all(pres.is_normal(w) for w in left)
     assert lifo_normal_form(x, pres) == left
+
+
+@pytest.mark.parametrize("pres", [W, WH], ids=["w", "what"])
+def test_reduced_rules_are_the_normal_forms_of_the_heads(pres):
+    table = sc.reduced_rules(pres)
+    assert table.keys() == pres.rules.keys()
+    for (a, b), items in table.items():
+        assert items[0][1] == (b, a)
+        assert sc.NCPoly({w: c for c, w in items}) == lifo_normal_form(
+            sc.NCPoly.from_word((a, b)), pres)
+
+
+@pytest.mark.parametrize("pres", [W, WH], ids=["w", "what"])
+def test_reduced_rules_keep_the_rule_table_facts(pres):
+    reduced = sc.AlgebraPresentation(pres.algebra_id, pres.ngens, pres.gen_mask,
+                                     pres.gen_delta, sc.reduced_rules(pres))
+    assert sc.rule_failures(reduced) == []
+    for (a, b), items in reduced.rules.items():
+        assert a < b
+        assert all(u > a for _, (u, _v) in items)
+
+
+def test_mutant_presentation_gets_its_own_reduced_rules():
+    # the perturbed coefficient of test_perturbed_coefficient_fails_confluence
+    a, b = PAIRS["w"]
+    rules = dict(W.rules)
+    (c0, swap), (c1, word), *rest = rules[(a, b)]
+    rules[(a, b)] = ((c0, swap), (c1 * Q, word), *rest)
+    mutant = sc.AlgebraPresentation("w", W.ngens, W.gen_mask, W.gen_delta, rules)
+    table = sc.reduced_rules(mutant)
+    assert table is not sc.reduced_rules(W)
+    assert table[(a, b)] != sc.reduced_rules(W)[(a, b)]
+    for head, items in table.items():
+        assert sc.NCPoly({w: c for c, w in items}) == lifo_normal_form(
+            sc.NCPoly.from_word(head), mutant)
 
 
 def test_parse_and_format_round_trip():
