@@ -107,7 +107,8 @@ def cmd_dump(args):
 
 
 # the highest --degree decompose accepts: the candidates grow fast with the
-# degree, and each of these degrees takes 10-30 s
+# degree, and these degrees take about 35-45 s (w) and 15-25 s (what) on
+# one core of a 2-core VM
 DECOMPOSE_MAX_DEGREE = {"w": 30, "what": 8}
 
 

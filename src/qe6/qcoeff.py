@@ -2,6 +2,12 @@
 
 Everything downstream (rewriting, representation matrices, R-matrix entries,
 relation spans) is computed over these coefficients; no floating point anywhere.
+
+The raw-accumulate rule of the two hot loops, schubert._rewrite and
+linalg.sum_products (SparseMat.mul and apply, rmatrix.ybe_check): partial
+products are summed as raw {exponent: int} dicts, one per output entry, and
+one LaurentPoly is made per output entry at the end, with zero sums dropped.
+No LaurentPoly is built, added or pruned per partial product.
 """
 
 
@@ -89,6 +95,10 @@ class LaurentPoly:
             return ZERO
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:
+            # a shift and a scale: distinct exponents, no zero product
+            ((ea, va),) = a.items()
+            return LaurentPoly._raw({ea + eb: va * vb for eb, vb in b.items()})
         c = {}
         for ea, va in a.items():
             for eb, vb in b.items():
@@ -225,9 +235,10 @@ def accumulate(terms, key, value):
     `terms` is a sparse vector {key: coefficient} that stores no zero
     coefficient; the coefficients are LaurentPoly values.
     """
-    if key in terms:
-        value = terms[key] + value
+    old = terms.get(key)
+    if old is not None:
+        value = old + value
     if value:
         terms[key] = value
-    elif key in terms:
+    elif old is not None:
         del terms[key]

@@ -33,12 +33,12 @@ seed does.  Each check applies the braiding to tens of vectors instead of
 multiplying matrices.
 """
 
-from functools import cache
+from functools import cache, partial
 from operator import add
 
 from .qcoeff import ONE, ZERO, QHAT, Q, qpow, neg_qpow, accumulate
 from . import rootdata as rd
-from .linalg import SparseMat, Echelon, dense_rank
+from .linalg import SparseMat, Echelon, dense_rank, sum_products
 from .spinrep import SPIN_BASIS, SPIN_INDEX, DIM, rho_matrix, chevalley_action, phi_scalars
 
 TDIM = DIM * DIM
@@ -195,6 +195,19 @@ def dominant_tuples(n):
     return sorted((tup, weight) for weight, tups in level.items() for tup in tups)
 
 
+def apply_r12(rhat, vec):
+    """R12 = rhat (x) 1 applied to a vector {index: LaurentPoly} of
+    V (x) V (x) V, through rhat's nonzeros indexed by column."""
+    return sum_products(rhat.by_col(),
+                        ((idx // DIM, x, idx % DIM) for idx, x in vec.items()), DIM)
+
+
+def apply_r23(rhat, vec):
+    """R23 = 1 (x) rhat applied to a vector of V (x) V (x) V, as apply_r12."""
+    return sum_products(rhat.by_col(),
+                        ((idx % TDIM, x, idx // TDIM * TDIM) for idx, x in vec.items()))
+
+
 def ybe_check(failures):
     """The braid identity R12 R23 R12 = R23 R12 R23 on V (x) V (x) V, exactly,
     by the module-map argument of the module docstring.
@@ -206,29 +219,14 @@ def ybe_check(failures):
 
     (b) D kills every basis triple u_a (x) u_b (x) u_c of dominant weight
     (dominant_tuples): 91 of the 4096, across 5 weights.  R12 and R23 act
-    through the braiding's nonzeros, indexed once by column.
+    through the braiding's nonzeros (apply_r12, apply_r23), under the
+    raw-accumulate rule of the qcoeff module docstring.
 
     The report names the first failing triple with its weight, and the
     generators that fail (a).
     """
-    by_col = build_rhat().by_col()
-
-    def r12(vec):
-        out = {}
-        for idx, x in vec.items():
-            pair, c = divmod(idx, DIM)
-            for row, v in by_col.get(pair, ()):
-                accumulate(out, row * DIM + c, v * x)
-        return out
-
-    def r23(vec):
-        out = {}
-        for idx, x in vec.items():
-            a, pair = divmod(idx, TDIM)
-            for row, v in by_col.get(pair, ()):
-                accumulate(out, a * TDIM + row, v * x)
-        return out
-
+    rhat = build_rhat()
+    r12, r23 = partial(apply_r12, rhat), partial(apply_r23, rhat)
     columns = dominant_tuples(3)
     failing = []
     for (a, b, c), weight in columns:

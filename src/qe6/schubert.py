@@ -172,12 +172,27 @@ def reduced_rules(pres):
     rewrite over pres, not with it, so a mutant table that cannot be reduced
     still reaches rule_failures; why its confluence proves PBW for the
     published rules is stated there."""
+    published = _compile(pres.rules)
     out = {}
     for head in pres.rules:
-        nf = _rewrite({head: {0: 1}}, pres.rules, "left", REWRITE_BUDGET)
+        nf = _rewrite({head: {0: 1}}, published, "left", REWRITE_BUDGET)
         swap = head[::-1]
         out[head] = tuple(sorted(((c, w) for w, c in nf.items()), key=lambda t: t[1] != swap))
     return out
+
+
+@cache
+def compiled_rules(pres):
+    """reduced_rules(pres) in the form _rewrite reads, built once per
+    presentation."""
+    return _compile(reduced_rules(pres))
+
+
+def _compile(rules):
+    """A rule table in the form _rewrite reads: each term (coeff, word)
+    becomes (word, the (exponent, value) items of coeff)."""
+    return {head: tuple((word, tuple(c.c.items())) for c, word in items)
+            for head, items in rules.items()}
 
 
 def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
@@ -186,8 +201,7 @@ def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
     `strategy` picks which out-of-order pair of a word is rewritten: the
     leftmost ("left") or the rightmost; the result is strategy-independent.
 
-    Pending words are taken smallest first in lexicographic order, their
-    coefficients summed until then as raw {exponent: int} dicts; a word
+    Pending words are taken smallest first in lexicographic order; a word
     becomes a LaurentPoly term only when it comes out normal.  Every rule
     rewrites an out-of-order pair (a, b), a < b, into the swap and pairs of
     letters strictly between a and b (rule_failures), so into pairs whose
@@ -203,14 +217,16 @@ def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
     exceeding it raises RewriteDepthError.  Why the reduced table gives the
     normal form of the published rules is stated in rule_failures.
     """
-    return _rewrite({w: dict(c.c) for w, c in x.items() if c}, reduced_rules(pres),
+    return _rewrite({w: dict(c.c) for w, c in x.items() if c}, compiled_rules(pres),
                     strategy, budget)
 
 
 def _rewrite(pending, rules, strategy, budget):
     """normal_form's loop over `pending`, {word: {exponent: int}}, which it
     consumes; a dict may hold zero values and sum to zero.  `rules` maps each
-    out-of-order pair to ((coeff, word), ...), as pres.rules does."""
+    out-of-order pair to ((word, coefficient items), ...), as compiled_rules
+    does.  Coefficients follow the raw-accumulate rule of the qcoeff module
+    docstring, with the zero-prune done when a word is taken."""
     out = NCPoly()
     # each key of `pending` has exactly one entry in `heap`
     heap = list(pending)
@@ -224,29 +240,50 @@ def _rewrite(pending, rules, strategy, budget):
             coeff = {e: v for e, v in coeff.items() if v}
             if not coeff:
                 continue
-        idx = None
         n1 = len(word) - 1
-        rng = range(n1) if left else range(n1 - 1, -1, -1)
-        for i in rng:
-            if word[i] < word[i + 1]:
-                idx = i
-                break
-        if idx is None:
-            out.iadd_term(word, LaurentPoly._raw(coeff))
+        if left:
+            i = 0
+            while i < n1 and word[i] >= word[i + 1]:
+                i += 1
+        else:
+            i = n1 - 1
+            while i >= 0 and word[i] >= word[i + 1]:
+                i -= 1
+        if not 0 <= i < n1:
+            # a normal word is taken once unless a rule table (a mutant)
+            # produces it again after it was taken
+            if word in out:
+                out.iadd_term(word, LaurentPoly._raw(coeff))
+            else:
+                out[word] = LaurentPoly._raw(coeff)
             continue
         steps += 1
         if steps > budget:
             raise RewriteDepthError("rewrite budget exceeded (%d steps)" % budget)
-        pre = word[:idx]
-        suf = word[idx + 2:]
+        pre = word[:i]
+        suf = word[i + 2:]
+        if len(coeff) == 1:
+            ((e2, v2),) = coeff.items()
+            for pair, items in rules[(word[i], word[i + 1])]:
+                w2 = pre + pair + suf
+                acc = pending.get(w2)
+                if acc is None:
+                    # one term times a rule coefficient: distinct exponents
+                    pending[w2] = {e1 + e2: v1 * v2 for e1, v1 in items}
+                    heappush(heap, w2)
+                else:
+                    for e1, v1 in items:
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + v1 * v2
+            continue
         terms = coeff.items()
-        for rc, pair in rules[(word[idx], word[idx + 1])]:
+        for pair, items in rules[(word[i], word[i + 1])]:
             w2 = pre + pair + suf
             acc = pending.get(w2)
             if acc is None:
                 acc = pending[w2] = {}
                 heappush(heap, w2)
-            for e1, v1 in rc.c.items():
+            for e1, v1 in items:
                 for e2, v2 in terms:
                     e = e1 + e2
                     acc[e] = acc.get(e, 0) + v1 * v2

@@ -145,6 +145,45 @@ def test_apply_matches_mul_by_a_column(entries, vec):
     assert mat.apply(vec) == want
 
 
+def _reference_mul(a, b):
+    """The product entry by entry, summed as LaurentPoly values."""
+    out = {}
+    for r in range(a.nrows):
+        for c in range(b.ncols):
+            v = ZERO
+            for k in range(a.ncols):
+                v = v + a.get(r, k) * b.get(k, c)
+            if v:
+                out[(r, c)] = v
+    return out
+
+
+@st.composite
+def cancelling_factors(draw):
+    """Random A (4 x NCOLS) and B (NCOLS x 3) whose last column of A repeats
+    its first and whose last row of B negates its first, so that the two
+    contributions cancel in every entry of A * B."""
+    a = dict(draw(st.dictionaries(st.tuples(st.integers(0, 3),
+                                            st.integers(0, NCOLS - 2)), entry)))
+    b = dict(draw(st.dictionaries(st.tuples(st.integers(0, NCOLS - 2),
+                                            st.integers(0, 2)), entry)))
+    a.update({(r, NCOLS - 1): v for (r, k), v in list(a.items()) if k == 0})
+    b.update({(NCOLS - 1, c): -v for (k, c), v in list(b.items()) if k == 0})
+    return SparseMat(4, NCOLS, a), SparseMat(NCOLS, 3, b)
+
+
+@given(cancelling_factors())
+def test_mul_matches_the_entrywise_reference(factors):
+    a, b = factors
+    prod = a.mul(b)
+    assert prod.entries == _reference_mul(a, b)
+    assert all(v and all(v.c.values()) for v in prod.entries.values())
+    # a column of B through apply is the same column of A * B
+    for c in range(b.ncols):
+        col = {k: v for (k, cc), v in b.entries.items() if cc == c}
+        assert a.apply(col) == {r: v for (r, cc), v in prod.entries.items() if cc == c}
+
+
 mod_rows = st.lists(st.dictionaries(st.integers(0, NCOLS - 1), st.integers(0, 6),
                                     max_size=NCOLS), max_size=7)
 

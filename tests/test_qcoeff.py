@@ -83,6 +83,31 @@ def test_cached_hash_is_the_content_hash(a, b):
     assert hashes == (hash(LaurentPoly(dict(a.c))), hash(LaurentPoly(dict(b.c))))
 
 
+def _reference_product(a, b):
+    """The product term by term, zero sums dropped at the end."""
+    c = {}
+    for ea, va in a.c.items():
+        for eb, vb in b.c.items():
+            c[ea + eb] = c.get(ea + eb, 0) + va * vb
+    return {e: v for e, v in c.items() if v}
+
+
+monomial = st.builds(LaurentPoly.term, st.integers(-9, 9).filter(bool), st.integers(-6, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(laurent, monomial), st.one_of(laurent, monomial))
+def test_products_store_no_zero_and_match_the_reference(a, b):
+    # a one-term factor takes the shift-and-scale path, any other the
+    # general product; both equal the term-by-term product
+    for p in (a * b, b * a):
+        assert all(p.c.values())
+        assert p.c == _reference_product(a, b)
+    cancelling = (a + b) * (a - b)
+    assert all(cancelling.c.values())
+    assert cancelling == a * a - b * b
+
+
 @given(laurent, laurent)
 def test_exact_div(a, b):
     assume(b)

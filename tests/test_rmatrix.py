@@ -112,6 +112,21 @@ def test_ybe():
     assert rep["failing_columns"] == 0 and rep["first_failure"] is None
 
 
+def test_braiding_legs_match_the_kron_products():
+    # ybe_check's R12 and R23 against the 4096x4096 matrices, on each of the
+    # 91 dominant triples and on the multi-term vectors of the two chains
+    rhat = rm.build_rhat()
+    eye = SparseMat.identity(rm.DIM)
+    r12, r23 = rhat.kron(eye), eye.kron(rhat)
+    for (a, b, c), _ in rm.dominant_tuples(3):
+        e = {(a * rm.DIM + b) * rm.DIM + c: ONE}
+        for _ in range(3):
+            got12, got23 = rm.apply_r12(rhat, e), rm.apply_r23(rhat, e)
+            assert got12 == r12.apply(e) and got23 == r23.apply(e)
+            assert all(v for v in got12.values()) and all(v for v in got23.values())
+            e = r23.apply(got12)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_dominant_tuples_match_the_filtered_product(n):
     exps = rm.k_exponents()

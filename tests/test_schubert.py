@@ -408,6 +408,42 @@ def test_mutant_presentation_gets_its_own_reduced_rules():
             sc.NCPoly.from_word(head), mutant)
 
 
+@pytest.mark.parametrize("pres", [W, WH], ids=["w", "what"])
+def test_compiled_rules_are_the_reduced_rules(pres):
+    table = sc.compiled_rules(pres)
+    assert table is sc.compiled_rules(pres)
+    reduced = sc.reduced_rules(pres)
+    assert table.keys() == reduced.keys()
+    for (a, b), items in table.items():
+        assert items[0][0] == (b, a)
+        assert [(w, LaurentPoly(dict(c))) for w, c in items] == \
+            [(w, c) for c, w in reduced[(a, b)]]
+
+
+def test_mutant_presentation_gets_its_own_compiled_rules():
+    # the perturbed coefficient of test_perturbed_coefficient_fails_confluence
+    a, b = PAIRS["w"]
+    rules = dict(W.rules)
+    (c0, swap), (c1, word), *rest = rules[(a, b)]
+    rules[(a, b)] = ((c0, swap), (c1 * Q, word), *rest)
+    mutant = sc.AlgebraPresentation("w", W.ngens, W.gen_mask, W.gen_delta, rules)
+    table = sc.compiled_rules(mutant)
+    assert table is not sc.compiled_rules(W)
+    assert table[(a, b)] != sc.compiled_rules(W)[(a, b)]
+    for head, items in table.items():
+        assert sc.NCPoly({w: LaurentPoly(dict(c)) for w, c in items}) == \
+            lifo_normal_form(sc.NCPoly.from_word(head), mutant)
+
+
+@pytest.mark.parametrize("strategy", ["left", "right"])
+def test_a_normal_word_produced_again_is_summed(strategy):
+    # a mutant table whose rule produces (0, 0), a normal word already
+    # taken: the second coefficient is added to the first, not stored over it
+    rules = {(0, 1): (((1, 0), ((1, 1),)), ((0, 0), ((1, 1),)))}   # q (1, 0) + q (0, 0)
+    got = sc._rewrite({(0, 0): {0: 1}, (0, 1): {0: 1}}, rules, strategy, 10)
+    assert got == sc.NCPoly({(0, 0): 1 + Q, (1, 0): Q})
+
+
 def test_parse_and_format_round_trip():
     examples = ["Y[12]*Y[e]", "q*Y[e]*Y[12]", "(q^2 - 1)*Y[23]*Y[14] + Y[e]",
                 "q^-3*Y[45] - 2*Y[12]"]
