@@ -21,6 +21,13 @@ holds that echelon over word numbers with its own numbering of its words
 words only through their order, so a renamed copy has the renamed echelon
 and the same verdict.
 
+Coefficients are canonical: every coefficient a relation vector holds is the
+one object of its value (_canonical), and a sum where two words of a
+relation meet comes from one cached add (_sum), so copies of a block hold
+the same objects and a hit of _eliminated compares its key by identity.
+Equality is still by value: an equal coefficient held in another object
+matches the same key, only more slowly.
+
 Both kernel theorems are one routine, _kernel_check, over a tuple of rows:
 one row for the cell algebra "w" (psi_S_check), an admissible pair for the
 twisted affine "what" (psi_ST_check).  Rows enter the relations only
@@ -31,7 +38,7 @@ each sweep on a template row set and certifies the others by their tables.
 
 from functools import cache
 
-from .qcoeff import ONE, ZERO, QHAT, Q, QINV, qpow, neg_qpow, accumulate
+from .qcoeff import ONE, ZERO, QHAT, Q, QINV, qpow, neg_qpow, accumulate_all
 from . import rootdata as rd
 from .linalg import Echelon, dense_rank, spans_equal
 from .rmatrix import rhat_coeff
@@ -41,21 +48,34 @@ from .adjoint import theta, submodule_span, build_omega
 
 
 @cache
+def _canonical(coeff):
+    """The one object of coeff's value that relation vectors hold."""
+    return coeff
+
+
+@cache
+def _sum(a, b):
+    """a + b as its canonical object: the add where words of a relation meet."""
+    return _canonical(a + b)
+
+
+@cache
 def _braiding_tables():
     """The braiding read once, class by class, for frt_relation: two dicts
     over all 256 ordered pairs.  The row side maps (a, b) to the nonzero
     (k, l, R^kl_ab) over (k, l) in class_of(a, b); the column side maps
     (i, j) to the nonzero (k, l, -R^ij_kl), negated once here.  Both list
-    (k, l) in class order.  R^kl_ab is rhat_coeff(k, l, a, b); R is zero
-    off its class (bihomogeneity), so these 976 lookups read all of it."""
+    (k, l) in class order, and both hold canonical coefficients (24 distinct
+    values).  R^kl_ab is rhat_coeff(k, l, a, b); R is zero off its class
+    (bihomogeneity), so these 976 lookups read all of it."""
     row_side, col_side = {}, {}
     for cls in rd.CLASSES:
-        for (a, b), _ in cls:
-            for (k, l), _ in cls:
+        for a, b in cls.members:
+            for k, l in cls.members:
                 coeff = rhat_coeff(k, l, a, b)
                 if coeff:
-                    row_side.setdefault((a, b), []).append((k, l, coeff))
-                    col_side.setdefault((k, l), []).append((a, b, -coeff))
+                    row_side.setdefault((a, b), []).append((k, l, _canonical(coeff)))
+                    col_side.setdefault((k, l), []).append((a, b, _canonical(-coeff)))
     return row_side, col_side
 
 
@@ -72,8 +92,8 @@ def frt_relation(s, t, i, j):
     the second sum can meet one of the first, so it is accumulated."""
     row_side, col_side = _braiding_tables()
     vec = {((k, i), (l, j)): coeff for k, l, coeff in row_side[(t, s)]}
-    for k, l, coeff in col_side[(i, j)]:
-        accumulate(vec, ((s, l), (t, k)), coeff)
+    accumulate_all(vec, ((((s, l), (t, k)), coeff) for k, l, coeff in col_side[(i, j)]),
+                   _sum)
     return vec
 
 
@@ -84,12 +104,13 @@ def _straight_template(i, j, mixed):
     """The terms of _straight_vector over row positions, from root data
     only: ((x, l, y, m), coefficient) for the word ((rows[x], l),
     (rows[y], m)), rows = (row_a, row_b).  Terms that meet on one word,
-    here or once rows are attached, are summed, never overwritten."""
-    terms = {(0, i, 1, j): ONE}
+    here or once rows are attached, are summed, never overwritten.  The
+    coefficients are canonical."""
     power = rd.INNER_WT[(i, j)] - (1 if mixed else 0)
-    accumulate(terms, (1, j, 0, i), -qpow(power))
-    for (l, m), coeff in correction_terms(i, j, mixed):
-        accumulate(terms, (0, l, 1, m), -coeff)
+    terms = {(0, i, 1, j): _canonical(ONE)}
+    accumulate_all(terms, [((1, j, 0, i), _canonical(-qpow(power)))]
+                   + [((0, l, 1, m), _canonical(-coeff))
+                      for (l, m), coeff in correction_terms(i, j, mixed)], _sum)
     return tuple(terms.items())
 
 
@@ -97,47 +118,50 @@ def _straight_vector(i, j, row_a, row_b, mixed):
     """Stated straightening relation with rows attached to each factor."""
     rows = (row_a, row_b)
     vec = {}
-    for (x, l, y, m), coeff in _straight_template(i, j, mixed):
-        accumulate(vec, ((rows[x], l), (rows[y], m)), coeff)
+    accumulate_all(vec, ((((rows[x], l), (rows[y], m)), coeff)
+                         for (x, l, y, m), coeff in _straight_template(i, j, mixed)), _sum)
     return vec
+
+
+@cache
+def _octet_power(h):
+    """(-q)^h, the coefficients of the octet relations, as canonical objects."""
+    return _canonical(neg_qpow(h))
 
 
 def stated_row_relations(s, cls):
     """Published single-row relations supported on one column class."""
-    out = []
-    for (i, j), _ in cls:
-        if not rd.LEQ[(j, i)]:
-            out.append(_straight_vector(i, j, s, s, mixed=False))
+    out = [_straight_vector(i, j, s, s, mixed=False)
+           for i, j in cls.members if not rd.LEQ[(j, i)]]
     if cls.size == 8:
         _, _, pairs = _octet_pattern(cls)
-        vec = {}
-        for h in range(1, 5):
-            i, j = pairs[h - 1]
-            vec[((s, i), (s, j))] = neg_qpow(h - 1)
-        out.append(vec)
+        out.append({((s, i), (s, j)): _octet_power(h) for h, (i, j) in enumerate(pairs[:4])})
     return out
 
 
 def stated_mixed_relations(s, t, cls):
     """Published two-row mixed relations supported on one column class."""
-    out = [_straight_vector(i, j, s, t, mixed=True) for (i, j), _ in cls]
+    out = [_straight_vector(i, j, s, t, mixed=True) for i, j in cls.members]
     if cls.size == 8:
-        vec = {((s, i), (t, j)): neg_qpow(h) for (i, j), h in cls}
-        out.append(vec)
+        out.append({((s, i), (t, j)): _octet_power(h)
+                    for (i, j), h in zip(cls.members, cls.heights)})
     return out
 
 
-def _numbered(vecs, number):
-    return tuple(tuple(sorted((number[w], c) for w, c in vec.items())) for vec in vecs)
+def _vector(flat):
+    """The sparse vector {number: coefficient} of a flat numbered vector."""
+    half = len(flat) // 2
+    return dict(zip(flat[:half], flat[half:]))
 
 
 @cache
-def _eliminated(computed, stated):
-    """The echelon (read, never added to) of a numbered block's computed
-    vectors, and whether they span what its stated ones do (_relation_block)."""
+def _eliminated(vecs, computed):
+    """The echelon (read, never added to) of a numbered block's first
+    `computed` vectors, and whether they span what the rest, its stated
+    ones, do (_relation_block)."""
     ech = Echelon()
-    ech.add_all(dict(vec) for vec in computed)
-    return ech, spans_equal(ech, [dict(vec) for vec in stated])
+    ech.add_all(map(_vector, vecs[:computed]))
+    return ech, spans_equal(ech, list(map(_vector, vecs[computed:])))
 
 
 def _relation_block(cls, computed, stated):
@@ -145,19 +169,27 @@ def _relation_block(cls, computed, stated):
     verdict that they span the same space as the stated ones.
 
     The block's words are numbered in sorted order (its `numbering`, word
-    -> number), and the block is keyed by its computed and stated vectors
-    over those numbers, coefficients included, so every block with one key
-    holds the one Echelon that _eliminated keeps for the process.  Echelon
-    and spans_equal compare words only by order, and the numbering keeps
-    the order, so the echelon over numbers, renamed by the numbering, is
-    the block's own echelon, and the rank and the verdict are the block's
-    own.  A vector is in the block's span exactly when its words are all
-    numbered and its numbered vector is in the echelon: reduction never
-    removes a word that no echelon row holds.
+    -> number).  The block is keyed by the count of its computed vectors
+    and by one tuple of its computed and stated vectors over those numbers,
+    each flat: its words' numbers, then its coefficients, in the order the
+    vector holds its terms.  So every block with one key holds the one
+    Echelon that _eliminated keeps for the process.  A key is exact: equal
+    keys are equal blocks up to the numbering.  Copies of a block are built
+    by one code path in one order, so they share a key; equal content held
+    in another order would only be eliminated again.  Echelon and
+    spans_equal compare words only by order, and the numbering keeps the
+    order, so the echelon over numbers, renamed by the numbering, is the
+    block's own echelon, and the rank and the verdict are the block's own.
+    A vector is in the block's span exactly when its words are all numbered
+    and its numbered vector is in the echelon: reduction never removes a
+    word that no echelon row holds.
     """
-    words = sorted({w for vec in computed + stated for w in vec})
-    number = {w: n for n, w in enumerate(words)}
-    ech, stated_ok = _eliminated(_numbered(computed, number), _numbered(stated, number))
+    vecs = computed + stated
+    words = sorted(set().union(*vecs))
+    number = dict(zip(words, range(len(words))))
+    get = number.__getitem__
+    ech, stated_ok = _eliminated(tuple([(*map(get, vec), *vec.values()) for vec in vecs]),
+                                 len(computed))
     return {"class_head": cls.head, "size": cls.size, "rank": ech.rank,
             "stated_count": len(stated), "stated_ok": stated_ok, "echelon": ech,
             "numbering": number}
@@ -171,7 +203,7 @@ def failing_blocks(blocks):
 
 
 def _row_presentation(s):
-    blocks = [_relation_block(cls, [frt_relation(s, s, i, j) for (i, j), _ in cls],
+    blocks = [_relation_block(cls, [frt_relation(s, s, i, j) for i, j in cls.members],
                               stated_row_relations(s, cls))
               for cls in rd.CLASSES]
     return {"row": rd.label(s),
@@ -224,7 +256,7 @@ def two_row_presentation(s, t):
         raise ValueError("rows must differ by one move with S < T")
     row_s, row_t = _row_presentation(s), _row_presentation(t)
     mixed = [_relation_block(cls, [frt_relation(a, b, i, j) for a, b in ((s, t), (t, s))
-                                   for (i, j), _ in cls],
+                                   for i, j in cls.members],
                              stated_mixed_relations(s, t, cls))
              for cls in rd.CLASSES]
     dim = (row_s["degree2_dim"] + row_t["degree2_dim"]
@@ -236,6 +268,7 @@ def two_row_presentation(s, t):
 
 # --- the published proof matrices --------------------------------------------
 
+@cache
 def _octet_pattern(cls):
     """Monomial pattern of one size-8 class: firsts/seconds of the X vector
     (A1 a1, ..., A4 a4, a4 A4, ..., a1 A1) and the row-to-pair assignment.

@@ -10,6 +10,8 @@ one LaurentPoly is made per output entry at the end, with zero sums dropped.
 No LaurentPoly is built, added or pruned per partial product.
 """
 
+from operator import add
+
 
 class LaurentPoly:
     """Laurent polynomial in q with arbitrary-precision integer coefficients.
@@ -230,15 +232,25 @@ QHAT = qhat()
 
 
 def accumulate(terms, key, value):
-    """Add value into terms[key], deleting the key when the sum is zero.
+    """Add value into terms[key], deleting the key when the sum is zero: the
+    one-term form of accumulate_all."""
+    accumulate_all(terms, ((key, value),))
+
+
+def accumulate_all(terms, items, add=add):
+    """Add each value of the (key, value) items into terms[key] as
+    add(old, value), deleting a key whose sum is zero.
 
     `terms` is a sparse vector {key: coefficient} that stores no zero
-    coefficient; the coefficients are LaurentPoly values.
+    coefficient; the coefficients are LaurentPoly values.  The one
+    sparse-accumulate helper: callers that add many terms pass them all in
+    one call.  frt passes an `add` that returns one object per value.
     """
-    old = terms.get(key)
-    if old is not None:
-        value = old + value
-    if value:
-        terms[key] = value
-    elif old is not None:
-        del terms[key]
+    for key, value in items:
+        old = terms.get(key)
+        if old is not None:
+            value = add(old, value)
+        if value:
+            terms[key] = value
+        elif old is not None:
+            del terms[key]

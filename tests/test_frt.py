@@ -7,6 +7,7 @@ import pytest
 from qe6 import checks
 from qe6 import rootdata as rd
 from qe6.qcoeff import ONE, Q, QHAT, QINV, qpow, neg_qpow, accumulate
+from qe6.qcoeff import LaurentPoly
 from qe6.linalg import Echelon, spans_equal
 from qe6 import frt
 from qe6.rmatrix import rhat_coeff
@@ -289,6 +290,77 @@ def test_block_cache_holds_six_eliminations(monkeypatch):
                for group in frt.two_row_presentation(s, t)["groups"].values()
                for b in group]
     assert eliminated.cache_info().currsize == len({id(b["echelon"]) for b in blocks}) == 6
+
+
+def _recorded_keys(monkeypatch):
+    # the keys _relation_block hands to _eliminated, in call order
+    keys = []
+    eliminated = frt._eliminated
+
+    def record(vecs, computed):
+        keys.append(vecs)
+        return eliminated(vecs, computed)
+
+    monkeypatch.setattr(frt, "_eliminated", record)
+    return keys
+
+
+def _coefficient_ids(key):
+    # a numbered vector is flat: its words' numbers, then its coefficients
+    return [id(c) for vec in key for c in vec[len(vec) // 2:]]
+
+
+def test_copies_of_a_block_hold_the_same_coefficient_objects(monkeypatch):
+    keys = _recorded_keys(monkeypatch)
+    (s, t), (u, v) = frt.admissible_pairs()[:2]
+    frt.row_presentation(s)
+    frt.row_presentation(t)
+    frt.two_row_presentation(s, t)
+    frt.two_row_presentation(u, v)
+    n = len(rd.CLASSES)
+    row_s, row_t, mixed_st, mixed_uv = keys[:n], keys[n:2 * n], keys[4 * n:5 * n], keys[-n:]
+    for copies in ((row_s, row_t), (mixed_st, mixed_uv)):
+        for a, b in zip(*copies):
+            assert a == b
+            assert _coefficient_ids(a) == _coefficient_ids(b)
+    # one object per value across all of them: braiding, straightening and
+    # octet coefficients, and the sums where two words meet
+    coeffs = [c for key in keys for vec in key for c in vec[len(vec) // 2:]]
+    assert len({id(c) for c in coeffs}) == len(set(coeffs)) > 12
+
+
+def test_fresh_coefficient_objects_match_the_same_blocks(monkeypatch):
+    # identity only speeds a hit up: relations whose coefficients are equal
+    # values in fresh objects fill a fresh cache with the same six blocks,
+    # and the canonical presentations then hit those same echelons
+    eliminated = cache(frt._eliminated.__wrapped__)
+    monkeypatch.setattr(frt, "_eliminated", eliminated)
+    relation = frt.frt_relation
+    monkeypatch.setattr(frt, "frt_relation", lambda a, b, i, j: {
+        w: LaurentPoly(dict(c.c)) for w, c in relation(a, b, i, j).items()})
+
+    def presentations():
+        return ([frt.row_presentation(s) for s in rd.ALL_MASKS]
+                + [frt.two_row_presentation(s, t) for s, t in frt.admissible_pairs()[:4]])
+
+    def blocks(rep):
+        groups = rep["groups"] if "groups" in rep else {"S": rep["blocks"]}
+        return [b for group in groups.values() for b in group]
+
+    fresh = presentations()
+    args = next((0, 0, i, j) for cls in rd.CLASSES for i, j in cls.members
+                if relation(0, 0, i, j))
+    assert all(x == y and x is not y for x, y in zip(frt.frt_relation(*args).values(),
+                                                     relation(*args).values()))
+    assert eliminated.cache_info().currsize == 6
+    monkeypatch.setattr(frt, "frt_relation", relation)
+    canonical = presentations()
+    assert eliminated.cache_info().currsize == 6
+    for a, b in zip(fresh, canonical):
+        assert (a["ok"], a["degree2_dim"]) == (b["ok"], b["degree2_dim"])
+        for x, y in zip(blocks(a), blocks(b), strict=True):
+            assert x["echelon"] is y["echelon"]
+            assert (x["rank"], x["stated_ok"]) == (y["rank"], y["stated_ok"])
 
 
 def _flagged(blocks):
