@@ -3,21 +3,39 @@
 The rank-5 subalgebra acts through the coproduct: lowering and raising
 operators move a generator along the radical-root family while the group-like
 generators contribute q-power factors on the flanks.  On top of the action sit
-highest-weight detection, the named vectors (Theta and the thirteen Omegas)
-with one table of their weights and degrees, cyclic submodule spans, the Weyl
-dimension formula, the named vectors' highest-weight certificates (span
-dimensions by theorem), and the degree-by-degree decomposition reports.
+highest-weight detection, the named vectors (Theta and the thirteen Omegas,
+Omega 6-13 from one chain rule) with one table of their weights and degrees,
+cyclic submodule spans, the Weyl dimension formula, the named vectors'
+highest-weight certificates (span dimensions by theorem), and the
+degree-by-degree decomposition reports.
 The generator-span matrices (generator_matrices) are the action itself on
 degree 1, read off ad_E, ad_F and ad_K, so the operator relations and the
 half-spin module isomorphism are checked on the operators everything else
 uses.
+
+Semisimplicity, the one argument the certificates here and in rmatrix rest
+on.  Each module they decide is a finite-dimensional type-1
+U_q(so10)-module M: a graded piece of a cell algebra under the adjoint
+action, or a tensor power of the half-spin module V.  Such an M is
+semisimple (Jantzen, Lectures on Quantum Groups, ch. 5): a direct sum of
+irreducibles L(lambda), lambda dominant, with dim L(lambda) =
+weyl_dim(lambda).  Three facts follow.
+(a) A nonzero v of weight lambda that every E_i kills spans U.v = L(lambda):
+    U.v is a highest-weight module, hence indecomposable, and semisimple as
+    a submodule of M.
+(b) The multiplicity m_lambda of L(lambda) in M is the dimension of the
+    vectors of weight lambda that every E_i kills, and
+    dim M = sum m_lambda weyl_dim(lambda).
+(c) Each summand L(lambda) is U^-.v_lambda for such a v_lambda, of dominant
+    weight, so a map of M that commutes with every F_j vanishes once it
+    kills the dominant weight spaces.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import comb, prod
 
-from .qcoeff import LaurentPoly, ONE, Q, QINV, qpow
+from .qcoeff import LaurentPoly, ONE, Q, qpow, neg_qpow
 from . import rootdata as rd
 from .schubert import (NCPoly, presentation, normal_form, multiply, q_degree,
                        hilbert_dim, rule_relation_vectors)
@@ -166,9 +184,27 @@ def theta():
     return normal_form(_printed_quadratic(_quad_pairs(), pres.rank, pres.rank), pres)
 
 
+# Omega_k, k >= 6, as (a, b, w, s, extra): the chain
+#   s * sum_{m=0..|w|} (-q^-1)^m ad_F_word(w[:m] reversed, Omega_a)
+#                                * ad_F_word(w[m:], Omega_b)
+# plus the extra splits (left word, right word, coefficient).  The chain
+# misses Omega_12's one extra split because F_2 and F_3 commute.
+OMEGA_CHAINS = {
+    6: (1, 2, (2,), NEG_Q, ()),
+    7: (3, 2, (6, 5, 4, 2), qpow(4), ()),
+    8: (1, 5, (2, 4, 5, 6), ONE, ()),
+    9: (3, 4, (6,), ONE, ()),
+    10: (3, 5, (6,), ONE, ()),
+    11: (4, 5, (6,), ONE, ()),
+    12: (3, 5, (6, 5, 4, 3, 2, 4, 5, 6), qpow(8), (((2, 4, 5, 6), (3, 4, 5, 6), qpow(4)),)),
+    13: (3, 11, (6, 5), ONE, ()),
+}
+
+
 @cache
 def build_omega(k):
-    """The k-th conjectured highest-weight generator in the affine algebra.
+    """The k-th conjectured highest-weight generator in the affine algebra:
+    Omega 1-5 as printed, Omega 6-13 by the chain rule of OMEGA_CHAINS.
 
     Each Omega is summed as a free (unstraightened) polynomial and then
     straightened once: normal_form is linear, so words shared by the
@@ -178,11 +214,6 @@ def build_omega(k):
     pres = presentation("what")
     Zr = pres.rank
     Zdr = lambda m: pres.rank(m, delta=True)
-    mul = NCPoly.free_mul  # products stay free until the one normal_form
-
-    def aF(seq, x):
-        return ad_F_word(seq, x, pres)
-
     if k == 1:
         out = NCPoly.gen(Zr(0))
     elif k == 2:
@@ -195,50 +226,15 @@ def build_omega(k):
             out.iadd_term((Zr(a), Zdr(b)), LaurentPoly.term(-1 if h & 1 else 1, h))
     elif k == 5:
         out = _printed_quadratic(_quad_pairs(), Zdr, Zdr)
-    elif k == 6:
-        o1, o2 = build_omega(1), build_omega(2)
-        out = mul(aF([2], o1), o2) - mul(o1, aF([2], o2)).scale(Q)
-    elif k == 7:
-        o3, o2 = build_omega(3), build_omega(2)
-        out = (mul(aF([2, 4, 5, 6], o3), o2)
-               - mul(aF([4, 5, 6], o3), aF([2], o2)).scale(Q)
-               + mul(aF([5, 6], o3), aF([4, 2], o2)).scale(qpow(2))
-               - mul(aF([6], o3), aF([5, 4, 2], o2)).scale(qpow(3))
-               + mul(o3, aF([6, 5, 4, 2], o2)).scale(qpow(4)))
-    elif k == 8:
-        o1, o5 = build_omega(1), build_omega(5)
-        out = (mul(o1, aF([2, 4, 5, 6], o5))
-               - mul(aF([2], o1), aF([4, 5, 6], o5)).scale(QINV)
-               + mul(aF([4, 2], o1), aF([5, 6], o5)).scale(qpow(-2))
-               - mul(aF([5, 4, 2], o1), aF([6], o5)).scale(qpow(-3))
-               + mul(aF([6, 5, 4, 2], o1), o5).scale(qpow(-4)))
-    elif k in (9, 10, 11):
-        left, right = {9: (3, 4), 10: (3, 5), 11: (4, 5)}[k]
-        a, b = build_omega(left), build_omega(right)
-        out = mul(a, aF([6], b)) - mul(aF([6], a), b).scale(QINV)
-    elif k == 12:
-        o3, o5 = build_omega(3), build_omega(5)
-        full = [6, 5, 4, 3, 2, 4, 5, 6]
-        terms = [
-            (full, [], ONE),
-            (full[1:], [6], NEG_Q),
-            (full[2:], [5, 6], qpow(2)),
-            (full[3:], [4, 5, 6], LaurentPoly.term(-1, 3)),
-            (full[4:], [3, 4, 5, 6], qpow(4)),
-            ([3, 4, 5, 6], [2, 4, 5, 6], qpow(4)),
-            ([4, 5, 6], [3, 2, 4, 5, 6], LaurentPoly.term(-1, 5)),
-            ([5, 6], [4, 3, 2, 4, 5, 6], qpow(6)),
-            ([6], [5, 4, 3, 2, 4, 5, 6], LaurentPoly.term(-1, 7)),
-            ([], full, qpow(8)),
-        ]
+    elif k in OMEGA_CHAINS:
+        a, b, w, s, extra = OMEGA_CHAINS[k]
+        oa, ob = build_omega(a), build_omega(b)
+        splits = [(w[:m][::-1], w[m:], s * neg_qpow(-m)) for m in range(len(w) + 1)]
         out = NCPoly()
-        for wl, wr, c in terms:
-            out = out + mul(aF(wl, o3), aF(wr, o5)).scale(c)
-    elif k == 13:
-        o3, o11 = build_omega(3), build_omega(11)
-        out = (mul(o3, aF([6, 5], o11))
-               - mul(aF([6], o3), aF([5], o11)).scale(QINV)
-               + mul(aF([5, 6], o3), o11).scale(qpow(-2)))
+        for left, right, c in splits + list(extra):
+            # products stay free until the one normal_form
+            term = ad_F_word(left, oa, pres).free_mul(ad_F_word(right, ob, pres))
+            out = out + term.scale(c)
     else:
         raise ValueError("omega index must be 1..13")
     return normal_form(out, pres)
@@ -304,12 +300,10 @@ def hw_certificate(name):
     instead of closing the span (tests keep the closure as the reference).
 
     The graded piece holding v is a finite-dimensional type-1
-    U_q(so10)-module, hence semisimple (Jantzen, Lectures on Quantum Groups,
-    ch. 5; the fact decompose_degree rests on too).  If v is nonzero and every
-    ad_E kills it, U.v is a highest-weight module, hence indecomposable; as a
-    submodule of a semisimple module it is semisimple, so U.v = L(lambda),
-    of dimension weyl_dim(lambda).  `ok` holds when all that applies and
-    lambda and the degree are the tabulated ones.
+    U_q(so10)-module, so if v is nonzero and every ad_E kills it,
+    U.v = L(lambda), of dimension weyl_dim(lambda), by fact (a) of the
+    semisimplicity argument in the module docstring.  `ok` holds when all
+    that applies and lambda and the degree are the tabulated ones.
     """
     vec, (algebra, want, degree) = _factor(name)
     pres = presentation(algebra)
@@ -371,10 +365,10 @@ def decompose_degree(algebra, d):
     and is labeled as such.
 
     The degree-d part M has the degree-d normal words as a basis, and it is a
-    finite-dimensional type-1 U_q(so10)-module, hence semisimple (Jantzen,
-    Lectures on Quantum Groups, ch. 5; the fact ybe_check rests on too).  So
-    the highest-weight vectors of weight lambda span a space whose dimension
-    is the multiplicity m_lambda of L(lambda) in M.  Each factor of degree
+    finite-dimensional type-1 U_q(so10)-module, so by fact (b) of the
+    semisimplicity argument in the module docstring the highest-weight
+    vectors of weight lambda span a space whose dimension is the
+    multiplicity m_lambda of L(lambda) in M.  Each factor of degree
     <= d is certified once (hw_certificate).  The action is a module-algebra
     action (module_algebra_failures), so a nonzero product of certified
     factors is killed by every ad_E, of dominant weight sum r_k

@@ -3,8 +3,9 @@
 Everything downstream (rewriting, representation matrices, R-matrix entries,
 relation spans) is computed over these coefficients; no floating point anywhere.
 
-The raw-accumulate rule of the two hot loops, schubert._rewrite and
-linalg.sum_products (SparseMat.mul and apply, rmatrix.ybe_check): partial
+The raw-accumulate rule of the hot loops, schubert._rewrite,
+linalg.sum_products (SparseMat.mul and apply, rmatrix.ybe_check),
+adjoint._add_image (ad_E and ad_F) and schubert.parse_expr: partial
 products are summed as raw {exponent: int} dicts, one per output entry, and
 one LaurentPoly is made per output entry at the end, with zero sums dropped.
 No LaurentPoly is built, added or pruned per partial product.

@@ -16,13 +16,12 @@ R^-1 = -q^4 (R^2 + (1 - q^2 - q^-6) R + (q^-4 - q^2 - q^-6)) over Z[q, q^-1].
 Three of the checks rest on one module-map argument.  V is a type-1
 U_q(so10)-module (the spinrep defining-relation check) on which each K_i
 acts diagonally by powers of q, so basis tensors are weight vectors.  Each
-tensor power of V is semisimple (Jantzen, Lectures on Quantum Groups,
-ch. 5) and each summand L(lambda) is U^-.v_lambda for a highest-weight
-vector v_lambda of dominant weight, so a map that commutes with every F_j
-vanishes once it kills the dominant weight spaces.  The braiding commutes
-with the coproduct action of every generator (commutant_failures: the
-diagonal K_i entry by entry, F_i as matrix products, and E_i on the
-dominant basis pairs by this same argument).
+tensor power of V is a finite-dimensional type-1 module, so by fact (c) of
+the semisimplicity argument in the adjoint module docstring a map that
+commutes with every F_j vanishes once it kills the dominant weight spaces.
+The braiding commutes with the coproduct action of every generator
+(commutant_failures: the diagonal K_i entry by entry, F_i as matrix
+products, and E_i on the dominant basis pairs by this same argument).
 The braid identity: by coassociativity R12 R23 R12 - R23 R12 R23 is a
 module map of V (x) V (x) V, checked on its 91 dominant basis triples
 (5 weights).  The cubic above: a polynomial in the braiding, checked on the
@@ -39,7 +38,8 @@ from operator import add
 from .qcoeff import ONE, ZERO, QHAT, Q, qpow, neg_qpow, accumulate
 from . import rootdata as rd
 from .linalg import SparseMat, Echelon, dense_rank, sum_products
-from .spinrep import SPIN_BASIS, SPIN_INDEX, DIM, rho_matrix, chevalley_action, phi_scalars
+from .spinrep import (SPIN_BASIS, SPIN_INDEX, DIM, rho_matrix, chevalley_action,
+                      k_exponents, phi_scalars)
 
 TDIM = DIM * DIM
 
@@ -116,7 +116,10 @@ def closed_form_coeff(mask_i, mask_j, mask_k, mask_l, printed_variant=False):
 
 
 def coeff_check():
-    """Entrywise comparison of the construction against the coefficient table.
+    """Entrywise comparison of the construction against the coefficient table
+    on every in-class entry, and the support condition in the same pass: a
+    nonzero entry anywhere but at a comparable pair K >= I inside one class
+    is a support violation.
 
     Also evaluates the literal printed flip-case expression and reports where
     it departs, pinning the misprint down to exactly the comparable flip
@@ -125,13 +128,14 @@ def coeff_check():
     rhat = build_rhat()
     mismatches = []
     printed_diffs = []
-    seen = set()
+    allowed = set()
     for cls in rd.CLASSES:
         for (mi, mj), _ in cls:
             col = tensor_index(mi, mj)
             for (mk, ml), _ in cls:
                 row = tensor_index(ml, mk)
-                seen.add((row, col))
+                if rd.LEQ[(mi, mk)]:
+                    allowed.add((row, col))
                 got = rhat.get(row, col)
                 want = closed_form_coeff(mi, mj, mk, ml)
                 if got != want:
@@ -144,38 +148,17 @@ def coeff_check():
                                           "K": rd.label(mk), "L": rd.label(ml),
                                           "constructed": str(want),
                                           "printed_expression": str(printed)})
-    stray = [k for k in rhat.entries if k not in seen]
-    support_ok = not stray
+    violations = [{"row": pair_label(r), "col": pair_label(c)}
+                  for r, c in rhat.entries if (r, c) not in allowed]
     return {
         "entries_checked": TDIM * TDIM,
         "mismatches": mismatches,
-        "support_violations": [
-            {"row": pair_label(r), "col": pair_label(c)} for r, c in stray],
-        "support_ok": support_ok,
+        "support_violations": violations,
+        "support_ok": not violations,
         "printed_flip_diff_count": len(printed_diffs),
         "printed_flip_diffs": printed_diffs[:4],
-        "ok": not mismatches and support_ok,
+        "ok": not mismatches and not violations,
     }
-
-
-def support_check():
-    """Nonzero entries only connect comparable pairs inside one class."""
-    rhat = build_rhat()
-    bad = []
-    for (row, col) in rhat.entries:
-        mk_l, mk_k = tensor_masks(row)
-        mi, mj = tensor_masks(col)
-        same_class = (mi | mj, mi & mj) == (mk_k | mk_l, mk_k & mk_l)
-        if not (same_class and rd.LEQ[(mi, mk_k)]):
-            bad.append({"row": pair_label(row), "col": pair_label(col)})
-    return {"ok": not bad, "violations": bad}
-
-
-def k_exponents():
-    """K_i acts on u_m by q^k[n][m], i the n-th index of IPRIME: the
-    exponents, read off the diagonal action."""
-    return [[chevalley_action("K", i).get(m, m).max_exp() for m in range(DIM)]
-            for i in rd.IPRIME]
 
 
 def dominant_tuples(n):
@@ -373,11 +356,11 @@ def eigen_split(failures):
     `failures` is commutant_failures of the braiding.  The seed's cyclic
     module U.seed is decided by a highest-weight certificate, not spanned.
     When the seed is nonzero, of one weight lambda and killed by every
-    Delta(E_i), U.seed is a highest-weight submodule of the semisimple
-    V (x) V, hence L(lambda), of dimension adjoint.weyl_dim(lambda)
-    (closure_dim, None without the certificate).  When also `failures` is
-    empty, R + 1 is a module map, so U.seed lies in its kernel once the seed
-    does (closure_in_kernel).
+    Delta(E_i), U.seed is L(lambda), of dimension adjoint.weyl_dim(lambda),
+    by fact (a) of the semisimplicity argument in the adjoint module
+    docstring (closure_dim, None without the certificate).  When also
+    `failures` is empty, R + 1 is a module map, so U.seed lies in its kernel
+    once the seed does (closure_in_kernel).
     """
     from .adjoint import weyl_dim
     rhat = build_rhat()

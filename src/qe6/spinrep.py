@@ -109,6 +109,13 @@ def chevalley_action(kind, i):
     return rho_matrix("E", *pair)
 
 
+def k_exponents():
+    """K_i acts on u_m by q^k[n][m], i the n-th index of IPRIME: the
+    exponents, read off the diagonal action."""
+    return [[chevalley_action("K", i).get(m, m).max_exp() for m in range(DIM)]
+            for i in rd.IPRIME]
+
+
 def generator_matrices():
     """Matrices of the Chevalley generators on the spin module, keyed by
     (kind, i) with kind in E, F, K, Kinv."""
@@ -155,16 +162,18 @@ def relation_failures(mats):
 
 def weight_support_failures():
     """Each raising matrix must move weight spaces by exactly its simple root,
-    and the module's weight multiset must be the full radical-root family."""
+    and the module's weights, read off the K_i (k_exponents), must be the
+    D5 pairings of the radical-root family: the 16 positive E6 roots with
+    alpha_1-coefficient 1, paired by the Gram form, not through rd.WT."""
     fails = []
     for i in rd.IPRIME:
         for (r, c), _ in chevalley_action("E", i).entries.items():
             if rd.WT[SPIN_BASIS[r]] != rd.wadd(rd.WT[SPIN_BASIS[c]], rd.ALPHA[i]):
                 fails.append("E%d moves %s to %s" % (i, rd.label(SPIN_BASIS[c]),
                                                      rd.label(SPIN_BASIS[r])))
-    weights = sorted(rd.WT[m] for m in SPIN_BASIS)
-    radical = sorted(rd.WT[m] for m in rd.ALL_MASKS)
-    if weights != radical:
+    radical = sorted(tuple(rd.inner(rd.ALPHA[i], r) for i in rd.IPRIME)
+                     for r in rd.roots(range(1, 7)) if r[1] == 1)
+    if sorted(zip(*k_exponents())) != radical:
         fails.append("weight multiset differs from the radical-root family")
     return fails
 

@@ -90,8 +90,25 @@ def test_closed_form_matches_construction_everywhere():
 
 
 def test_support_condition():
-    rep = rm.support_check()
-    assert rep["ok"] and not rep["violations"]
+    rep = rm.coeff_check()
+    assert rep["ok"] and not rep["support_violations"]
+
+
+def test_support_violations_name_every_entry_off_the_support(monkeypatch):
+    # one entry strictly below the order inside its class (the vanishing
+    # coefficient of u_e (x) u_12 on itself) and one between two classes
+    m12 = M([1, 2])
+    off = {(rm.tensor_index(0, m12), rm.tensor_index(0, m12)),
+           (rm.tensor_index(0, 0), rm.tensor_index(m12, 0))}
+    mutant = rm.build_rhat().add(SparseMat(rm.TDIM, rm.TDIM, dict.fromkeys(off, ONE)))
+    monkeypatch.setattr(rm, "build_rhat", lambda: mutant)
+    suite = {c.claim_id: c.fn for c in rmatrix_checks(3, "exact", None)}
+    status, details = suite["support-triangularity"]()
+    assert status == FAIL
+    assert ({(tuple(v["row"]), tuple(v["col"])) for v in details["violations"]}
+            == {(tuple(rm.pair_label(r)), tuple(rm.pair_label(c))) for r, c in off})
+    status, details = suite["coefficient-table"]()
+    assert status == FAIL and not details["support_ok"] and len(details["mismatches"]) == 1
 
 
 def test_nonzero_count():

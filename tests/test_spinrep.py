@@ -2,6 +2,7 @@ import pytest
 
 from qe6 import rootdata as rd
 from qe6.qcoeff import ONE, Q, neg_qpow
+from qe6.linalg import SparseMat
 from qe6 import spinrep as sp
 from qe6 import adjoint as aj
 from qe6 import schubert as sc
@@ -49,6 +50,18 @@ def test_weight_structure():
     assert sp.weight_support_failures() == []
     ok, fails = sp.irreducibility_check()
     assert ok and not fails
+
+
+def test_weight_multiset_detects_a_changed_k_exponent(monkeypatch):
+    # K_2 with its exponent on u_e raised by one; the E moves stay as they are
+    real = sp.chevalley_action
+    k2 = real("K", 2)
+    top = sp.SPIN_INDEX[0]
+    mutant = SparseMat(sp.DIM, sp.DIM, {**k2.entries, (top, top): k2.get(top, top) * Q})
+    monkeypatch.setattr(sp, "chevalley_action",
+                        lambda kind, i: mutant if (kind, i) == ("K", 2) else real(kind, i))
+    assert sp.weight_support_failures() == [
+        "weight multiset differs from the radical-root family"]
 
 
 def test_root_vector_squares_vanish():
