@@ -4,9 +4,12 @@ Each check verifies one published claim (or one structural invariant of this
 implementation) and reports pass/fail with enough detail to audit.  Checks
 are pure given the seed.  Only the schubert suite draws, from the seeded
 generator handed to each suite builder; the others, adjoint included, ignore it.
+Each check is a plain function; its suite binds the arguments it takes (the
+algebra, a degree, the generator, a shared cached result) with partial.
 """
 
-from functools import cache
+from collections import defaultdict
+from functools import cache, partial
 
 from .qcoeff import LaurentPoly, ONE, QHAT, Q, qpow
 from . import rootdata as rd
@@ -83,7 +86,6 @@ def _chk_class_census():
 
 
 def _chk_equivalence_definitions():
-    from collections import defaultdict
     by_sum = defaultdict(set)
     for a in rd.ALL_MASKS:
         for b in rd.ALL_MASKS:
@@ -97,10 +99,8 @@ def _chk_octet_table():
     rows = []
     for cls in rd.OCTETS:
         _, _, pairs = frt._octet_pattern(cls)
-        ordered = [pairs[0], pairs[1], pairs[2], pairs[3],
-                   pairs[4], pairs[5], pairs[6], pairs[7]]
-        rows.append(tuple((rd.label(i), rd.label(j)) for i, j in ordered))
-        heights = tuple(cls.height_of(p) for p in ordered)
+        rows.append(tuple((rd.label(i), rd.label(j)) for i, j in pairs))
+        heights = tuple(cls.height_of(p) for p in pairs)
         if heights != TABLE_HEIGHTS:
             return FAIL, {"bad_heights": heights, "row": rows[-1]}
     match = sorted(rows) == sorted(TABLE_OCTETS)
@@ -159,54 +159,46 @@ def rootdata_checks(max_degree, mode, rng):
 # --- schubert -----------------------------------------------------------------
 
 def _chk_hilbert(algebra, top):
-    def run():
-        pres = sc.presentation(algebra)
-        fails = sc.rule_failures(pres)
-        return _ok(not fails, {
-            "dims": [sc.hilbert_dim(pres, d) for d in range(top + 1)],
-            "decided_by": "diamond lemma: the rule table, checked here, and the "
-                          "degree-3 overlaps (confluence check)",
-            "rules_checked": len(pres.rules), "failures": fails[:5]})
-    return run
+    pres = sc.presentation(algebra)
+    fails = sc.rule_failures(pres)
+    return _ok(not fails, {
+        "dims": [sc.hilbert_dim(pres, d) for d in range(top + 1)],
+        "decided_by": "diamond lemma: the rule table, checked here, and the "
+                      "degree-3 overlaps (confluence check)",
+        "rules_checked": len(pres.rules), "failures": fails[:5]})
 
 
 def _chk_confluence(algebra):
-    def run():
-        rep = sc.confluence_check(sc.presentation(algebra))
-        return _ok(rep["ok"], {"overlaps_checked": rep["overlaps_checked"],
-                               "failures": rep["failures"][:5]})
-    return run
+    rep = sc.confluence_check(sc.presentation(algebra))
+    return _ok(rep["ok"], {"overlaps_checked": rep["overlaps_checked"],
+                           "failures": rep["failures"][:5]})
 
 
 def _chk_termination(rng):
-    def run():
-        for algebra in ("w", "what"):
-            pres = sc.presentation(algebra)
-            for _ in range(25):
-                d = rng.randrange(2, 7)
-                word = tuple(rng.randrange(pres.ngens) for _ in range(d))
-                x = sc.NCPoly.from_word(word, qpow(rng.randrange(-2, 3)))
-                left = sc.normal_form(x, pres, "left")
-                right = sc.normal_form(x, pres, "right")
-                if left != right:
-                    return FAIL, {"algebra": algebra, "word": word}
-        return PASS, {"samples": 50, "max_degree": 6}
-    return run
+    for algebra in ("w", "what"):
+        pres = sc.presentation(algebra)
+        for _ in range(25):
+            d = rng.randrange(2, 7)
+            word = tuple(rng.randrange(pres.ngens) for _ in range(d))
+            x = sc.NCPoly.from_word(word, qpow(rng.randrange(-2, 3)))
+            left = sc.normal_form(x, pres, "left")
+            right = sc.normal_form(x, pres, "right")
+            if left != right:
+                return FAIL, {"algebra": algebra, "word": word}
+    return PASS, {"samples": 50, "max_degree": 6}
 
 
 def _chk_twisted_associativity(rng):
-    def run():
-        pres = sc.presentation("what")
-        for t in range(20):
-            words = [tuple(rng.randrange(pres.ngens) for _ in range(rng.randrange(1, 3)))
-                     for _ in range(3)]
-            x, y, z = (sc.NCPoly.from_word(w) for w in words)
-            lhs = sc.multiply_twisted(sc.multiply_twisted(x, y, pres), z, pres)
-            rhs = sc.multiply_twisted(x, sc.multiply_twisted(y, z, pres), pres)
-            if lhs != rhs:
-                return FAIL, {"trial": t, "words": words}
-        return PASS, {"samples": 20}
-    return run
+    pres = sc.presentation("what")
+    for t in range(20):
+        words = [tuple(rng.randrange(pres.ngens) for _ in range(rng.randrange(1, 3)))
+                 for _ in range(3)]
+        x, y, z = (sc.NCPoly.from_word(w) for w in words)
+        lhs = sc.multiply_twisted(sc.multiply_twisted(x, y, pres), z, pres)
+        rhs = sc.multiply_twisted(x, sc.multiply_twisted(y, z, pres), pres)
+        if lhs != rhs:
+            return FAIL, {"trial": t, "words": words}
+    return PASS, {"samples": 20}
 
 
 def _chk_theta_commutes():
@@ -218,17 +210,15 @@ def _chk_theta_commutes():
 
 
 def _chk_laurent_closure(rng):
-    def run():
-        for algebra in ("w", "what"):
-            pres = sc.presentation(algebra)
-            for _ in range(15):
-                d = rng.randrange(2, 6)
-                word = tuple(rng.randrange(pres.ngens) for _ in range(d))
-                nf = sc.normal_form(sc.NCPoly.from_word(word), pres)
-                if not all(isinstance(c, LaurentPoly) for c in nf.values()):
-                    return FAIL, {"algebra": algebra, "word": word}
-        return PASS, {"samples": 30}
-    return run
+    for algebra in ("w", "what"):
+        pres = sc.presentation(algebra)
+        for _ in range(15):
+            d = rng.randrange(2, 6)
+            word = tuple(rng.randrange(pres.ngens) for _ in range(d))
+            nf = sc.normal_form(sc.NCPoly.from_word(word), pres)
+            if not all(isinstance(c, LaurentPoly) for c in nf.values()):
+                return FAIL, {"algebra": algebra, "word": word}
+    return PASS, {"samples": 30}
 
 
 def schubert_checks(max_degree, mode, rng):
@@ -236,29 +226,29 @@ def schubert_checks(max_degree, mode, rng):
         Check("hilbert-series-finite",
               "the rule table and the degree-3 overlaps give the PBW basis, "
               "so degree d has dimension choose(15+d, 15)",
-              _chk_hilbert("w", 4)),
+              partial(_chk_hilbert, "w", 4)),
         Check("hilbert-series-affine",
               "the rule table and the degree-3 overlaps give the PBW basis, "
               "so degree d has dimension choose(31+d, 31)",
-              _chk_hilbert("what", 3)),
+              partial(_chk_hilbert, "what", 3)),
         Check("confluence-finite",
               "all degree-3 overlaps of the 16-generator straightening system "
-              "resolve to one normal form", _chk_confluence("w")),
+              "resolve to one normal form", partial(_chk_confluence, "w")),
         Check("confluence-affine",
               "all degree-3 overlaps of the 32-generator straightening system "
-              "resolve to one normal form", _chk_confluence("what")),
+              "resolve to one normal form", partial(_chk_confluence, "what")),
         Check("termination-random",
               "randomized rewriting terminates strategy-independently",
-              _chk_termination(rng)),
+              partial(_chk_termination, rng)),
         Check("twisted-associativity",
               "the bicharacter twist yields an associative product",
-              _chk_twisted_associativity(rng)),
+              partial(_chk_twisted_associativity, rng)),
         Check("theta-central-with-top-generator",
               "the two distinguished highest weight vectors commute",
               _chk_theta_commutes),
         Check("laurent-coefficient-closure",
               "normal forms of generator products stay in the Laurent subring",
-              _chk_laurent_closure(rng)),
+              partial(_chk_laurent_closure, rng)),
     ]
 
 
@@ -287,28 +277,24 @@ def _chk_operator_relations():
 
 
 def _chk_highest_weight_vectors(certs):
-    def run():
-        theta = certs()["theta"]
-        if not theta["ok"]:
-            return FAIL, {"vector": "theta", "weight": theta["weight"]}
-        omegas = [certs()["omega%d" % k] for k in range(1, 14)]
-        rows = [{"k": k, "weight": c["weight"], "degree": c["degree"], "ok": c["ok"]}
-                for k, c in enumerate(omegas, start=1)]
-        return _ok(all(r["ok"] for r in rows), {"vectors": rows})
-    return run
+    theta = certs()["theta"]
+    if not theta["ok"]:
+        return FAIL, {"vector": "theta", "weight": theta["weight"]}
+    omegas = [certs()["omega%d" % k] for k in range(1, 14)]
+    rows = [{"k": k, "weight": c["weight"], "degree": c["degree"], "ok": c["ok"]}
+            for k, c in enumerate(omegas, start=1)]
+    return _ok(all(r["ok"] for r in rows), {"vectors": rows})
 
 
 def _chk_span_dims(certs):
     """Span dimensions of Theta and the Omegas from their highest-weight
     certificates (adjoint.hw_certificate); any failed certificate fails."""
-    def run():
-        rows = [{"vector": name, "dim": c["span_dim"], "expected": c["expected_span_dim"]}
-                for name, c in certs().items()]
-        return _ok(all(c["ok"] for c in certs().values()),
-                   {"decided_by": "highest-weight theorem: a nonzero vector of weight "
-                                  "lambda that every ad_E kills spans L(lambda)",
-                    "spans": rows})
-    return run
+    rows = [{"vector": name, "dim": c["span_dim"], "expected": c["expected_span_dim"]}
+            for name, c in certs().items()]
+    return _ok(all(c["ok"] for c in certs().values()),
+               {"decided_by": "highest-weight theorem: a nonzero vector of weight "
+                              "lambda that every ad_E kills spans L(lambda)",
+                "spans": rows})
 
 
 def _chk_dimension_identity():
@@ -317,23 +303,21 @@ def _chk_dimension_identity():
 
 
 def _chk_decompose(algebra, top):
-    def run():
-        reports = []
-        for d in range(top + 1):
-            rep = aj.decompose_degree(algebra, d)
-            reports.append({k: rep[k] for k in
-                            ("degree", "component_dim", "hw_vector_count",
-                             "expected_hw_count", "weyl_dim_total", "verdict")})
-            if rep["verdict"] != "pass":
-                for k in ("mismatched_blocks", "candidate_failures"):
-                    reports[-1][k] = rep[k][:3]
-                return FAIL, {"degrees": reports}
-        details = {"degrees": reports}
-        if algebra == "what":
-            details["statement"] = ("evidence for the conjectured decomposition "
-                                    "at degree <= %d; not asserted as proof" % top)
-        return PASS, details
-    return run
+    reports = []
+    for d in range(top + 1):
+        rep = aj.decompose_degree(algebra, d)
+        reports.append({k: rep[k] for k in
+                        ("degree", "component_dim", "hw_vector_count",
+                         "expected_hw_count", "weyl_dim_total", "verdict")})
+        if rep["verdict"] != "pass":
+            for k in ("mismatched_blocks", "candidate_failures"):
+                reports[-1][k] = rep[k][:3]
+            return FAIL, {"degrees": reports}
+    details = {"degrees": reports}
+    if algebra == "what":
+        details["statement"] = ("evidence for the conjectured decomposition "
+                                "at degree <= %d; not asserted as proof" % top)
+    return PASS, details
 
 
 def _chk_omega_dependence():
@@ -365,21 +349,21 @@ def adjoint_checks(max_degree, mode, rng):
         Check("highest-weight-vectors",
               "theta and the thirteen conjectured generators are highest weight "
               "vectors with the tabulated weights and degrees",
-              _chk_highest_weight_vectors(certs)),
+              partial(_chk_highest_weight_vectors, certs)),
         Check("submodule-span-dimensions",
               "cyclic spans of the named vectors have their Weyl dimensions "
-              "(theta spans ten dimensions)", _chk_span_dims(certs)),
+              "(theta spans ten dimensions)", partial(_chk_span_dims, certs)),
         Check("dimension-identity",
               "the two-parameter Weyl-dimension sum telescopes to a binomial "
               "coefficient through degree 30", _chk_dimension_identity),
         Check("decomposition-finite",
               "the 16-generator algebra decomposes degree by degree with one "
               "highest weight vector per allowed parameter pair",
-              _chk_decompose("w", max_degree + 1)),
+              partial(_chk_decompose, "w", max_degree + 1)),
         Check("decomposition-affine-evidence",
               "highest-weight space dimensions match the conjectured monomial "
               "count in the affine algebra (bounded-degree evidence only)",
-              _chk_decompose("what", max_degree)),
+              partial(_chk_decompose, "what", max_degree)),
         Check("omega-linear-dependence",
               "the single conjectured linear dependence among ordered monomials "
               "holds exactly (with the corrected printed coefficient)",
@@ -444,51 +428,41 @@ def _chk_qexp_coefficient():
 
 
 def _chk_coeff_table(coeffs):
-    def run():
-        rep = coeffs()
-        detail = {k: rep[k] for k in ("entries_checked", "printed_flip_diff_count",
-                                      "support_ok")}
-        detail["mismatches"] = rep["mismatches"][:5]
-        detail["printed_flip_diffs_sample"] = rep["printed_flip_diffs"][:2]
-        detail["note"] = ("the published flip-case expression carries (-q)^d where "
-                          "the construction forces q^d; the corrected table matches "
-                          "every entry")
-        return _ok(rep["ok"] and rep["printed_flip_diff_count"] == 30, detail)
-    return run
+    rep = coeffs()
+    detail = {k: rep[k] for k in ("entries_checked", "printed_flip_diff_count",
+                                  "support_ok")}
+    detail["mismatches"] = rep["mismatches"][:5]
+    detail["printed_flip_diffs_sample"] = rep["printed_flip_diffs"][:2]
+    detail["note"] = ("the published flip-case expression carries (-q)^d where "
+                      "the construction forces q^d; the corrected table matches "
+                      "every entry")
+    return _ok(rep["ok"] and rep["printed_flip_diff_count"] == 30, detail)
 
 
 def _chk_support(coeffs):
-    def run():
-        violations = coeffs()["support_violations"]
-        return _ok(not violations, {"violations": violations[:5]})
-    return run
+    violations = coeffs()["support_violations"]
+    return _ok(not violations, {"violations": violations[:5]})
 
 
 def _chk_ybe(commutant):
-    def run():
-        rep = rm.ybe_check(commutant())
-        return _ok(rep["ok"], {k: rep[k] for k in
-                               ("columns_checked", "dominant_weights", "failing_columns",
-                                "first_failure", "commutant_failures")})
-    return run
+    rep = rm.ybe_check(commutant())
+    return _ok(rep["ok"], {k: rep[k] for k in
+                           ("columns_checked", "dominant_weights", "failing_columns",
+                            "first_failure", "commutant_failures")})
 
 
 def _chk_equivariance(commutant):
-    def run():
-        rep = rm.equivariance_check(commutant())
-        return _ok(rep["ok"], {k: rep[k] for k in
-                               ("commutant_failures", "invertible", "eigenvalues")})
-    return run
+    rep = rm.equivariance_check(commutant())
+    return _ok(rep["ok"], {k: rep[k] for k in
+                           ("commutant_failures", "invertible", "eigenvalues")})
 
 
 def _chk_eigen_split(commutant):
-    def run():
-        rep = rm.eigen_split(commutant())
-        return _ok(rep["ok"], {k: rep[k] for k in
-                               ("kernel_dim", "seed_in_kernel", "closure_dim",
-                                "closure_in_kernel", "relation_span_dim",
-                                "relations_in_kernel", "complement_dim")})
-    return run
+    rep = rm.eigen_split(commutant())
+    return _ok(rep["ok"], {k: rep[k] for k in
+                           ("kernel_dim", "seed_in_kernel", "closure_dim",
+                            "closure_in_kernel", "relation_span_dim",
+                            "relations_in_kernel", "complement_dim")})
 
 
 def rmatrix_checks(max_degree, mode, rng):
@@ -502,20 +476,20 @@ def rmatrix_checks(max_degree, mode, rng):
               _chk_qexp_coefficient),
         Check("coefficient-table",
               "the constructed braiding matches the closed coefficient table "
-              "on all 65536 entries", _chk_coeff_table(coeffs)),
+              "on all 65536 entries", partial(_chk_coeff_table, coeffs)),
         Check("support-triangularity",
               "nonzero braiding entries only connect comparable pairs within "
-              "one class", _chk_support(coeffs)),
+              "one class", partial(_chk_support, coeffs)),
         Check("braid-relation",
               "the braiding satisfies the braid form of the Yang-Baxter "
-              "equation exactly", _chk_ybe(commutant)),
+              "equation exactly", partial(_chk_ybe, commutant)),
         Check("module-map",
               "the braiding commutes with the acting algebra and is invertible",
-              _chk_equivariance(commutant)),
+              partial(_chk_equivariance, commutant)),
         Check("negative-eigenspace",
               "the eigenvalue -1 eigenspace is 120-dimensional, is the cyclic "
               "module of the distinguished seed, and equals the transported "
-              "quadratic relation space", _chk_eigen_split(commutant)),
+              "quadratic relation space", partial(_chk_eigen_split, commutant)),
     ]
 
 
@@ -635,7 +609,7 @@ SUITES = {
     "frt": frt_checks,
 }
 
-SUITE_ORDER = ("rootdata", "schubert", "adjoint", "spinrep", "rmatrix", "frt")
+SUITE_ORDER = tuple(SUITES)
 
 # the highest --max-degree verify honours: the adjoint suite decomposes the
 # affine algebra through it and the finite one through one degree more

@@ -26,21 +26,16 @@ def cmd_verify(args):
     if not 0 <= args.max_degree <= MAX_DEGREE:
         raise ValueError("--max-degree must be between 0 and %d" % MAX_DEGREE)
     names = SUITE_ORDER if args.suite == "all" else (args.suite,)
-    all_checks = []
-    passed = True
+    rows = []
     for name in names:
         checks = SUITES[name](args.max_degree, args.mode, _suite_rng(args.seed, name))
         prefix = "%s." % name if args.suite == "all" else ""
-        result = rp.run_suite(name, checks, timings=args.timings, prefix=prefix)
-        passed = passed and result["passed"]
-        all_checks.extend(result["checks"])
-        for check in result["checks"]:
-            sys.stderr.write("%-18s %s\n" % (check["status"], check["claim_id"]))
-    doc = rp.render_report({"suite": args.suite, "passed": passed,
-                            "checks": all_checks},
-                           args.seed, args.max_degree, args.mode)
+        for row in rp.run_suite(checks, timings=args.timings, prefix=prefix):
+            sys.stderr.write("%-18s %s\n" % (row["status"], row["claim_id"]))
+            rows.append(row)
+    doc = rp.render_report(args.suite, rows, args.seed, args.max_degree, args.mode)
     sys.stdout.write(rp.dumps(doc))
-    return 0 if passed else 1
+    return 0 if doc["passed"] else 1
 
 
 def cmd_nf(args):

@@ -14,7 +14,7 @@ Every cyclic submodule is closed by cyclic_span, one Echelon per weight.
 rank_mod and EchelonMod rank rows specialized at q = q0 over GF(p).  No
 check calls them: they remain only for the degree-3 ranks that perfbench's
 frt-spans workload times and for their own tests, until that workload stops
-using them (ROADMAP items 3 and 5).  Likewise no check calls dense Bareiss
+using them (ROADMAP items 1 and 3).  Likewise no check calls dense Bareiss
 elimination (bareiss_echelon, bareiss_rank) any more: it remains as the
 reference the Echelon tests compare with and as a layer name perfbench
 traces.

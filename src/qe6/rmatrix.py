@@ -40,6 +40,8 @@ from . import rootdata as rd
 from .linalg import SparseMat, Echelon, dense_rank, sum_products
 from .spinrep import (SPIN_BASIS, SPIN_INDEX, DIM, rho_matrix, chevalley_action,
                       k_exponents, phi_scalars)
+from .schubert import presentation, rule_relation_vectors
+from .adjoint import weyl_dim
 
 TDIM = DIM * DIM
 
@@ -330,7 +332,6 @@ def equivariance_check(failures):
 def transported_relation_vectors():
     """Quadratic relations of the 16-generator cell algebra, carried into the
     tensor square through the module isomorphism."""
-    from .schubert import presentation, rule_relation_vectors
     pres = presentation("w")
     scal = phi_scalars()
     vectors = []
@@ -362,7 +363,6 @@ def eigen_split(failures):
     `failures` is empty, R + 1 is a module map, so U.seed lies in its kernel
     once the seed does (closure_in_kernel).
     """
-    from .adjoint import weyl_dim
     rhat = build_rhat()
     mplus = rhat.add(SparseMat.identity(TDIM))
     kernel_dim = class_kernel_dim(mplus)

@@ -472,7 +472,7 @@ def test_zero_candidate_fails(monkeypatch):
     rep = aj.decompose_degree("w", 2)
     assert rep["verdict"] == "fail"
     assert rep["candidate_failures"] == [{"monomial": [0, 1], "reason": "the product is zero"}]
-    status, details = checks._chk_decompose("w", 2)()
+    status, details = checks._chk_decompose("w", 2)
     assert status == "fail"
     assert details["degrees"][-1]["candidate_failures"] == rep["candidate_failures"]
 
@@ -484,7 +484,7 @@ def _theta_replaced_by(monkeypatch, vec):
     assert rep["verdict"] == "fail"
     assert rep["candidate_failures"] == [
         {"monomial": [0, 1], "reason": "uses a factor that failed its certificate: theta"}]
-    status, details = checks._chk_decompose("w", 2)()
+    status, details = checks._chk_decompose("w", 2)
     assert status == "fail"
     assert details["degrees"][-1]["candidate_failures"] == rep["candidate_failures"]
     return rep
@@ -515,7 +515,7 @@ def test_duplicated_candidate_is_a_mismatched_block(monkeypatch):
     key = (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0)
     p59 = sc.multiply(aj.build_omega(5), aj.build_omega(9), WH)
     _mutated_candidates(monkeypatch, ("what", 6), lambda c: {**c, key: p59})
-    status, details = checks._chk_decompose("what", 6)()
+    status, details = checks._chk_decompose("what", 6)
     rep = details["degrees"][-1]
     assert status == "fail" and rep["degree"] == 6 and rep["verdict"] == "fail"
     assert rep["weyl_dim_total"] == rep["component_dim"] == 2324784

@@ -109,6 +109,18 @@ def test_verify_deterministic_reports(capsys):
     assert out1 == out2
 
 
+def test_verify_max_degree_reaches_the_decompositions(capsys):
+    # the finite algebra is decomposed through one degree more than the affine
+    code, out, _ = run(capsys, "verify", "--suite", "adjoint", "--max-degree", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["max_degree"] == 1 and doc["passed"] is True
+    degrees = {c["claim_id"]: [d["degree"] for d in c["details"]["degrees"]]
+               for c in doc["checks"] if c["claim_id"].startswith("decomposition-")}
+    assert degrees == {"decomposition-finite": [0, 1, 2],
+                       "decomposition-affine-evidence": [0, 1]}
+
+
 def test_verify_timings_flag(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "rootdata", "--timings")
     assert code == 0
