@@ -5,7 +5,8 @@ operators move a generator along the radical-root family while the group-like
 generators contribute q-power factors on the flanks.  On top of the action sit
 highest-weight detection, the named vectors (Theta and the thirteen Omegas,
 Omega 6-13 from one chain rule) with one table of their weights and degrees,
-cyclic submodule spans, the Weyl dimension formula, the named vectors'
+cyclic submodule spans, the Weyl dimension formula, the dimension of a
+submodule from its dominant weights (semisimple_dim), the named vectors'
 highest-weight certificates (span dimensions by theorem), and the
 degree-by-degree decomposition reports.
 The generator-span matrices (generator_matrices) are the action itself on
@@ -280,6 +281,24 @@ def weyl_dim(lam):
     dim, rem = divmod(num, _HEIGHT_PRODUCT)
     assert not rem
     return dim
+
+
+def semisimple_dim(by_mu, pres):
+    """dim M of a submodule M of a graded piece, from its dominant weights
+    only: `by_mu` maps each dominant 7-coordinate weight mu of M to vectors
+    spanning M_mu.  By fact (b) of the module docstring, dim M is the sum
+    of h_mu weyl_dim(mu), h_mu the dimension of the vectors of M_mu that
+    every ad_E kills: the rank of M_mu minus the rank of the five ad_E
+    stacked, one (i, word) column each, on its echelon rows."""
+    total = 0
+    for mu, vecs in by_mu.items():
+        ech = Echelon()
+        ech.add_all(vecs)
+        raised = Echelon().add_all({(i, w): c for i in rd.IPRIME
+                                    for w, c in ad_E(i, row, pres).items()}
+                                   for row in ech.rows.values())
+        total += (ech.rank - raised) * weyl_dim(_pairings(mu))
+    return total
 
 
 # each algebra's candidate factors in key order; "y_e" is Y_empty of "w"

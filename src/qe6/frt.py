@@ -34,6 +34,8 @@ twisted affine "what" (psi_ST_check).  Rows enter the relations only
 through the braiding coefficients of row_coefficients, one table for all
 16 rows and one for all 80 admissible pairs, so the verify suite decides
 each sweep on a template row set and certifies the others by their tables.
+Their degree-3 cross-check, degree3_quotient_dim, counts the kernel ideal
+on its dominant weights alone (adjoint.semisimple_dim).
 """
 
 from functools import cache
@@ -43,8 +45,8 @@ from . import rootdata as rd
 from .linalg import Echelon, dense_rank, spans_equal
 from .rmatrix import rhat_coeff
 from .schubert import (presentation, rule_relation_vectors, NCPoly, multiply,
-                       hilbert_dim, twist, correction_terms)
-from .adjoint import theta, submodule_span, build_omega
+                       hilbert_dim, q_degree, twist, correction_terms)
+from .adjoint import theta, submodule_span, build_omega, semisimple_dim, _pairings
 
 
 @cache
@@ -487,19 +489,28 @@ def psi_ST_check(s, t):
 @cache
 def degree3_quotient_dim(algebra):
     """Degree-3 dimension of the cell algebra ("w" or "what") modulo the
-    ideal of its kernel_module: the products generator * vector and
-    vector * generator, ranked exactly per weight.  The twist rescales them
-    by units, so it changes no rank."""
+    ideal of its kernel_module K, from the products of dominant weight only.
+
+    K = U.v over the certified highest-weight tops v (adjoint.hw_certificate,
+    fact (a) of the adjoint docstring) is a submodule, and so is the ideal's
+    degree-3 part I_3 = A_1.K + K.A_1, because multiplication is a module map
+    (adjoint.module_algebra_failures).  So by fact (b) dim I_3 is
+    adjoint.semisimple_dim of its dominant weight spaces, each spanned by
+    the products g.v and v.g of its weight.  Pairings add like weights, so
+    dominance is decided before multiplying.  The twist rescales words by
+    units, changing no rank.  (Tests keep ranking every product as the
+    reference.)"""
     pres = presentation(algebra)
-    blocks = {}
+    gens = [(NCPoly.gen(g), w, _pairings(w)) for g, w in enumerate(pres.gen_weight)]
+    by_mu = {}
     for vec in kernel_module(algebra):
-        for g in range(pres.ngens):
-            gen = NCPoly.gen(g)
-            for prod in (multiply(gen, vec, pres), multiply(vec, gen, pres)):
-                if prod:
-                    weight = pres.weight_of_word(next(iter(prod)))
-                    blocks.setdefault(weight, Echelon()).add(prod)
-    return hilbert_dim(pres, 3) - sum(ech.rank for ech in blocks.values())
+        weight = q_degree(vec, pres)
+        pairings = _pairings(weight)
+        for gen, gen_weight, gen_pairings in gens:
+            if min(map(sum, zip(pairings, gen_pairings))) >= 0:
+                by_mu.setdefault(rd.wadd(weight, gen_weight), []).extend(
+                    (multiply(gen, vec, pres), multiply(vec, gen, pres)))
+    return hilbert_dim(pres, 3) - semisimple_dim(by_mu, pres)
 
 
 def relation_vector_json(vec):

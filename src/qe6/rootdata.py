@@ -5,12 +5,11 @@ This module owns the exact weight arithmetic (7 integer coordinates over the
 simple roots alpha_0..alpha_6), the partial order on subsets, the equivalence
 classes and heights on pairs, and the epsilon predicate of the mixed relations.
 
-Subsets are 5-bit masks (bit i-1 <-> element i).  The Euclidean model with its
-sqrt(3) component is used only transiently, with Fraction arithmetic, to solve
-for the alpha-coordinates; nothing irrational leaks out.
+Subsets are 5-bit masks (bit i-1 <-> element i).  A subset I has weight
+theta - sum_{i in I} e_i in the Euclidean model of E6, read off in integer
+alpha-coordinates (_compute_wt); no Euclidean vector is ever formed.
 """
 
-from fractions import Fraction
 from operator import mul
 
 NODES = range(7)          # simple roots alpha_0 .. alpha_6
@@ -60,51 +59,6 @@ def roots(nodes):
     return frozenset(found)
 
 
-# --- Euclidean model (coordinates over e_1..e_5 and sqrt(3)*e_6) ------------
-
-_HALF = Fraction(1, 2)
-_ALPHA_E = {
-    1: (_HALF, -_HALF, -_HALF, -_HALF, -_HALF, -_HALF),
-    2: (1, 1, 0, 0, 0, 0),
-    3: (-1, 1, 0, 0, 0, 0),
-    4: (0, -1, 1, 0, 0, 0),
-    5: (0, 0, -1, 1, 0, 0),
-    6: (0, 0, 0, -1, 1, 0),
-}
-
-
-def _inverse(mat):
-    """Inverse of a square matrix over Q, by Fraction Gauss-Jordan elimination."""
-    n = len(mat)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if rows[r][col])
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pv = rows[col][col]
-        rows[col] = [x / pv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
-
-
-# column j holds alpha_{j+1}, so the inverse takes a vector to its alpha-coordinates
-_ALPHA_E_INV = _inverse([[_ALPHA_E[j + 1][i] for j in range(6)] for i in range(6)])
-
-
-def _solve_alpha_coords(vec):
-    # solve sum_i c_i alpha_i = vec in the Euclidean model; returns integer c_1..c_6
-    coords = [sum(a * x for a, x in zip(row, vec)) for row in _ALPHA_E_INV]
-    assert all(c.denominator == 1 for c in coords)
-    return tuple(int(c) for c in coords)
-
-
-_THETA_E = tuple(sum((c * Fraction(x) for c, x in zip((1, 2, 2, 3, 2, 1),
-                                                      (_ALPHA_E[j][i] for j in range(1, 7)))),
-                     Fraction(0)) for i in range(6))
-
 ELEMS = (1, 2, 3, 4, 5)
 ALL_MASKS = tuple(m for m in range(32) if bin(m).count("1") % 2 == 0)
 
@@ -148,18 +102,29 @@ def lex_code(mask):
     return code
 
 
+# the highest root alpha_1 + 2 alpha_2 + 2 alpha_3 + 3 alpha_4 + 2 alpha_5 + alpha_6
+THETA = (0, 1, 2, 2, 3, 2, 1)
+
+
 def _compute_wt(mask):
-    vec = list(_THETA_E)
-    for i in members(mask):
-        vec[i - 1] -= 1
-    return (0,) + _solve_alpha_coords(tuple(vec))
+    """theta - sum_{i in mask} e_i in alpha-coordinates.  e_1 + e_2 = alpha_2
+    and e_{j+1} - e_j = alpha_{j+2}, so e_i = (alpha_2 - alpha_3)/2 + alpha_3
+    + ... + alpha_{i+1}, and |mask| is even:
+    theta - (|mask|/2)(alpha_2 - alpha_3) - sum_{i in mask} (alpha_3 + ... + alpha_{i+1})."""
+    elems = members(mask)
+    wt = list(THETA)
+    wt[2] -= len(elems) // 2
+    wt[3] += len(elems) // 2
+    for i in elems:
+        for k in range(3, i + 2):
+            wt[k] -= 1
+    return tuple(wt)
 
 
 # weight of each subset in alpha-coordinates (the alpha_0 coordinate is 0)
 WT = {m: _compute_wt(m) for m in ALL_MASKS}
 WT_TO_MASK = {WT[m]: m for m in ALL_MASKS}
 
-THETA = WT[0]
 DELTA = wadd(ALPHA[0], THETA)
 
 LEXCODE = {m: lex_code(m) for m in ALL_MASKS}

@@ -565,7 +565,7 @@ def _parse_sum(toks, i, pres, depth):
             elif len(t) > 1:
                 word.append(_generator(t, pres))
             elif want:
-                raise ValueError("unexpected token %r" % ((t, t),) if t
+                raise ValueError("unexpected token %r" % t if t
                                  else "unexpected end of expression")
             else:
                 break

@@ -244,6 +244,21 @@ def test_weyl_dim():
         aj.weyl_dim((-1, 0, 0, 0, 0))
 
 
+@pytest.mark.parametrize("pres, d", [(W, 2), (W, 3), (WH, 2)], ids=["w-2", "w-3", "what-2"])
+def test_semisimple_dim_of_a_whole_graded_piece(pres, d):
+    # the normal words of each dominant weight are a basis of that weight
+    # space of the degree-d piece, whose dimension is the normal-word count;
+    # without the ad_E ranks the count would be too large
+    by_mu = {}
+    for word in combinations_with_replacement(range(pres.ngens - 1, -1, -1), d):
+        mu = pres.weight_of_word(word)
+        if min(aj._pairings(mu)) >= 0:
+            by_mu.setdefault(mu, []).append(sc.NCPoly.from_word(word))
+    assert aj.semisimple_dim(by_mu, pres) == sc.hilbert_dim(pres, d)
+    assert sum(len(vecs) * aj.weyl_dim(aj._pairings(mu))
+               for mu, vecs in by_mu.items()) > sc.hilbert_dim(pres, d)
+
+
 def test_weyl_dim_matches_closed_form():
     for m in range(4):
         for n in range(3):

@@ -51,6 +51,11 @@ def test_nf_parse_error_exit_2(capsys):
     assert "error" in err
 
 
+def test_nf_unexpected_token_is_named_once(capsys):
+    code, out, err = run(capsys, "nf", "2**Y[12]", "--algebra", "w")
+    assert (code, out, err) == (2, "", "error: unexpected token '*'\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("nf", "Y[12]*", "--algebra", "w"),
     ("nf", "(", "--algebra", "w"),

@@ -11,7 +11,8 @@ from qe6.qcoeff import LaurentPoly
 from qe6.linalg import Echelon, spans_equal
 from qe6 import frt
 from qe6.rmatrix import rhat_coeff
-from qe6.schubert import presentation, twist
+from qe6.schubert import NCPoly, presentation, twist, multiply, hilbert_dim, q_degree
+from qe6 import adjoint as aj
 
 M = rd.mask_of
 
@@ -460,11 +461,57 @@ def test_psi_s_single_row():
     assert rep["relations_match_stated"] and rep["blocks_bad"] == []
 
 
+def _all_weights_quotient_dim(algebra):
+    """The reference: every product g.v and v.g of a generator with a
+    kernel_module vector, ranked exactly weight by weight."""
+    pres = presentation(algebra)
+    blocks = {}
+    for vec in frt.kernel_module(algebra):
+        for g in range(pres.ngens):
+            gen = NCPoly.gen(g)
+            for prod in (multiply(gen, vec, pres), multiply(vec, gen, pres)):
+                if prod:
+                    blocks.setdefault(q_degree(prod, pres), Echelon()).add(prod)
+    return hilbert_dim(pres, 3) - sum(ech.rank for ech in blocks.values())
+
+
 def test_degree3_quotient_dims():
     # exact cross-check of both kernel theorems at degree 3: the cell algebra
-    # modulo its kernel-module ideal
-    assert frt.degree3_quotient_dim("w") == 672
-    assert frt.degree3_quotient_dim("what") == 5088
+    # modulo its kernel-module ideal, counted on dominant weights and equal
+    # to the rank of every product
+    assert frt.degree3_quotient_dim("w") == 672 == _all_weights_quotient_dim("w")
+    assert frt.degree3_quotient_dim("what") == 5088 == _all_weights_quotient_dim("what")
+
+
+def test_degree3_quotient_multiplies_only_dominant_weights(monkeypatch):
+    # 6 and 36 (generator, vector) pairs of dominant weight, both orders
+    weights = []
+    real = frt.multiply
+
+    def spy(x, y, pres):
+        weights.append(aj._pairings(rd.wadd(q_degree(x, pres), q_degree(y, pres))))
+        return real(x, y, pres)
+
+    monkeypatch.setattr(frt, "multiply", spy)
+    for algebra, want, products in (("w", 672, 12), ("what", 5088, 72)):
+        weights.clear()
+        assert frt.degree3_quotient_dim.__wrapped__(algebra) == want
+        assert len(weights) == products and min(map(min, weights)) >= 0
+
+
+def test_degree3_quotient_sees_a_dropped_top_vector(monkeypatch):
+    # without its top, the rest of the kernel module is no submodule
+    real = frt.kernel_module
+    monkeypatch.setattr(frt, "kernel_module", lambda algebra: real(algebra)[1:])
+    assert frt.degree3_quotient_dim.__wrapped__("w") == 816
+    assert frt.degree3_quotient_dim.__wrapped__("what") == 5232
+
+
+def test_degree3_quotient_needs_the_raising_ranks(monkeypatch):
+    # h_mu without the ad_E rank counts every dominant vector as a top
+    monkeypatch.setattr(aj, "ad_E", lambda i, x, pres: NCPoly())
+    assert frt.degree3_quotient_dim.__wrapped__("w") == 608
+    assert frt.degree3_quotient_dim.__wrapped__("what") == 4704
 
 
 def test_face_certificate():

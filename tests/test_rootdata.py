@@ -14,10 +14,29 @@ def test_weight_examples():
     assert rd.WT[M([2, 3, 4, 5])] == rd.ALPHA[1]
 
 
+# alpha_1..alpha_6 in the Euclidean model of E6, over e_1..e_5 and sqrt(3) e_6
+_HALF = Fraction(1, 2)
+ALPHA_E = {
+    1: (_HALF, -_HALF, -_HALF, -_HALF, -_HALF, -_HALF),
+    2: (1, 1, 0, 0, 0, 0),
+    3: (-1, 1, 0, 0, 0, 0),
+    4: (0, -1, 1, 0, 0, 0),
+    5: (0, 0, -1, 1, 0, 0),
+    6: (0, 0, 0, -1, 1, 0),
+}
+
+
 def _euclidean(coords):
     """sum_i c_i alpha_i over alpha_1..alpha_6 in the Euclidean model."""
-    return tuple(sum(Fraction(c) * rd._ALPHA_E[i][k] for i, c in enumerate(coords, start=1))
+    return tuple(sum(Fraction(c) * ALPHA_E[i][k] for i, c in enumerate(coords, start=1))
                  for k in range(6))
+
+
+def test_euclidean_model_has_the_gram_matrix():
+    # the sixth coordinate is over sqrt(3) e_6, so it weighs 3 in the form
+    for i, a in ALPHA_E.items():
+        for j, b in ALPHA_E.items():
+            assert sum(x * y for x, y in zip(a[:5], b[:5])) + 3 * a[5] * b[5] == rd.GRAM[i][j]
 
 
 def test_alpha_coordinates_rebuild_each_euclidean_vector():

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -189,6 +191,25 @@ def test_perturbed_coefficient_fails_confluence(monkeypatch):
     status, details = _schubert_check("confluence-finite")
     assert status == "fail" and details["overlaps_checked"] == 4096
     assert (a, 1, b) in details["failures"]
+
+
+@pytest.mark.parametrize("seed", [2026, 1, 105])
+def test_halved_corrections_fail_laurent_closure(monkeypatch, seed):
+    # every rule keeps its unit swap but halves its other terms, so normal
+    # forms leave the Laurent subring Z[q, q^-1] while still being
+    # LaurentPoly objects
+    real = sc.compiled_rules
+
+    @cache
+    def halved(pres):
+        return {head: tuple((word, items if word == head[::-1]
+                             else tuple((e, Fraction(v, 2)) for e, v in items))
+                            for word, items in terms)
+                for head, terms in real(pres).items()}
+
+    monkeypatch.setattr(sc, "compiled_rules", halved)
+    status, details = checks._chk_laurent_closure(random.Random(seed))
+    assert status == "fail" and set(details) == {"algebra", "word"}
 
 
 def test_single_overlap_by_hand():
@@ -600,7 +621,7 @@ class _Parser:
                 raise ValueError("missing closing parenthesis")
             self.take()
             return inner
-        raise ValueError("unexpected token %r" % ((kind, val),))
+        raise ValueError("unexpected token %r" % val)
 
 
 def reference_parse(text, pres):
@@ -679,7 +700,7 @@ def test_parse_expr_accepts_and_rejects_what_the_reference_does(pres, text):
 @pytest.mark.parametrize("text, pres", [
     ("Y[12", W), ("Y[12]*", W), ("(", W), ("q^", W), ("q^Y[e]", W), ("()", W),
     ("Y[12])", W), ("Y[123]", W), ("Y[11]", W), ("Y[12] $", W), ("Z[12]", W),
-    ("Y[e]", WH),
+    ("Y[e]", WH), ("2**Y[12]", W), ("Y[e] + )", W),
 ], ids=lambda v: v.algebra_id if isinstance(v, sc.AlgebraPresentation) else v)
 def test_malformed_input_is_rejected_by_both_parsers(text, pres):
     with pytest.raises(ValueError) as ref:
