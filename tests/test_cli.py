@@ -114,6 +114,17 @@ def test_verify_deterministic_reports(capsys):
     assert out1 == out2
 
 
+def test_schubert_report_does_not_depend_on_the_seed(capsys):
+    # no check draws from the seed: the reports differ in the header alone
+    bodies = set()
+    for seed in (1, 105, 2026):
+        code, out, _ = run(capsys, "verify", "--suite", "schubert", "--seed", str(seed))
+        header = '\n  "seed": %d,\n' % seed
+        assert code == 0 and header in out
+        bodies.add(out.replace(header, "\n"))
+    assert len(bodies) == 1
+
+
 def test_verify_max_degree_reaches_the_decompositions(capsys):
     # the finite algebra is decomposed through one degree more than the affine
     code, out, _ = run(capsys, "verify", "--suite", "adjoint", "--max-degree", "1")

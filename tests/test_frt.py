@@ -514,6 +514,18 @@ def test_degree3_quotient_needs_the_raising_ranks(monkeypatch):
     assert frt.degree3_quotient_dim.__wrapped__("what") == 4704
 
 
+def test_row_kernel_check_compares_the_degree3_quotient(monkeypatch):
+    # without the ad_E rank the quotient reads 608, not the closed form's 672
+    monkeypatch.setattr(aj, "ad_E", lambda i, x, pres: NCPoly())
+    frt.degree3_quotient_dim.cache_clear()
+    try:
+        status, details = checks._chk_psi_s_sweep()
+    finally:
+        frt.degree3_quotient_dim.cache_clear()
+    assert status == "fail" and details["degree3_quotient"] == 608
+    assert aj.closed_form_dim(3, 0) == 672
+
+
 def test_face_certificate():
     assert all(rd.is_face((s,)) for s in rd.ALL_MASKS)
     assert all(rd.is_face(pair) for pair in frt.admissible_pairs())

@@ -191,25 +191,39 @@ def test_perturbed_coefficient_fails_confluence(monkeypatch):
     status, details = _schubert_check("confluence-finite")
     assert status == "fail" and details["overlaps_checked"] == 4096
     assert (a, 1, b) in details["failures"]
+    status, details = _schubert_check("termination-random")
+    assert status == "fail" and "w" in details["failing_algebras"]
 
 
 @pytest.mark.parametrize("seed", [2026, 1, 105])
 def test_halved_corrections_fail_laurent_closure(monkeypatch, seed):
-    # every rule keeps its unit swap but halves its other terms, so normal
-    # forms leave the Laurent subring Z[q, q^-1] while still being
-    # LaurentPoly objects
+    # a set of rules drawn from the seed keeps its unit swap but halves its
+    # other terms, so normal forms leave the Laurent subring Z[q, q^-1]
+    # while still being LaurentPoly objects; only rules with an odd
+    # correction value are drawn, so each halved rule leaves Z.  The check
+    # names exactly the halved rules, in table order, up to five
     real = sc.compiled_rules
+    rng = random.Random(seed)
+    halve = {}
+    for pres, low in ((W, 1), (WH, 0)):
+        odd = sorted(head for head, terms in real(pres).items()
+                     if any(v % 2 for word, items in terms if word != head[::-1]
+                            for _, v in items))
+        halve[pres.algebra_id] = set(rng.sample(odd, rng.randrange(low, 5)))
 
     @cache
     def halved(pres):
-        return {head: tuple((word, items if word == head[::-1]
+        chosen = halve[pres.algebra_id]
+        return {head: tuple((word, items if head not in chosen or word == head[::-1]
                              else tuple((e, Fraction(v, 2)) for e, v in items))
                             for word, items in terms)
                 for head, terms in real(pres).items()}
 
     monkeypatch.setattr(sc, "compiled_rules", halved)
-    status, details = checks._chk_laurent_closure(random.Random(seed))
-    assert status == "fail" and set(details) == {"algebra", "word"}
+    status, details = checks._chk_laurent_closure()
+    want = [{"algebra": pres.algebra_id, "pair": [pres.gen_label[g] for g in head]}
+            for pres in (W, WH) for head in sorted(halve[pres.algebra_id])]
+    assert status == "fail" and details["failures"] == want[:5]
 
 
 def test_single_overlap_by_hand():
@@ -238,8 +252,8 @@ def test_rewrite_budget_guard():
 
 
 def test_seed_105_termination_word_within_budget():
-    # the word `verify --seed 105` draws for termination-random; rewriting
-    # each word again whenever it reappeared took over 10**6 steps on it
+    # a degree-6 word of the affine algebra on which rewriting each word
+    # again whenever it reappeared took over 10**6 steps
     text = "Z[45]*Z[2345]*Zd[12]*Zd[35]*Zd[12]*Zd[23]"
     x = sc.NCPoly.from_word((3, 0, 30, 21, 30, 28))
     assert sc.parse_expr(text, WH) == x
@@ -311,6 +325,52 @@ def test_twisted_associativity_random():
         x, y, z = (sc.NCPoly.from_word(w) for w in words)
         assert (sc.multiply_twisted(sc.multiply_twisted(x, y, WH), z, WH)
                 == sc.multiply_twisted(x, sc.multiply_twisted(y, z, WH), WH))
+
+
+def _twisted_associativity(monkeypatch, twist=sc.twist_factor, pres=WH):
+    # twisted-associativity with passing rule-table and confluence verdicts,
+    # so that only the grading and the twist decide
+    monkeypatch.setattr(sc, "twist_factor", twist)
+    monkeypatch.setattr(sc, "presentation", lambda a: pres)
+    return checks._chk_twisted_associativity(lambda a: [], lambda a: {"ok": True})
+
+
+@pytest.mark.parametrize("twist, bilinear", [
+    (lambda x, y: qpow(x[0] * y[1] ** 2), False),
+    (lambda x, y: qpow(x[0] * y[1] + (x[0] != 0 and y[1] != 0)), False),
+    (lambda x, y: qpow(x[0] * y[1]) + 1, False),
+    (lambda x, y: qpow(x[0] * y[1] + x[1] * y[0]), True),
+], ids=["squared", "plus-one-on-nonzero", "no-power-of-q", "symmetrized"])
+def test_twisted_associativity_decides_bilinearity(monkeypatch, twist, bilinear):
+    status, details = _twisted_associativity(monkeypatch, twist)
+    assert (status == "pass") == bilinear
+    assert (details["non_additive_triples"] == 0) == bilinear
+    assert details["inhomogeneous_terms"] == 0
+    # alpha_0 and alpha_1 are (1, 2) on Zd and (0, 1) on Z: the non-bilinear
+    # twists scale Zd[e] Z[e] Z[e] differently in the two bracketings
+    x, y, z = Zd(0), Z(0), Z(0)
+    lhs = sc.multiply_twisted(sc.multiply_twisted(x, y, WH), z, WH)
+    assert (lhs == sc.multiply_twisted(x, sc.multiply_twisted(y, z, WH), WH)) == bilinear
+
+
+def test_twisted_associativity_needs_homogeneous_rules(monkeypatch):
+    # a term (1, 1) between the letters of (0, 25) keeps the rule table's
+    # shape but not its weight
+    a, b = PAIRS["what"]
+    rules = dict(WH.rules)
+    rules[(a, b)] += ((ONE, (1, 1)),)
+    assert WH.weight_of_word((1, 1)) != WH.weight_of_word((a, b))
+    mutant = sc.AlgebraPresentation("what", WH.ngens, WH.gen_mask, WH.gen_delta, rules)
+    assert sc.rule_failures(mutant) == []
+    status, details = _twisted_associativity(monkeypatch, pres=mutant)
+    assert status == "fail" and details["inhomogeneous_terms"] == 1
+    assert details["non_additive_triples"] == 0
+
+
+def test_twisted_associativity_needs_unique_normal_forms():
+    status, details = checks._chk_twisted_associativity(
+        lambda a: [], lambda a: {"ok": a != "what"})
+    assert status == "fail" and not details["normal_forms_unique"]
 
 
 @settings(max_examples=40, deadline=None)
