@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from functools import partial
 from itertools import combinations_with_replacement
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from qe6 import checks
 from qe6.cli import main
 from qe6 import rootdata as rd
-from qe6.qcoeff import LaurentPoly, Q, QINV, neg_qpow, qpow
+from qe6.qcoeff import LaurentPoly, ONE, Q, QINV, neg_qpow, qpow
 from qe6 import schubert as sc
 from qe6 import adjoint as aj
 from qe6 import spinrep as sp
@@ -203,6 +204,45 @@ def reference_omega(k):
 def test_omega_matches_the_product_by_product_reference(k):
     got = aj.build_omega(k)
     assert got and got == reference_omega(k)
+
+
+# the work, not the time: rewrites allowed to the one normal_form of a row
+OMEGA_REWRITE_BUDGET = 1000
+
+
+@pytest.mark.parametrize("k", sorted(aj.OMEGA_CHAINS))
+def test_omega_chain_free_sum_is_nearly_normal(k, monkeypatch):
+    want = aj.build_omega(k)  # builds both factors before the budget is set
+    monkeypatch.setattr(aj, "normal_form", partial(sc.normal_form, budget=OMEGA_REWRITE_BUDGET))
+    assert aj.build_omega.__wrapped__(k) == want
+
+
+# the printed chains of Omega 12 and 13, plain factor on the left: their
+# free sums need 1636 and 10822 rewrites
+PRINTED_ROWS = {
+    12: (3, 5, (6, 5, 4, 3, 2, 4, 5, 6), qpow(8), (((2, 4, 5, 6), (3, 4, 5, 6), qpow(4)),)),
+    13: (3, 11, (6, 5), ONE, ()),
+}
+
+
+@pytest.mark.parametrize("k", sorted(PRINTED_ROWS))
+def test_plain_factor_on_the_left_exceeds_the_rewrite_budget(k, monkeypatch):
+    aj.build_omega(k)
+    monkeypatch.setitem(aj.OMEGA_CHAINS, k, PRINTED_ROWS[k])
+    assert aj.build_omega.__wrapped__(k) == aj.build_omega(k)
+    monkeypatch.setattr(aj, "normal_form", partial(sc.normal_form, budget=OMEGA_REWRITE_BUDGET))
+    with pytest.raises(sc.RewriteDepthError):
+        aj.build_omega.__wrapped__(k)
+
+
+@pytest.mark.parametrize("a, b, unit", [(3, 11, ONE), (4, 10, -ONE), (5, 9, qpow(-2))],
+                         ids=["3-11", "4-10", "5-9"])
+def test_omega13_from_each_degree2_by_degree4_pair(a, b, unit, monkeypatch):
+    # the (6, 5) chain with s = 1 on each pair whose products
+    # omega-linear-dependence relates gives a unit multiple of Omega 13
+    want = aj.build_omega(13).scale(unit)
+    monkeypatch.setitem(aj.OMEGA_CHAINS, 13, (a, b, (6, 5), ONE, ()))
+    assert aj.build_omega.__wrapped__(13) == want
 
 
 def test_omega_highest_weight_table():
