@@ -5,36 +5,18 @@ operators move a generator along the radical-root family while the group-like
 generators contribute q-power factors on the flanks.  On top of the action sit
 highest-weight detection, the named vectors (Theta and the thirteen Omegas,
 Omega 6-13 from one chain rule) with one table of their weights and degrees,
-cyclic submodule spans, the Weyl dimension formula, the dimension of a
-submodule from its dominant weights (semisimple_dim), the named vectors'
-highest-weight certificates (span dimensions by theorem), and the
-degree-by-degree decomposition reports.
+cyclic submodule spans, the dimension of a submodule from its dominant
+weights (semisimple_dim), the named vectors' highest-weight certificates
+(span dimensions by theorem), and the degree-by-degree decomposition reports.
 The generator-span matrices (generator_matrices) are the action itself on
 degree 1, read off ad_E, ad_F and ad_K, so the operator relations and the
 half-spin module isomorphism are checked on the operators everything else
-uses.
-
-Semisimplicity, the one argument the certificates here and in rmatrix rest
-on.  Each module they decide is a finite-dimensional type-1
-U_q(so10)-module M: a graded piece of a cell algebra under the adjoint
-action, or a tensor power of the half-spin module V.  Such an M is
-semisimple (Jantzen, Lectures on Quantum Groups, ch. 5): a direct sum of
-irreducibles L(lambda), lambda dominant, with dim L(lambda) =
-weyl_dim(lambda).  Three facts follow.
-(a) A nonzero v of weight lambda that every E_i kills spans U.v = L(lambda):
-    U.v is a highest-weight module, hence indecomposable, and semisimple as
-    a submodule of M.
-(b) The multiplicity m_lambda of L(lambda) in M is the dimension of the
-    vectors of weight lambda that every E_i kills, and
-    dim M = sum m_lambda weyl_dim(lambda).
-(c) Each summand L(lambda) is U^-.v_lambda for such a v_lambda, of dominant
-    weight, so a map of M that commutes with every F_j vanishes once it
-    kills the dominant weight spaces.
+uses.  The certificates rest on rootdata's weights and facts (a)-(c).
 """
 
 from fractions import Fraction
 from functools import cache
-from math import comb, prod
+from math import comb
 
 from .qcoeff import LaurentPoly, ONE, Q, qpow, neg_qpow
 from . import rootdata as rd
@@ -49,11 +31,10 @@ class _ActionTables:
     __slots__ = ("pairs", "raises", "lowers")
 
     def __init__(self, pres):
-        self.pairs = {}
+        self.pairs = dict(zip(rd.IPRIME, zip(*map(rd.pairings, pres.gen_weight))))
         self.raises = {}
         self.lowers = {}
         for i in rd.IPRIME:
-            self.pairs[i] = tuple(rd.inner(rd.ALPHA[i], w) for w in pres.gen_weight)
             up = []
             down = []
             for g in range(pres.ngens):
@@ -145,11 +126,6 @@ def ad_F_word(indices, x, pres):
     return x
 
 
-def _pairings(mu):
-    """Pairing vector (c2, ..., c6) of a 7-coordinate weight."""
-    return tuple(rd.inner(rd.ALPHA[i], mu) for i in rd.IPRIME)
-
-
 def is_highest_weight(x, pres):
     """True plus the dominant weight when all raising operators kill x."""
     if not x:
@@ -157,7 +133,7 @@ def is_highest_weight(x, pres):
     for i in rd.IPRIME:
         if ad_E(i, x, pres):
             return False, None
-    return True, _pairings(q_degree(x, pres))
+    return True, rd.pairings(q_degree(x, pres))
 
 
 # --- the named highest-weight vectors ---------------------------------------
@@ -275,32 +251,10 @@ def submodule_span(x, pres):
     return cyclic_span(x, ops, lambda v: q_degree(v, pres))
 
 
-# --- Weyl dimension formula --------------------------------------------------
-
-D5_POSITIVE_ROOTS = tuple(sorted(r for r in rd.roots(rd.IPRIME)
-                                  if all(c >= 0 for c in r)))
-assert len(D5_POSITIVE_ROOTS) == 20
-# the product of the pairings (rho, alpha), each alpha's height
-_HEIGHT_PRODUCT = prod(sum(root[i] for i in rd.IPRIME) for root in D5_POSITIVE_ROOTS)
-
-
-def weyl_dim(lam):
-    """Exact dimension of the irreducible with dominant weight (c2, ..., c6):
-    the product of (lam + rho, alpha) over the positive roots, divided
-    exactly by the product of their heights (rho, alpha)."""
-    if len(lam) != 5 or any(c < 0 for c in lam):
-        raise ValueError("dominant weight needs five nonnegative coordinates")
-    shifted = {i: c + 1 for i, c in zip(rd.IPRIME, lam)}
-    num = prod(sum(shifted[i] * root[i] for i in rd.IPRIME) for root in D5_POSITIVE_ROOTS)
-    dim, rem = divmod(num, _HEIGHT_PRODUCT)
-    assert not rem
-    return dim
-
-
 def semisimple_dim(by_mu, pres):
     """dim M of a submodule M of a graded piece, from its dominant weights
     only: `by_mu` maps each dominant 7-coordinate weight mu of M to vectors
-    spanning M_mu.  By fact (b) of the module docstring, dim M is the sum
+    spanning M_mu.  By fact (b) (rootdata docstring), dim M is the sum
     of h_mu weyl_dim(mu), h_mu the dimension of the vectors of M_mu that
     every ad_E kills: the rank of M_mu minus the rank of the five ad_E
     stacked, one (i, word) column each, on its echelon rows."""
@@ -311,7 +265,7 @@ def semisimple_dim(by_mu, pres):
         raised = Echelon().add_all({(i, w): c for i in rd.IPRIME
                                     for w, c in ad_E(i, row, pres).items()}
                                    for row in ech.rows.values())
-        total += (ech.rank - raised) * weyl_dim(_pairings(mu))
+        total += (ech.rank - raised) * rd.weyl_dim(rd.pairings(mu))
     return total
 
 
@@ -335,7 +289,7 @@ def hw_certificate(name):
     The graded piece holding v is a finite-dimensional type-1
     U_q(so10)-module, so if v is nonzero and every ad_E kills it,
     U.v = L(lambda), of dimension weyl_dim(lambda), by fact (a) of the
-    semisimplicity argument in the module docstring.  `ok` holds when all
+    semisimplicity argument in the rootdata docstring.  `ok` holds when all
     that applies and lambda and the degree are the tabulated ones.
     """
     vec, (algebra, want, degree) = _factor(name)
@@ -344,8 +298,8 @@ def hw_certificate(name):
     deg = len(next(iter(vec))) if vec else None
     return {"nonzero": bool(vec), "highest_weight": killed,
             "weight": list(lam) if killed else None, "expected_weight": list(want),
-            "degree": deg, "span_dim": weyl_dim(lam) if killed and min(lam) >= 0 else None,
-            "expected_span_dim": weyl_dim(want),
+            "degree": deg, "span_dim": rd.weyl_dim(lam) if killed and min(lam) >= 0 else None,
+            "expected_span_dim": rd.weyl_dim(want),
             "ok": killed and lam == want and deg == degree}
 
 
@@ -399,7 +353,7 @@ def decompose_degree(algebra, d):
 
     The degree-d part M has the degree-d normal words as a basis, and it is a
     finite-dimensional type-1 U_q(so10)-module, so by fact (b) of the
-    semisimplicity argument in the module docstring the highest-weight
+    semisimplicity argument in the rootdata docstring the highest-weight
     vectors of weight lambda span a space whose dimension is the
     multiplicity m_lambda of L(lambda) in M.  Each factor of degree
     <= d is certified once (hw_certificate).  The action is a module-algebra
@@ -442,7 +396,7 @@ def decompose_degree(algebra, d):
         cand_fail.append({"monomial": list(key), "reason": reason})
 
     found = {mu: Echelon().add_all(vecs) for mu, vecs in sorted(by_mu.items())}
-    weyl_total = sum(weyl_dim(_pairings(mu)) * c for mu, c in found.items())
+    weyl_total = sum(rd.weyl_dim(rd.pairings(mu)) * c for mu, c in found.items())
     certified = weyl_total == total
     blocks = [{"weight": list(mu), "hw_dim": c,
                "expected_hw": len(by_mu[mu]), "certified": certified}

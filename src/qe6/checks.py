@@ -98,7 +98,7 @@ def _chk_equivalence_definitions():
 def _chk_octet_table():
     rows = []
     for cls in rd.OCTETS:
-        _, _, pairs = frt._octet_pattern(cls)
+        _, _, pairs = frt.octet_pattern(cls)
         rows.append(tuple((rd.label(i), rd.label(j)) for i, j in pairs))
         heights = tuple(cls.height_of(p) for p in pairs)
         if heights != TABLE_HEIGHTS:

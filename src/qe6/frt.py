@@ -46,7 +46,7 @@ from .linalg import Echelon, dense_rank, spans_equal
 from .rmatrix import rhat_coeff
 from .schubert import (presentation, rule_relation_vectors, NCPoly, multiply,
                        hilbert_dim, q_degree, twist, correction_terms)
-from .adjoint import theta, submodule_span, build_omega, semisimple_dim, _pairings
+from .adjoint import theta, submodule_span, build_omega, semisimple_dim
 
 
 @cache
@@ -136,7 +136,7 @@ def stated_row_relations(s, cls):
     out = [_straight_vector(i, j, s, s, mixed=False)
            for i, j in cls.members if not rd.LEQ[(j, i)]]
     if cls.size == 8:
-        _, _, pairs = _octet_pattern(cls)
+        _, _, pairs = octet_pattern(cls)
         out.append({((s, i), (s, j)): _octet_power(h) for h, (i, j) in enumerate(pairs[:4])})
     return out
 
@@ -271,7 +271,7 @@ def two_row_presentation(s, t):
 # --- the published proof matrices --------------------------------------------
 
 @cache
-def _octet_pattern(cls):
+def octet_pattern(cls):
     """Monomial pattern of one size-8 class: firsts/seconds of the X vector
     (A1 a1, ..., A4 a4, a4 A4, ..., a1 A1) and the row-to-pair assignment.
 
@@ -294,7 +294,7 @@ def _octet_pattern(cls):
 
 def derive_octet_matrix(cls):
     """The 8x8 coefficient matrix of one octet class, read off the braiding."""
-    firsts, seconds, pairs = _octet_pattern(cls)
+    firsts, seconds, pairs = octet_pattern(cls)
     return [[rhat_coeff(i, j, seconds[c], firsts[c]) for c in range(8)]
             for (i, j) in pairs]
 
@@ -437,14 +437,13 @@ def _kernel_check(rows, frt_rep, groups):
     module = kernel_module(pres.algebra_id)
     image = [(rows[d], m) for d, m in zip(pres.gen_delta, pres.gen_mask)]
     bit = {row: 1 << n for n, row in enumerate(rows)}
-    by_key = {(name, ci): b for name, blocks in groups.items()
-              for ci, b in enumerate(blocks)}
+    by_key = {(name, b["class_head"]): b for name, blocks in groups.items() for b in blocks}
 
     def carried(vec):
         out = {(image[g], image[h]): c
                for (g, h), c in twist(vec, pres, inverse=True).items()}
         ((r1, i), (r2, j)) = next(iter(out))
-        block = by_key[_GROUPS[bit[r1] | bit[r2]], rd._CLASS_KEY[(i, j)]]
+        block = by_key[_GROUPS[bit[r1] | bit[r2]], rd.class_of(i, j).head]
         number = block["numbering"]
         if not number.keys() >= out.keys():
             return False
@@ -492,7 +491,7 @@ def degree3_quotient_dim(algebra):
     ideal of its kernel_module K, from the products of dominant weight only.
 
     K = U.v over the certified highest-weight tops v (adjoint.hw_certificate,
-    fact (a) of the adjoint docstring) is a submodule, and so is the ideal's
+    fact (a) of the rootdata docstring) is a submodule, and so is the ideal's
     degree-3 part I_3 = A_1.K + K.A_1, because multiplication is a module map
     (adjoint.module_algebra_failures).  So by fact (b) dim I_3 is
     adjoint.semisimple_dim of its dominant weight spaces, each spanned by
@@ -501,11 +500,11 @@ def degree3_quotient_dim(algebra):
     units, changing no rank.  (Tests keep ranking every product as the
     reference.)"""
     pres = presentation(algebra)
-    gens = [(NCPoly.gen(g), w, _pairings(w)) for g, w in enumerate(pres.gen_weight)]
+    gens = [(NCPoly.gen(g), w, rd.pairings(w)) for g, w in enumerate(pres.gen_weight)]
     by_mu = {}
     for vec in kernel_module(algebra):
         weight = q_degree(vec, pres)
-        pairings = _pairings(weight)
+        pairings = rd.pairings(weight)
         for gen, gen_weight, gen_pairings in gens:
             if min(map(sum, zip(pairings, gen_pairings))) >= 0:
                 by_mu.setdefault(rd.wadd(weight, gen_weight), []).extend(

@@ -17,11 +17,11 @@ Three of the checks rest on one module-map argument.  V is a type-1
 U_q(so10)-module (the spinrep defining-relation check) on which each K_i
 acts diagonally by powers of q, so basis tensors are weight vectors.  Each
 tensor power of V is a finite-dimensional type-1 module, so by fact (c) of
-the semisimplicity argument in the adjoint module docstring a map that
-commutes with every F_j vanishes once it kills the dominant weight spaces.
-The braiding commutes with the coproduct action of every generator
-(commutant_failures: the diagonal K_i entry by entry, F_i as matrix
-products, and E_i on the dominant basis pairs by this same argument).
+the semisimplicity argument in the rootdata docstring a map that commutes
+with every F_j vanishes once it kills the basis tensors of dominant weight
+(dominant_failures).  The braiding commutes with the coproduct action of
+every generator (commutant_failures: the diagonal K_i entry by entry, F_i
+as matrix products, and E_i on the dominant basis pairs by this argument).
 The braid identity: by coassociativity R12 R23 R12 - R23 R12 R23 is a
 module map of V (x) V (x) V, checked on its 91 dominant basis triples
 (5 weights).  The cubic above: a polynomial in the braiding, checked on the
@@ -32,7 +32,7 @@ seed does.  Each check applies the braiding to tens of vectors instead of
 multiplying matrices.
 """
 
-from functools import cache, partial
+from functools import cache, partial, reduce
 from operator import add
 
 from .qcoeff import ONE, ZERO, QHAT, Q, qpow, neg_qpow, accumulate
@@ -41,7 +41,6 @@ from .linalg import SparseMat, Echelon, dense_rank, sum_products
 from .spinrep import (SPIN_BASIS, SPIN_INDEX, DIM, rho_matrix, chevalley_action,
                       k_exponents, phi_scalars)
 from .schubert import presentation, rule_relation_vectors
-from .adjoint import weyl_dim
 
 TDIM = DIM * DIM
 
@@ -180,6 +179,15 @@ def dominant_tuples(n):
     return sorted((tup, weight) for weight, tups in level.items() for tup in tups)
 
 
+def dominant_failures(tuples, differs):
+    """Lazily, each (tuple, weight) of `tuples` (from dominant_tuples) whose
+    basis tensor the module map D does not kill: differs(vec) is D(vec), or
+    true exactly when D(vec) != 0.  D = 0 when it yields none (fact (c))."""
+    for tup, weight in tuples:
+        if differs({reduce(lambda idx, a: idx * DIM + a, tup): ONE}):
+            yield tup, weight
+
+
 def apply_r12(rhat, vec):
     """R12 = rhat (x) 1 applied to a vector {index: LaurentPoly} of
     V (x) V (x) V, through rhat's nonzeros indexed by column."""
@@ -203,7 +211,7 @@ def ybe_check(failures):
     so does D = R12 R23 R12 - R23 R12 R23.
 
     (b) D kills every basis triple u_a (x) u_b (x) u_c of dominant weight
-    (dominant_tuples): 91 of the 4096, across 5 weights.  R12 and R23 act
+    (dominant_failures): 91 of the 4096, across 5 weights.  R12 and R23 act
     through the braiding's nonzeros (apply_r12, apply_r23), under the
     raw-accumulate rule of the qcoeff module docstring.
 
@@ -213,12 +221,9 @@ def ybe_check(failures):
     rhat = build_rhat()
     r12, r23 = partial(apply_r12, rhat), partial(apply_r23, rhat)
     columns = dominant_tuples(3)
-    failing = []
-    for (a, b, c), weight in columns:
-        e = {(a * DIM + b) * DIM + c: ONE}
-        if r12(r23(r12(e))) != r23(r12(r23(e))):
-            failing.append({"triple": [rd.label(SPIN_BASIS[x]) for x in (a, b, c)],
-                            "weight": list(weight)})
+    failing = [{"triple": [rd.label(SPIN_BASIS[x]) for x in triple], "weight": list(weight)}
+               for triple, weight in dominant_failures(
+                   columns, lambda e: r12(r23(r12(e))) != r23(r12(r23(e))))]
     return {"ok": not failures and not failing,
             "commutant_failures": failures,
             "columns_checked": len(columns),
@@ -270,11 +275,10 @@ def commutant_failures(rhat):
     When every K_j and F_j commutes with R, D = R E_i - E_i R commutes with
     every F_j: the coproduct is an algebra map, so on V (x) V
     E_i F_j - F_j E_i = delta_ij [K_i], and R commutes with
-    [K_i] = (K_i - K_i^-1)/(q - q^-1).  So the kernel of D is F-stable.  By
-    the module docstring's argument each summand L(lambda) of V (x) V is
-    U^-.v_lambda with v_lambda in a dominant weight space, so D = 0 once it
-    kills the 11 dominant basis pairs (dominant_tuples(2)), and E_i is tested
-    on those.  Otherwise E_i is tested as matrix products, like F_i.
+    [K_i] = (K_i - K_i^-1)/(q - q^-1).  So by the module docstring's
+    argument D = 0 once it kills the 11 dominant basis pairs, and E_i is
+    tested on those (dominant_failures).  Otherwise E_i is tested as matrix
+    products, like F_i.
     """
     k_fails = []
     for i, exps in zip(rd.IPRIME, k_exponents()):
@@ -283,14 +287,13 @@ def commutant_failures(rhat):
             k_fails.append("K%d" % i)
     f_fails = ["F%d" % i for i in rd.IPRIME
                if not coproduct_action("F", i).commutes_with(rhat)]
-    if k_fails or f_fails:
-        def commutes(e):
-            return e.commutes_with(rhat)
-    else:
-        seeds = [{a * DIM + b: ONE} for (a, b), _ in dominant_tuples(2)]
+    pairs = dominant_tuples(2)
 
-        def commutes(e):
-            return all(rhat.apply(e.apply(v)) == e.apply(rhat.apply(v)) for v in seeds)
+    def commutes(e):
+        if k_fails or f_fails:
+            return e.commutes_with(rhat)
+        return not any(dominant_failures(
+            pairs, lambda v: rhat.apply(e.apply(v)) != e.apply(rhat.apply(v))))
     e_fails = ["E%d" % i for i in rd.IPRIME if not commutes(coproduct_action("E", i))]
     return e_fails + f_fails + k_fails
 
@@ -307,7 +310,7 @@ def equivariance_check(failures):
     `failures` is commutant_failures of the braiding.  When it is empty the
     cubic, a polynomial in the braiding, is a module map of V (x) V, so (as
     in ybe_check) it is zero once it kills the 11 dominant basis pairs
-    (dominant_tuples), each carried through the three factors as a vector.
+    (dominant_failures), each carried through the three factors as a vector.
     `invertible` holds when both hold."""
     rhat = build_rhat()
 
@@ -320,8 +323,7 @@ def equivariance_check(failures):
         return vec
 
     pairs = dominant_tuples(2)
-    invertible = not failures and not any(cubic({a * DIM + b: ONE})
-                                          for (a, b), _ in pairs)
+    invertible = not failures and not any(dominant_failures(pairs, cubic))
     return {"ok": invertible,
             "commutant_failures": failures,
             "invertible": invertible,
@@ -357,9 +359,9 @@ def eigen_split(failures):
     `failures` is commutant_failures of the braiding.  The seed's cyclic
     module U.seed is decided by a highest-weight certificate, not spanned.
     When the seed is nonzero, of one weight lambda and killed by every
-    Delta(E_i), U.seed is L(lambda), of dimension adjoint.weyl_dim(lambda),
-    by fact (a) of the semisimplicity argument in the adjoint module
-    docstring (closure_dim, None without the certificate).  When also
+    Delta(E_i), U.seed is L(lambda), of dimension rootdata.weyl_dim(lambda),
+    by fact (a) of the semisimplicity argument in the rootdata docstring
+    (closure_dim, None without the certificate).  When also
     `failures` is empty, R + 1 is a module map, so U.seed lies in its kernel
     once the seed does (closure_in_kernel).
     """
@@ -374,7 +376,7 @@ def eigen_split(failures):
     lam = weights.pop() if len(weights) == 1 else None
     highest = (lam is not None and min(lam) >= 0 and
                not any(coproduct_action("E", i).apply(seed) for i in rd.IPRIME))
-    closure_dim = weyl_dim(lam) if highest else None
+    closure_dim = rd.weyl_dim(lam) if highest else None
     closure_in_kernel = seed_in and not failures
 
     def key_of(vec):

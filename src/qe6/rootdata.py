@@ -8,8 +8,27 @@ classes and heights on pairs, and the epsilon predicate of the mixed relations.
 Subsets are 5-bit masks (bit i-1 <-> element i).  A subset I has weight
 theta - sum_{i in I} e_i in the Euclidean model of E6, read off in integer
 alpha-coordinates (_compute_wt); no Euclidean vector is ever formed.
+
+The weights of U_q(so10)-modules live here too (pairings, weyl_dim), with
+the one argument every module certificate rests on, semisimplicity.  Each
+module a certificate decides is a finite-dimensional type-1
+U_q(so10)-module M: a graded piece of a cell algebra under the adjoint
+action, or a tensor power of the half-spin module V.  Such an M is
+semisimple (Jantzen, Lectures on Quantum Groups, ch. 5): a direct sum of
+irreducibles L(lambda), lambda dominant, with dim L(lambda) =
+weyl_dim(lambda).  Three facts follow.
+(a) A nonzero v of weight lambda that every E_i kills spans U.v = L(lambda):
+    U.v is a highest-weight module, hence indecomposable, and semisimple as
+    a submodule of M.
+(b) The multiplicity m_lambda of L(lambda) in M is the dimension of the
+    vectors of weight lambda that every E_i kills, and
+    dim M = sum m_lambda weyl_dim(lambda).
+(c) Each summand L(lambda) is U^-.v_lambda for such a v_lambda, of dominant
+    weight, so a map of M that commutes with every F_j vanishes once it
+    kills the dominant weight spaces.
 """
 
+from math import prod
 from operator import mul
 
 NODES = range(7)          # simple roots alpha_0 .. alpha_6
@@ -230,3 +249,27 @@ def classes_json():
         rows.append([{"first": label(a), "second": label(b), "height": h}
                      for (a, b), h in cls])
     return rows
+
+
+def pairings(mu):
+    """The D5 weight (c2, ..., c6) of a 7-coordinate weight, c_i = (alpha_i, mu)."""
+    return tuple(inner(ALPHA[i], mu) for i in IPRIME)
+
+
+D5_POSITIVE_ROOTS = tuple(sorted(r for r in roots(IPRIME) if all(c >= 0 for c in r)))
+assert len(D5_POSITIVE_ROOTS) == 20
+# the product of the pairings (rho, alpha), each alpha's height
+_HEIGHT_PRODUCT = prod(sum(root[i] for i in IPRIME) for root in D5_POSITIVE_ROOTS)
+
+
+def weyl_dim(lam):
+    """Exact dimension of the irreducible with dominant weight (c2, ..., c6):
+    the product of (lam + rho, alpha) over the positive roots, divided
+    exactly by the product of their heights (rho, alpha)."""
+    if len(lam) != 5 or any(c < 0 for c in lam):
+        raise ValueError("dominant weight needs five nonnegative coordinates")
+    shifted = {i: c + 1 for i, c in zip(IPRIME, lam)}
+    num = prod(sum(shifted[i] * root[i] for i in IPRIME) for root in D5_POSITIVE_ROOTS)
+    dim, rem = divmod(num, _HEIGHT_PRODUCT)
+    assert not rem
+    return dim

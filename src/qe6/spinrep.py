@@ -7,16 +7,16 @@ picks up (-q)^(number of inversions), counted by _inversions.  The
 representing matrices are assembled from that count plus the displayed closed
 formulas, and every defining relation of the rank-5 quantized enveloping
 algebra is then checked as an exact 16x16 matrix identity.  Irreducibility is
-the linalg.cyclic_span of the top vector; phi_check(mats, gen_mask) tests the
-module isomorphism against adjoint.generator_matrices, which is the adjoint
-action itself on the generator span (degree 1).
+the highest-weight certificate of the top vector; phi_check(mats, gen_mask)
+tests the module isomorphism against adjoint.generator_matrices, which is the
+adjoint action itself on the generator span (degree 1).
 """
 
 from functools import cache
 
-from .qcoeff import ONE, QHAT, qpow, neg_qpow, Q, QINV
+from .qcoeff import QHAT, qpow, neg_qpow, Q, QINV
 from . import rootdata as rd
-from .linalg import SparseMat, cyclic_span
+from .linalg import SparseMat
 
 SPIN_BASIS = rd.BSETS
 SPIN_INDEX = {m: i for i, m in enumerate(SPIN_BASIS)}
@@ -171,24 +171,26 @@ def weight_support_failures():
             if rd.WT[SPIN_BASIS[r]] != rd.wadd(rd.WT[SPIN_BASIS[c]], rd.ALPHA[i]):
                 fails.append("E%d moves %s to %s" % (i, rd.label(SPIN_BASIS[c]),
                                                      rd.label(SPIN_BASIS[r])))
-    radical = sorted(tuple(rd.inner(rd.ALPHA[i], r) for i in rd.IPRIME)
-                     for r in rd.roots(range(1, 7)) if r[1] == 1)
+    radical = sorted(rd.pairings(r) for r in rd.roots(range(1, 7)) if r[1] == 1)
     if sorted(zip(*k_exponents())) != radical:
         fails.append("weight multiset differs from the radical-root family")
     return fails
 
 
 def irreducibility_check():
-    """Highest weight vector u_e is killed by raising operators and its
-    cyclic span under the lowering operators fills all 16 dimensions."""
+    """Irreducibility with the spin highest weight by fact (a) of the
+    rootdata docstring (tests keep the lowering closure as the reference):
+    the module is type 1 (relation_failures), so u_e, of weight lambda
+    (k_exponents) and killed by every E_i, spans L(lambda), all 16
+    dimensions when lambda is the spin weight, pairings(WT[0])."""
     top = SPIN_INDEX[0]
-    for i in rd.IPRIME:
-        if any(c == top for (_, c) in chevalley_action("E", i).entries):
-            return False, ["E%d does not kill the top vector" % i]
-    ops = [chevalley_action("F", i).apply for i in rd.IPRIME]
-    dim = len(cyclic_span({top: ONE}, ops, lambda v: rd.WT[SPIN_BASIS[min(v)]]))
-    ok = dim == DIM
-    return ok, [] if ok else ["lowering closure has dimension %d" % dim]
+    fails = ["E%d does not kill the top vector" % i for i in rd.IPRIME
+             if any(c == top for (_, c) in chevalley_action("E", i).entries)]
+    lam = tuple(k[top] for k in k_exponents())
+    dim = rd.weyl_dim(lam) if min(lam) >= 0 else None
+    if lam != rd.pairings(rd.WT[0]) or dim != DIM:
+        fails.append("top weight %s (dimension %s) is not the spin weight" % (lam, dim))
+    return not fails, fails
 
 
 def phi_scalars():

@@ -272,16 +272,16 @@ def test_submodule_span_dims_small():
 
 
 def test_weyl_dim():
-    assert aj.weyl_dim((1, 0, 0, 0, 0)) == 16
-    assert aj.weyl_dim((0, 0, 0, 0, 1)) == 10
-    assert aj.weyl_dim((0, 0, 0, 0, 0)) == 1
-    assert aj.weyl_dim((0, 1, 0, 0, 0)) == 16
-    assert aj.weyl_dim((0, 0, 1, 0, 0)) == 120
-    assert aj.weyl_dim((0, 0, 0, 1, 0)) == 45
+    assert rd.weyl_dim((1, 0, 0, 0, 0)) == 16
+    assert rd.weyl_dim((0, 0, 0, 0, 1)) == 10
+    assert rd.weyl_dim((0, 0, 0, 0, 0)) == 1
+    assert rd.weyl_dim((0, 1, 0, 0, 0)) == 16
+    assert rd.weyl_dim((0, 0, 1, 0, 0)) == 120
+    assert rd.weyl_dim((0, 0, 0, 1, 0)) == 45
     with pytest.raises(ValueError):
-        aj.weyl_dim((1, 0, 0, 0))
+        rd.weyl_dim((1, 0, 0, 0))
     with pytest.raises(ValueError):
-        aj.weyl_dim((-1, 0, 0, 0, 0))
+        rd.weyl_dim((-1, 0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("pres, d", [(W, 2), (W, 3), (WH, 2)], ids=["w-2", "w-3", "what-2"])
@@ -292,10 +292,10 @@ def test_semisimple_dim_of_a_whole_graded_piece(pres, d):
     by_mu = {}
     for word in combinations_with_replacement(range(pres.ngens - 1, -1, -1), d):
         mu = pres.weight_of_word(word)
-        if min(aj._pairings(mu)) >= 0:
+        if min(rd.pairings(mu)) >= 0:
             by_mu.setdefault(mu, []).append(sc.NCPoly.from_word(word))
     assert aj.semisimple_dim(by_mu, pres) == sc.hilbert_dim(pres, d)
-    assert sum(len(vecs) * aj.weyl_dim(aj._pairings(mu))
+    assert sum(len(vecs) * rd.weyl_dim(rd.pairings(mu))
                for mu, vecs in by_mu.items()) > sc.hilbert_dim(pres, d)
 
 
@@ -303,7 +303,7 @@ def test_weyl_dim_matches_closed_form():
     for m in range(4):
         for n in range(3):
             lam = (m, 0, 0, 0, n)
-            assert aj.weyl_dim(lam) == aj.closed_form_dim(m, n)
+            assert rd.weyl_dim(lam) == aj.closed_form_dim(m, n)
 
 
 def test_identity_check():
@@ -457,8 +457,7 @@ def test_decompose_finite_low_degrees():
         assert rep["verdict"] == "pass"
         assert rep["component_dim"] == [1, 16, 136][d]
     rep = aj.decompose_degree("w", 2)
-    dims = sorted(aj.weyl_dim(tuple(rd.inner(rd.ALPHA[i], tuple(b["weight"]))
-                                    for i in rd.IPRIME))
+    dims = sorted(rd.weyl_dim(rd.pairings(tuple(b["weight"])))
                   for b in rep["blocks"] if b["hw_dim"])
     assert dims == [10, 126]
 
@@ -635,14 +634,27 @@ def test_candidate_counts():
     assert (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0) not in with_relation
 
 
+def _omega_dependence():
+    suite = {c.claim_id: c.fn for c in checks.adjoint_checks(3, "exact", random.Random(0))}
+    return suite["omega-linear-dependence"]()
+
+
 def test_omega_dependence_coefficients():
-    p59 = sc.multiply(aj.build_omega(5), aj.build_omega(9), WH)
-    p311 = sc.multiply(aj.build_omega(3), aj.build_omega(11), WH)
-    p410 = sc.multiply(aj.build_omega(4), aj.build_omega(10), WH)
-    assert (p59 + p311.scale(qpow(-6)) - p410.scale(qpow(-4))).is_zero()
-    # the published remark prints q^-2 on the last product; that variant does
-    # not vanish in these conventions
-    assert not (p59 + p311.scale(qpow(-6)) - p410.scale(qpow(-2))).is_zero()
+    # the relation holds with q^-4 on Omega_4 Omega_10; the published remark
+    # prints q^-2 there, and that variant does not vanish in these conventions
+    status, details = _omega_dependence()
+    assert status == "pass" and details["holds"] is True
+    assert details["relation"] == (
+        "omega5*omega9 = -q^-6 omega3*omega11 + q^-4 omega4*omega10")
+
+
+def test_omega_dependence_fails_on_a_rescaled_omega(monkeypatch):
+    # Omega_10 scaled by q moves the q^-4 coefficient to q^-3
+    build = aj.build_omega
+    monkeypatch.setattr(aj, "build_omega",
+                        lambda k: build(k).scale(Q) if k == 10 else build(k))
+    status, details = _omega_dependence()
+    assert status == "fail" and details["holds"] is False
 
 
 def test_certificates_decide_both_checks():

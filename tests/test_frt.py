@@ -489,7 +489,7 @@ def test_degree3_quotient_multiplies_only_dominant_weights(monkeypatch):
     real = frt.multiply
 
     def spy(x, y, pres):
-        weights.append(aj._pairings(rd.wadd(q_degree(x, pres), q_degree(y, pres))))
+        weights.append(rd.pairings(rd.wadd(q_degree(x, pres), q_degree(y, pres))))
         return real(x, y, pres)
 
     monkeypatch.setattr(frt, "multiply", spy)

@@ -1,11 +1,12 @@
 import pytest
 
 from qe6 import rootdata as rd
-from qe6.qcoeff import ONE, Q, neg_qpow
-from qe6.linalg import SparseMat
+from qe6.qcoeff import ONE, Q, neg_qpow, qpow
+from qe6.linalg import SparseMat, cyclic_span
 from qe6 import spinrep as sp
 from qe6 import adjoint as aj
 from qe6 import schubert as sc
+from qe6 import checks
 
 M = rd.mask_of
 
@@ -62,6 +63,50 @@ def test_weight_multiset_detects_a_changed_k_exponent(monkeypatch):
                         lambda kind, i: mutant if (kind, i) == ("K", 2) else real(kind, i))
     assert sp.weight_support_failures() == [
         "weight multiset differs from the radical-root family"]
+
+
+def test_lowering_closure_of_the_top_vector_is_the_reference():
+    # the span irreducibility_check decides by theorem, closed by brute force
+    ops = [sp.chevalley_action("F", i).apply for i in rd.IPRIME]
+    span = cyclic_span({sp.SPIN_INDEX[0]: ONE}, ops, lambda v: rd.WT[sp.SPIN_BASIS[min(v)]])
+    assert len(span) == sp.DIM == rd.weyl_dim(rd.pairings(rd.WT[0]))
+
+
+def _top_weight_mutant(monkeypatch, lam):
+    """Every K_i acting on u_e by q^lam[n], i the n-th node; the rest as it is."""
+    real = sp.chevalley_action
+    top = sp.SPIN_INDEX[0]
+    mutants = {i: SparseMat(sp.DIM, sp.DIM, {**real("K", i).entries, (top, top): qpow(c)})
+               for i, c in zip(rd.IPRIME, lam)}
+    monkeypatch.setattr(sp, "chevalley_action",
+                        lambda kind, i: mutants[i] if kind == "K" else real(kind, i))
+
+
+def _raising_mutant(monkeypatch):
+    """E_3 with an extra entry u_e -> u_e, so it no longer kills u_e."""
+    real = sp.chevalley_action
+    top = sp.SPIN_INDEX[0]
+    e3 = SparseMat(sp.DIM, sp.DIM, {**real("E", 3).entries, (top, top): ONE})
+    monkeypatch.setattr(sp, "chevalley_action",
+                        lambda kind, i: e3 if (kind, i) == ("E", 3) else real(kind, i))
+
+
+@pytest.mark.parametrize("mutant, want", [
+    ("not-killed", ["E3 does not kill the top vector"]),
+    # the K_2 mutant of the weight-multiset test: weight and dimension both move
+    ((2, 0, 0, 0, 0), ["top weight (2, 0, 0, 0, 0) (dimension 126) is not the spin weight"]),
+    # L(0, 1, 0, 0, 0) is 16-dimensional too: only the weight comparison sees it
+    ((0, 1, 0, 0, 0), ["top weight (0, 1, 0, 0, 0) (dimension 16) is not the spin weight"]),
+], ids=["not-killed", "k2-raised", "other-16"])
+def test_spin_certificate_mutants_fail(monkeypatch, mutant, want):
+    if mutant == "not-killed":
+        _raising_mutant(monkeypatch)
+    else:
+        _top_weight_mutant(monkeypatch, mutant)
+    assert sp.irreducibility_check() == (False, want)
+    check, = [c for c in checks.spinrep_checks(3, "exact", None)
+              if c.claim_id == "spin-irreducible"]
+    assert check.fn()[0] == "fail"
 
 
 def test_root_vector_squares_vanish():
