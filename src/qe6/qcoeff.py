@@ -18,7 +18,8 @@ class LaurentPoly:
     """Laurent polynomial in q with arbitrary-precision integer coefficients.
 
     Stored as a dict {exponent: coefficient} with no zero values.  Immutable,
-    with the hash kept on first use: no dict that _raw wraps may change later.
+    with the hash kept on first use: no dict that _raw wraps (or
+    schubert._rewrite, which sets c itself) may change later.
     """
 
     __slots__ = ("c", "_hash")
@@ -45,6 +46,8 @@ class LaurentPoly:
         return bool(self.c)
 
     def __eq__(self, other):
+        if type(other) is LaurentPoly:
+            return self.c == other.c
         if isinstance(other, int):
             return self.c == ({0: other} if other else {})
         return isinstance(other, LaurentPoly) and self.c == other.c

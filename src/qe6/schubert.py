@@ -217,8 +217,11 @@ def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
     exceeding it raises RewriteDepthError.  Why the reduced table gives the
     normal form of the published rules is stated in rule_failures.
     """
-    return _rewrite({w: dict(c.c) for w, c in x.items() if c}, compiled_rules(pres),
-                    strategy, budget)
+    pending = {}
+    for w, c in x.items():
+        if c.c:
+            pending[w] = dict(c.c)
+    return _rewrite(pending, compiled_rules(pres), strategy, budget)
 
 
 def _rewrite(pending, rules, strategy, budget):
@@ -226,16 +229,20 @@ def _rewrite(pending, rules, strategy, budget):
     consumes; a dict may hold zero values and sum to zero.  `rules` maps each
     out-of-order pair to ((word, coefficient items), ...), as compiled_rules
     does.  Coefficients follow the raw-accumulate rule of the qcoeff module
-    docstring, with the zero-prune done when a word is taken."""
+    docstring, with the zero-prune done when a word is taken.  The loop reads
+    its callables from locals and fills new dicts with plain loops, as a
+    comprehension is a function call on CPython 3.10 and 3.11."""
     out = NCPoly()
     # each key of `pending` has exactly one entry in `heap`
     heap = list(pending)
     heapify(heap)
+    pop, push, take, get = heappop, heappush, pending.pop, pending.get
+    keep, new = out.setdefault, LaurentPoly.__new__
     steps = 0
     left = strategy == "left"
     while heap:
-        word = heappop(heap)
-        coeff = pending.pop(word)
+        word = pop(heap)
+        coeff = take(word)
         if not all(coeff.values()):
             coeff = {e: v for e, v in coeff.items() if v}
             if not coeff:
@@ -252,10 +259,10 @@ def _rewrite(pending, rules, strategy, budget):
         if not 0 <= i < n1:
             # a normal word is taken once unless a rule table (a mutant)
             # produces it again after it was taken
-            if word in out:
-                out.iadd_term(word, LaurentPoly._raw(coeff))
-            else:
-                out[word] = LaurentPoly._raw(coeff)
+            c = new(LaurentPoly)
+            c.c = coeff
+            if keep(word, c) is not c:
+                out.iadd_term(word, c)
             continue
         steps += 1
         if steps > budget:
@@ -266,11 +273,13 @@ def _rewrite(pending, rules, strategy, budget):
             ((e2, v2),) = coeff.items()
             for pair, items in rules[(word[i], word[i + 1])]:
                 w2 = pre + pair + suf
-                acc = pending.get(w2)
+                acc = get(w2)
                 if acc is None:
                     # one term times a rule coefficient: distinct exponents
-                    pending[w2] = {e1 + e2: v1 * v2 for e1, v1 in items}
-                    heappush(heap, w2)
+                    acc = pending[w2] = {}
+                    push(heap, w2)
+                    for e1, v1 in items:
+                        acc[e1 + e2] = v1 * v2
                 else:
                     for e1, v1 in items:
                         e = e1 + e2
@@ -279,10 +288,10 @@ def _rewrite(pending, rules, strategy, budget):
         terms = coeff.items()
         for pair, items in rules[(word[i], word[i + 1])]:
             w2 = pre + pair + suf
-            acc = pending.get(w2)
+            acc = get(w2)
             if acc is None:
                 acc = pending[w2] = {}
-                heappush(heap, w2)
+                push(heap, w2)
             for e1, v1 in items:
                 for e2, v2 in terms:
                     e = e1 + e2
@@ -438,7 +447,6 @@ def format_poly(x, pres):
     parts = []
     for word in sorted(x, key=lambda w: (len(w), w)):
         c = x[word]
-        gens = "*".join(pres.gen_label[g] for g in word) or "1"
         if len(c.c) == 1:
             ((e, v),) = c.c.items()
             sign = "-" if v < 0 else "+"
@@ -446,11 +454,11 @@ def format_poly(x, pres):
             coeff = "" if (av == 1 and e == 0) else \
                 ("q" if e == 1 else "q^%d" % e) if av == 1 else \
                 ("%d" % av if e == 0 else "%d*%s" % (av, "q" if e == 1 else "q^%d" % e))
-            body = gens if not coeff else (coeff + "*" + gens if word else coeff)
         else:
             sign = "+"
-            body = "%s*%s" % (format_coeff(c), gens)
-        parts.append((sign, body))
+            coeff = format_coeff(c)
+        gens = "*".join(pres.gen_label[g] for g in word)
+        parts.append((sign, coeff + "*" + gens if coeff and gens else coeff or gens or "1"))
     sign, body = parts[0]
     text = ("-" if sign == "-" else "") + body
     for sign, body in parts[1:]:

@@ -3,14 +3,19 @@
 Evaluation at q = 1 sends a Laurent polynomial to the sum of its
 coefficients.  At q = 1 the braiding becomes the flip of the tensor legs,
 and every straightening rule of both cell algebras becomes the commutation
-ab = ba: each correction term carries a factor q - q^-1.
+ab = ba: each correction term carries a factor q - q^-1.  Evaluation is a
+ring map, so it commutes with rewriting: at q = 1 every normal form is the
+commutative product, each word sorted non-increasing.
 """
+
+import random
 
 import pytest
 
 from qe6 import rmatrix as rm
 from qe6 import schubert as sc
 from qe6.linalg import SparseMat
+from qe6.qcoeff import LaurentPoly
 
 
 def at_one(coeff):
@@ -66,3 +71,54 @@ def test_a_negated_swap_coefficient_fails_the_commutation(algebra):
     assert swap == head[::-1]
     mutant = {**pres.rules, head: ((-coeff, swap), *rest)}
     assert commutation_failures(mutant) == [head]
+
+
+def sorted_at_one(x):
+    """x at q = 1 in the commutative polynomial ring: each word sorted
+    non-increasing, the values of its coefficients at q = 1 summed."""
+    out = {}
+    for word, coeff in x.items():
+        key = tuple(sorted(word, reverse=True))
+        out[key] = out.get(key, 0) + at_one(coeff)
+    return {w: v for w, v in out.items() if v}
+
+
+def seeded_sums(pres, seed, count=150):
+    """Sums of 1-3 words of one degree 2-5 with Laurent coefficients of 1-3
+    terms; a word after the first permutes the first word's letters half of
+    the time, so that sorted words meet and their coefficients are summed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        first = [rng.randrange(pres.ngens) for _ in range(rng.randint(2, 5))]
+        x = sc.NCPoly()
+        for _ in range(rng.randint(1, 3)):
+            word = rng.sample(first, len(first)) if rng.random() < 0.5 else \
+                [rng.randrange(pres.ngens) for _ in first]
+            coeff = LaurentPoly({rng.randint(-3, 3): rng.randint(-3, 3)
+                                 for _ in range(rng.randint(1, 3))})
+            x.iadd_term(tuple(word), coeff)
+        yield x
+
+
+def sort_failures(pres, strategy, seed):
+    """The seeded sums whose normal form at q = 1 is not sorted_at_one."""
+    return [x for x in seeded_sums(pres, seed)
+            if sorted_at_one(sc.normal_form(x, pres, strategy)) != sorted_at_one(x)]
+
+
+@pytest.mark.parametrize("strategy", ["left", "right"])
+@pytest.mark.parametrize("algebra", ["w", "what"])
+def test_normal_form_at_one_is_the_sorted_sum(algebra, strategy):
+    pres = sc.presentation(algebra)
+    assert sort_failures(pres, strategy, "%s-%s" % (algebra, strategy)) == []
+
+
+@pytest.mark.parametrize("algebra", ["w", "what"])
+def test_a_negated_compiled_swap_moves_a_normal_form_at_one(algebra, monkeypatch):
+    pres = sc.presentation(algebra)
+    real = sc.compiled_rules(pres)
+    head = next(iter(real))
+    (swap, items), *rest = real[head]
+    mutant = {**real, head: ((swap, tuple((e, -v) for e, v in items)), *rest)}
+    monkeypatch.setattr(sc, "compiled_rules", lambda p: mutant)
+    assert sort_failures(pres, "left", "%s-left" % algebra) != []

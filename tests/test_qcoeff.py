@@ -33,6 +33,16 @@ def test_accumulate_drops_zero_sums(value):
     assert terms == {}
 
 
+def test_equality():
+    # an int is the constant polynomial; any other object that is not a
+    # LaurentPoly is unequal
+    assert ONE == 1 and ZERO == 0 and Q != 1 and ONE != 2
+    assert (Q == "q") is False
+    a, b = LaurentPoly({2: 3, -1: -1}), LaurentPoly({-1: -1, 2: 3})
+    assert a is not b and a == b and not a != b
+    assert a != LaurentPoly({2: 3})
+
+
 def test_qhat():
     assert qhat() == Q - QINV
     assert qhat().eval_mod(1, 5) == 0

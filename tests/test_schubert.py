@@ -532,6 +532,12 @@ def test_parse_and_format_round_trip():
         x = sc.parse_expr(text, W)
         back = sc.parse_expr(sc.format_poly(x, W), W)
         assert back == x
+    # a scalar prints without a "*1", whatever its number of terms
+    for text, printed in [("q", "q"), ("q - q^-1", "(q - q^-1)"), ("2*q - 3", "(2*q - 3)"),
+                          ("Y[12] + q^2 - 1", "(q^2 - 1) + Y[12]")]:
+        x = sc.parse_expr(text, W)
+        assert sc.format_poly(x, W) == printed
+        assert sc.parse_expr(printed, W) == x
     z = sc.parse_expr("Zd[e]*Z[12]", WH)
     assert z == Zd(0).free_mul(Z(M([1, 2])))
     with pytest.raises(ValueError):
