@@ -347,9 +347,9 @@ def decompose_degree(algebra, d):
     """Prove the degree-d module decomposition from exhibited highest-weight
     vectors and the Weyl dimension count.
 
-    For the finite algebra the decomposition is a theorem; for the affine one
-    the report is evidence for the conjectured highest-weight monomial basis
-    and is labeled as such.
+    For either algebra the report proves the decomposition at degree d,
+    given the PBW basis; for the affine one it is evidence for the
+    conjectured decomposition in every degree, and its statement says so.
 
     The degree-d part M has the degree-d normal words as a basis, and it is a
     finite-dimensional type-1 U_q(so10)-module, so by fact (b) of the
@@ -416,8 +416,8 @@ def decompose_degree(algebra, d):
         "verdict": "pass" if ok else "fail",
     }
     if algebra == "what":
-        report["statement"] = ("evidence for the conjectured decomposition at degree <= %d;"
-                               " not a proof" % d)
+        report["statement"] = ("proved at degree %d given the PBW basis; evidence for the"
+                               " conjectured decomposition in every degree" % d)
     return report
 
 

@@ -3,11 +3,13 @@
 Each check verifies one published claim (or one structural invariant of this
 implementation) and reports pass/fail with enough detail to audit.  Checks
 are pure and draw nothing from the seed; each is a plain function, whose suite
-binds the arguments it takes (the algebra, a degree, a cached result) by partial.
+binds the arguments it takes (the algebra, a degree, the fact table) by partial.
+A fact several checks read is decided once per verify run and kept in its
+Facts table; a certificate fails, naming them, when its premises (PREMISES) fail.
 """
 
 from collections import defaultdict
-from functools import cache, partial
+from functools import partial
 from math import nan
 from operator import add, ne
 
@@ -51,6 +53,42 @@ TABLE_HEIGHTS = (1, 2, 3, 4, 4, 5, 6, 7)
 
 def _ok(cond, details=None):
     return (PASS if cond else FAIL), (details or {})
+
+
+class Facts(dict):
+    """One verify run's facts: facts(decide, *args) is decide(*args), decided
+    once and kept for this run only (perfbench times many runs in a process)."""
+
+    def __call__(self, decide, *args):
+        key = (decide,) + args
+        if key not in self:
+            self[key] = decide(*args)
+        return self[key]
+
+
+# whether each premise holds in a run's facts: PBW lets hilbert_dim count a
+# basis, and facts (a)-(c) of rootdata need a type-1 module (_TYPE1, _SPIN)
+PREMISES = {
+    "pbw-w": lambda facts: _pbw(facts, "w"),
+    "pbw-what": lambda facts: _pbw(facts, "what"),
+    "module-algebra-axiom": lambda facts: facts(_chk_module_algebra)[0] == PASS,
+    "operator-relations": lambda facts: facts(_chk_operator_relations)[0] == PASS,
+    "spin-defining-relations": lambda facts: facts(_chk_spin_relations)[0] == PASS,
+    "theta-certificate": lambda facts: facts(aj.hw_certificate, "theta")["ok"],
+    "omega3-5-certificates": lambda facts: all(
+        facts(aj.hw_certificate, "omega%d" % k)["ok"] for k in (3, 4, 5)),
+}
+_TYPE1 = ("module-algebra-axiom", "operator-relations")
+_SPIN = ("spin-defining-relations",)
+
+
+def _given(facts, premises, fn):
+    """fn as a check that reads `premises` first: when any fails, the check
+    fails, naming them, and fn does not run."""
+    def check():
+        failed = [p for p in premises if not PREMISES[p](facts)]
+        return (FAIL, {"failed_premises": failed}) if failed else fn()
+    return check
 
 
 # --- root data ----------------------------------------------------------------
@@ -133,7 +171,7 @@ def _chk_poset_grading():
                 "mismatches": mismatch})
 
 
-def rootdata_checks(max_degree, mode, rng):
+def rootdata_checks(max_degree, mode, rng, facts=None):
     return [
         Check("radical-root-census",
               "the sixteen indexed weights are exactly the positive roots lying "
@@ -158,9 +196,14 @@ def rootdata_checks(max_degree, mode, rng):
 
 # --- schubert -----------------------------------------------------------------
 
-def _chk_hilbert(algebra, top, failures):
+def _pbw(facts, algebra):
     pres = sc.presentation(algebra)
-    fails = failures(algebra)
+    return not facts(sc.rule_failures, pres) and facts(sc.confluence_check, pres)["ok"]
+
+
+def _chk_hilbert(algebra, top, facts):
+    pres = sc.presentation(algebra)
+    fails = facts(sc.rule_failures, pres)
     return _ok(not fails, {
         "dims": [sc.hilbert_dim(pres, d) for d in range(top + 1)],
         "decided_by": "diamond lemma: the rule table, checked here, and the "
@@ -168,19 +211,19 @@ def _chk_hilbert(algebra, top, failures):
         "rules_checked": len(pres.rules), "failures": fails[:5]})
 
 
-def _chk_confluence(algebra, confluence):
-    rep = confluence(algebra)
+def _chk_confluence(algebra, facts):
+    rep = facts(sc.confluence_check, sc.presentation(algebra))
     return _ok(rep["ok"], {"overlaps_checked": rep["overlaps_checked"],
                            "failures": rep["failures"][:5]})
 
 
-def _chk_termination(failures, confluence):
-    bad = [a for a in ("w", "what") if failures(a) or not confluence(a)["ok"]]
+def _chk_termination(pbw):
+    bad = [a for a in ("w", "what") if not pbw(a)]
     return _ok(not bad, {"decided_by": "the rule table and the degree-3 overlaps, "
                                        "by the diamond lemma", "failing_algebras": bad})
 
 
-def _chk_twisted_associativity(failures, confluence):
+def _chk_twisted_associativity(pbw):
     pres = sc.presentation("what")
     inhomogeneous = sum(pres.weight_of_word(word) != pres.weight_of_word(head)
                         for head, items in pres.rules.items() for _, word in items)
@@ -193,7 +236,7 @@ def _chk_twisted_associativity(failures, confluence):
          for x in set(gens).union(rd.wadd(x, y) for x in gens for y in gens)}
     non_additive = sum(sum(map(ne, e[rd.wadd(x, y)][k], map(add, e[x][k], e[y][k])))
                        for x in gens for y in gens for k in (0, 1))
-    unique = not failures("what") and confluence("what")["ok"]
+    unique = pbw("what")
     return _ok(not inhomogeneous and not non_additive and unique, {
         "decided_by": "a bicharacter is a 2-cocycle of a graded algebra, here "
                       "one with unique normal forms",
@@ -219,32 +262,31 @@ def _chk_laurent_closure():
                          "failures": bad[:5]})
 
 
-def schubert_checks(max_degree, mode, rng):
-    # each algebra's rule-table failures and confluence report, each computed
-    # once by whichever check comes first; apart, so reading one runs no other
-    failures = cache(lambda algebra: sc.rule_failures(sc.presentation(algebra)))
-    confluence = cache(lambda algebra: sc.confluence_check(sc.presentation(algebra)))
+def schubert_checks(max_degree, mode, rng, facts=None):
+    # the Hilbert series read the rule tables alone: perfbench times them in
+    # rounds that skip confluence-affine, whose first reader must go untimed
+    facts = Facts() if facts is None else facts
     return [
         Check("hilbert-series-finite",
               "the rule table and the degree-3 overlaps give the PBW basis, "
               "so degree d has dimension choose(15+d, 15)",
-              partial(_chk_hilbert, "w", 4, failures)),
+              partial(_chk_hilbert, "w", 4, facts)),
         Check("hilbert-series-affine",
               "the rule table and the degree-3 overlaps give the PBW basis, "
               "so degree d has dimension choose(31+d, 31)",
-              partial(_chk_hilbert, "what", 3, failures)),
+              partial(_chk_hilbert, "what", 3, facts)),
         Check("confluence-finite",
               "all degree-3 overlaps of the 16-generator straightening system "
-              "resolve to one normal form", partial(_chk_confluence, "w", confluence)),
+              "resolve to one normal form", partial(_chk_confluence, "w", facts)),
         Check("confluence-affine",
               "all degree-3 overlaps of the 32-generator straightening system "
-              "resolve to one normal form", partial(_chk_confluence, "what", confluence)),
+              "resolve to one normal form", partial(_chk_confluence, "what", facts)),
         Check("termination-random",
-              "randomized rewriting terminates strategy-independently",
-              partial(_chk_termination, failures, confluence)),
+              "rewriting terminates, and both strategies reach one normal "
+              "form in each algebra", partial(_chk_termination, partial(_pbw, facts))),
         Check("twisted-associativity",
               "the bicharacter twist yields an associative product",
-              partial(_chk_twisted_associativity, failures, confluence)),
+              partial(_chk_twisted_associativity, partial(_pbw, facts))),
         Check("theta-central-with-top-generator",
               "the two distinguished highest weight vectors commute",
               _chk_theta_commutes),
@@ -278,22 +320,23 @@ def _chk_operator_relations():
     return _ok(not f1 and not f2, {"failures": (f1 + f2)[:5]})
 
 
-def _chk_highest_weight_vectors(certs):
-    theta = certs()["theta"]
+def _chk_highest_weight_vectors(facts):
+    theta = facts(aj.hw_certificate, "theta")
     if not theta["ok"]:
         return FAIL, {"vector": "theta", "weight": theta["weight"]}
-    omegas = [certs()["omega%d" % k] for k in range(1, 14)]
+    omegas = [facts(aj.hw_certificate, "omega%d" % k) for k in range(1, 14)]
     rows = [{"k": k, "weight": c["weight"], "degree": c["degree"], "ok": c["ok"]}
             for k, c in enumerate(omegas, start=1)]
     return _ok(all(r["ok"] for r in rows), {"vectors": rows})
 
 
-def _chk_span_dims(certs):
+def _chk_span_dims(facts):
     """Span dimensions of Theta and the Omegas from their highest-weight
     certificates (adjoint.hw_certificate); any failed certificate fails."""
+    certs = {name: facts(aj.hw_certificate, name) for name in aj.NAMED_VECTORS}
     rows = [{"vector": name, "dim": c["span_dim"], "expected": c["expected_span_dim"]}
-            for name, c in certs().items()]
-    return _ok(all(c["ok"] for c in certs().values()),
+            for name, c in certs.items()]
+    return _ok(all(c["ok"] for c in certs.values()),
                {"decided_by": "highest-weight theorem: a nonzero vector of weight "
                               "lambda that every ad_E kills spans L(lambda)",
                 "spans": rows})
@@ -317,8 +360,8 @@ def _chk_decompose(algebra, top):
             return FAIL, {"degrees": reports}
     details = {"degrees": reports}
     if algebra == "what":
-        details["statement"] = ("evidence for the conjectured decomposition "
-                                "at degree <= %d; not asserted as proof" % top)
+        details["statement"] = ("proved at degree <= %d given the PBW basis; evidence "
+                                "for the conjectured decomposition in every degree" % top)
     return PASS, details
 
 
@@ -338,34 +381,37 @@ def _chk_omega_dependence():
                     "(printed form residual has %d terms)" % len(printed_residual)})
 
 
-def adjoint_checks(max_degree, mode, rng):
-    # the certificates behind two checks, computed once by whichever comes first
-    certs = cache(lambda: {name: aj.hw_certificate(name) for name in aj.NAMED_VECTORS})
+def adjoint_checks(max_degree, mode, rng, facts=None):
+    facts = Facts() if facts is None else facts
     return [
         Check("module-algebra-axiom",
               "the adjoint action respects products through the coproduct rule",
-              _chk_module_algebra),
+              partial(facts, _chk_module_algebra)),
         Check("operator-relations",
               "the acting generators satisfy the rank-5 quantized Serre and "
-              "commutator relations on both generator spans", _chk_operator_relations),
+              "commutator relations on both generator spans",
+              partial(facts, _chk_operator_relations)),
         Check("highest-weight-vectors",
               "theta and the thirteen conjectured generators are highest weight "
               "vectors with the tabulated weights and degrees",
-              partial(_chk_highest_weight_vectors, certs)),
+              _given(facts, _TYPE1, partial(_chk_highest_weight_vectors, facts))),
         Check("submodule-span-dimensions",
               "cyclic spans of the named vectors have their Weyl dimensions "
-              "(theta spans ten dimensions)", partial(_chk_span_dims, certs)),
+              "(theta spans ten dimensions)",
+              _given(facts, _TYPE1, partial(_chk_span_dims, facts))),
         Check("dimension-identity",
               "the two-parameter Weyl-dimension sum telescopes to a binomial "
               "coefficient through degree 30", _chk_dimension_identity),
         Check("decomposition-finite",
               "the 16-generator algebra decomposes degree by degree with one "
               "highest weight vector per allowed parameter pair",
-              partial(_chk_decompose, "w", max_degree + 1)),
+              _given(facts, ("pbw-w",) + _TYPE1,
+                     partial(_chk_decompose, "w", max_degree + 1))),
         Check("decomposition-affine-evidence",
               "highest-weight space dimensions match the conjectured monomial "
               "count in the affine algebra (bounded-degree evidence only)",
-              partial(_chk_decompose, "what", max_degree)),
+              _given(facts, ("pbw-what",) + _TYPE1,
+                     partial(_chk_decompose, "what", max_degree))),
         Check("omega-linear-dependence",
               "the single conjectured linear dependence among ordered monomials "
               "holds exactly (with the corrected printed coefficient)",
@@ -404,15 +450,16 @@ def _chk_root_vector_squares():
     return _ok(not bad, {"failures": bad})
 
 
-def spinrep_checks(max_degree, mode, rng):
+def spinrep_checks(max_degree, mode, rng, facts=None):
+    facts = Facts() if facts is None else facts
     return [
         Check("spin-defining-relations",
               "all quantized commutation and Serre relations hold as exact "
-              "16x16 identities", _chk_spin_relations),
+              "16x16 identities", partial(facts, _chk_spin_relations)),
         Check("spin-irreducible",
               "the module is irreducible with the spin highest weight and "
               "weight multiset equal to the radical-root family",
-              _chk_spin_irreducible),
+              _given(facts, _SPIN, _chk_spin_irreducible)),
         Check("module-isomorphism",
               "the signed q-power rescaling intertwines the adjoint generator "
               "span with the spin module", _chk_phi),
@@ -429,8 +476,8 @@ def _chk_qexp_coefficient():
                {"linear_coefficient": str(Q * (ONE - qpow(-2)))})
 
 
-def _chk_coeff_table(coeffs):
-    rep = coeffs()
+def _chk_coeff_table(facts):
+    rep = facts(rm.coeff_check)
     detail = {k: rep[k] for k in ("entries_checked", "printed_flip_diff_count",
                                   "support_ok")}
     detail["mismatches"] = rep["mismatches"][:5]
@@ -441,57 +488,59 @@ def _chk_coeff_table(coeffs):
     return _ok(rep["ok"] and rep["printed_flip_diff_count"] == 30, detail)
 
 
-def _chk_support(coeffs):
-    violations = coeffs()["support_violations"]
+def _chk_support(facts):
+    violations = facts(rm.coeff_check)["support_violations"]
     return _ok(not violations, {"violations": violations[:5]})
 
 
-def _chk_ybe(commutant):
-    rep = rm.ybe_check(commutant())
+def _commutant():
+    return rm.commutant_failures(rm.build_rhat())
+
+
+def _chk_ybe(facts):
+    rep = rm.ybe_check(facts(_commutant))
     return _ok(rep["ok"], {k: rep[k] for k in
                            ("columns_checked", "dominant_weights", "failing_columns",
                             "first_failure", "commutant_failures")})
 
 
-def _chk_equivariance(commutant):
-    rep = rm.equivariance_check(commutant())
+def _chk_equivariance(facts):
+    rep = rm.equivariance_check(facts(_commutant))
     return _ok(rep["ok"], {k: rep[k] for k in
                            ("commutant_failures", "invertible", "eigenvalues")})
 
 
-def _chk_eigen_split(commutant):
-    rep = rm.eigen_split(commutant())
+def _chk_eigen_split(facts):
+    rep = rm.eigen_split(facts(_commutant))
     return _ok(rep["ok"], {k: rep[k] for k in
                            ("kernel_dim", "seed_in_kernel", "closure_dim",
                             "closure_in_kernel", "relation_span_dim",
                             "relations_in_kernel", "complement_dim")})
 
 
-def rmatrix_checks(max_degree, mode, rng):
-    # the coefficient report behind two checks and the commutant behind three,
-    # each computed once by whichever check comes first
-    coeffs = cache(rm.coeff_check)
-    commutant = cache(lambda: rm.commutant_failures(rm.build_rhat()))
+def rmatrix_checks(max_degree, mode, rng, facts=None):
+    facts = Facts() if facts is None else facts
     return [
         Check("qexp-linear-coefficient",
               "the truncating q-exponential contributes exactly q - q^(-1)",
               _chk_qexp_coefficient),
         Check("coefficient-table",
               "the constructed braiding matches the closed coefficient table "
-              "on all 65536 entries", partial(_chk_coeff_table, coeffs)),
+              "on all 65536 entries", partial(_chk_coeff_table, facts)),
         Check("support-triangularity",
               "nonzero braiding entries only connect comparable pairs within "
-              "one class", partial(_chk_support, coeffs)),
+              "one class", partial(_chk_support, facts)),
         Check("braid-relation",
               "the braiding satisfies the braid form of the Yang-Baxter "
-              "equation exactly", partial(_chk_ybe, commutant)),
+              "equation exactly", _given(facts, _SPIN, partial(_chk_ybe, facts))),
         Check("module-map",
               "the braiding commutes with the acting algebra and is invertible",
-              partial(_chk_equivariance, commutant)),
+              _given(facts, _SPIN, partial(_chk_equivariance, facts))),
         Check("negative-eigenspace",
               "the eigenvalue -1 eigenspace is 120-dimensional, is the cyclic "
               "module of the distinguished seed, and equals the transported "
-              "quadratic relation space", partial(_chk_eigen_split, commutant)),
+              "quadratic relation space",
+              _given(facts, _SPIN, partial(_chk_eigen_split, facts))),
     ]
 
 
@@ -578,7 +627,8 @@ def _chk_psi_st_sweep():
         "degree3_quotient": frt.degree3_quotient_dim("what")})
 
 
-def frt_checks(max_degree, mode, rng):
+def frt_checks(max_degree, mode, rng, facts=None):
+    facts = Facts() if facts is None else facts
     return [
         Check("proof-matrix-ranks",
               "the 8x8 straightening matrix has rank 5 and the 16x16 two-row "
@@ -594,12 +644,15 @@ def frt_checks(max_degree, mode, rng):
               "the row map carries every cell-algebra relation, its kernel "
               "module lands in the relation span, and quotient dimensions "
               "agree at degree 2, so in every degree since each row is a face",
-              _chk_psi_s_sweep),
+              _given(facts, ("pbw-w",) + _TYPE1 + ("theta-certificate",),
+                     _chk_psi_s_sweep)),
         Check("two-row-homomorphism-kernel",
               "the twisted affine map carries every relation for all 80 pairs, "
               "the three kernel modules land in the relation span, and "
               "dimensions agree at degree 2, so in every degree since each "
-              "pair is a face", _chk_psi_st_sweep),
+              "pair is a face",
+              _given(facts, ("pbw-what",) + _TYPE1 + ("omega3-5-certificates",),
+                     _chk_psi_st_sweep)),
     ]
 
 

@@ -14,7 +14,7 @@ from . import adjoint as aj
 from . import rmatrix as rm
 from . import frt
 from . import report as rp
-from .checks import SUITES, SUITE_ORDER, MAX_DEGREE
+from .checks import SUITES, SUITE_ORDER, MAX_DEGREE, Facts
 
 
 def cmd_verify(args):
@@ -22,9 +22,10 @@ def cmd_verify(args):
         raise ValueError("--max-degree must be between 0 and %d" % MAX_DEGREE)
     names = SUITE_ORDER if args.suite == "all" else (args.suite,)
     rows = []
+    facts = Facts()  # this run's shared facts, each decided once
     for name in names:
         # no check draws from the seed; the builders take a generator for perfbench
-        checks = SUITES[name](args.max_degree, args.mode, None)
+        checks = SUITES[name](args.max_degree, args.mode, None, facts)
         prefix = "%s." % name if args.suite == "all" else ""
         for row in rp.run_suite(checks, timings=args.timings, prefix=prefix):
             sys.stderr.write("%-18s %s\n" % (row["status"], row["claim_id"]))

@@ -56,7 +56,9 @@ class LaurentPoly:
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(frozenset(self.c.items()))
+            # a constant equals its int, so it hashes as that int
+            c = self.c
+            self._hash = hash(c.get(0, 0)) if c.keys() <= {0} else hash(frozenset(c.items()))
             return self._hash
 
     def __neg__(self):

@@ -1,7 +1,8 @@
 """Acceptance gate: the nine top-line criteria, one test each.
 
-The verify suites decide every claim; criteria 1-8 assert over the reports
-that `qe6 verify --suite <name> --timings` writes.  Each asserts the status
+The verify suites decide every claim; criteria 1-8 assert over the report
+that one `qe6 verify --timings` writes, where every suite reads the run's
+shared facts, each decided once.  Each asserts the status
 of every check behind it, the literals the source states (read from the
 check details), and a wall-time bound on the checks' summed elapsed_ms.
 Every test prints one pass/fail line (visible with -s or in captured output).
@@ -19,18 +20,17 @@ PASS = "pass"
 
 
 @functools.cache
-def _suite(name):
-    """{claim_id: check} of one suite's report, run once per pytest run.
-    The per-check progress lines on stderr are dropped."""
+def _report():
+    """{claim_id: check} of the full report, run once per pytest run.  The
+    per-check progress lines on stderr are dropped."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        cli_main(["verify", "--suite", name, "--timings"])
+        cli_main(["verify", "--timings"])
     return {check["claim_id"]: check for check in json.loads(out.getvalue())["checks"]}
 
 
 def _check(claim):
-    suite, claim_id = claim.split(".", 1)
-    return _suite(suite)[claim_id]
+    return _report()[claim]
 
 
 def _details(claim):

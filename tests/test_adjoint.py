@@ -374,10 +374,15 @@ def test_module_algebra_axiom_fails_on_a_mutated_rule(monkeypatch, algebra, pair
     assert all(f["operator"] in "EF" and f["i"] in rd.IPRIME for f in fails)
     real = sc.presentation
     monkeypatch.setattr(sc, "presentation", lambda a: mutant if a == algebra else real(a))
-    status, details = checks._chk_module_algebra()
+    facts = checks.Facts()
+    status, details = facts(checks._chk_module_algebra)
     assert status == "fail"
     assert (details["relations"], details["applications"]) == (616, 6160)
     assert details["failures"] == fails[:5]
+    # the certificates rest on the axiom
+    suite = {c.claim_id: c.fn for c in checks.adjoint_checks(3, "exact", None, facts)}
+    assert suite["highest-weight-vectors"]() == (
+        "fail", {"failed_premises": ["module-algebra-axiom"]})
 
 
 def test_inhomogeneous_relation_fails():
@@ -689,7 +694,7 @@ def _mutate(monkeypatch, mutant):
 
 
 @pytest.mark.parametrize("mutant", ["zero", "not-killed", "weight", "degree"])
-def test_certificate_mutants_fail(monkeypatch, capsys, mutant):
+def test_certificate_mutants_fail(monkeypatch, capsys, passing_pbw, mutant):
     name = _mutate(monkeypatch, mutant)
     cert = aj.hw_certificate(name)
     assert not cert["ok"]
@@ -704,13 +709,20 @@ def test_certificate_mutants_fail(monkeypatch, capsys, mutant):
     assert rep["candidate_failures"] == [
         {"monomial": list(key), "reason": "uses a factor that failed its certificate: %s" % name}
         for key in aj.hw_candidates(algebra, degree) if key[k]]
-    suite = {c.claim_id: c.fn for c in checks.adjoint_checks(3, "exact", random.Random(0))}
+    suite = {c.claim_id: c.fn for build in (checks.adjoint_checks, checks.frt_checks)
+             for c in build(3, "exact", random.Random(0), passing_pbw)}
     assert suite["highest-weight-vectors"]()[0] == "fail"
     # verify decomposes the affine algebra through degree 3 only
     claim = "decomposition-finite" if algebra == "w" else "decomposition-affine-evidence"
     assert suite[claim]()[0] == ("fail" if degree <= 3 else "pass")
     status, details = suite["submodule-span-dimensions"]()
     assert status == "fail" and len(details["spans"]) == 14
+    # the kernel checks rest on the certificates of their tops
+    for top, claim, premise in (("theta", "row-homomorphism-kernel", "theta-certificate"),
+                                ("omega3", "two-row-homomorphism-kernel",
+                                 "omega3-5-certificates")):
+        if name == top:
+            assert suite[claim]() == ("fail", {"failed_premises": [premise]})
     capsys.readouterr()
     assert main(["hwv", "--check", name]) == 1
     row, = json.loads(capsys.readouterr().out)

@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from qe6 import adjoint as aj, checks, cli, rmatrix as rm, schubert as sc
 from qe6.cli import main
 
 
@@ -125,8 +127,43 @@ def test_schubert_report_does_not_depend_on_the_seed(capsys):
     assert len(bodies) == 1
 
 
-def test_verify_max_degree_reaches_the_decompositions(capsys):
+def test_verify_decides_each_shared_fact_once_per_run(monkeypatch, capsys):
+    # the facts live for one run: perfbench times verify's rounds in one
+    # process, where facts kept across runs would time cache hits.  The
+    # rewriting-heavy facts give way to passing stand-ins: the reads are counted
+    calls = Counter()
+
+    def counted(module, name, result=None):
+        real = getattr(module, name)
+
+        def stand_in(*args):
+            calls[name] += 1
+            return real(*args) if result is None else result
+        monkeypatch.setattr(module, name, stand_in)
+
+    counted(sc, "rule_failures")
+    counted(sc, "confluence_check", {"overlaps_checked": 0, "failures": [], "ok": True})
+    counted(aj, "module_algebra_failures", [])
+    counted(rm, "commutant_failures", [])
+    counted(rm, "coeff_check")
+    for _ in range(2):
+        calls.clear()
+        assert main(["verify"]) == 0
+        assert calls == {"rule_failures": 2, "confluence_check": 2,
+                         "module_algebra_failures": 2, "commutant_failures": 1,
+                         "coeff_check": 1}
+    capsys.readouterr()
+    # the Hilbert series read the rule tables alone, so that each confluence
+    # verdict is first read by its own check
+    calls.clear()
+    for check in checks.schubert_checks(3, "exact", None)[:2]:
+        assert check.fn()[0] == "pass"
+    assert calls == {"rule_failures": 2}
+
+
+def test_verify_max_degree_reaches_the_decompositions(monkeypatch, capsys, passing_pbw):
     # the finite algebra is decomposed through one degree more than the affine
+    monkeypatch.setattr(cli, "Facts", lambda: passing_pbw)
     code, out, _ = run(capsys, "verify", "--suite", "adjoint", "--max-degree", "1")
     assert code == 0
     doc = json.loads(out)

@@ -93,6 +93,13 @@ def test_cached_hash_is_the_content_hash(a, b):
     assert hashes == (hash(LaurentPoly(dict(a.c))), hash(LaurentPoly(dict(b.c))))
 
 
+def test_constants_hash_as_their_ints():
+    # a constant equals its int, so the two must hash alike
+    for n in (0, 1, -1, 5):
+        assert hash(LaurentPoly.from_int(n)) == hash(n)
+    assert 1 in {ONE} and ONE in {1}
+
+
 def _reference_product(a, b):
     """The product term by term, zero sums dropped at the end."""
     c = {}

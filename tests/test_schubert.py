@@ -177,14 +177,21 @@ def test_rule_table_mutant_fails_hilbert(monkeypatch, algebra, change, named, re
     assert sc.rule_failures(real(algebra)) == []
 
 
+def _perturbed(pres):
+    """`pres` with the second term of its PAIRS rule times q."""
+    a, b = PAIRS[pres.algebra_id]
+    rules = dict(pres.rules)
+    (c0, swap), (c1, word), *rest = rules[(a, b)]
+    rules[(a, b)] = ((c0, swap), (c1 * Q, word), *rest)
+    return sc.AlgebraPresentation(pres.algebra_id, pres.ngens, pres.gen_mask,
+                                  pres.gen_delta, rules)
+
+
 def test_perturbed_coefficient_fails_confluence(monkeypatch):
     # a correction coefficient times q keeps the rule table's shape, so only
     # the overlaps catch it, among them (a, 1, b) with a < 1 < b
     a, b = PAIRS["w"]
-    rules = dict(W.rules)
-    (c0, swap), (c1, word), *rest = rules[(a, b)]
-    rules[(a, b)] = ((c0, swap), (c1 * Q, word), *rest)
-    mutant = sc.AlgebraPresentation("w", W.ngens, W.gen_mask, W.gen_delta, rules)
+    mutant = _perturbed(W)
     monkeypatch.setattr(sc, "presentation", lambda alg: mutant)
     assert sc.rule_failures(mutant) == []
     assert _schubert_check("hilbert-series-finite")[0] == "pass"
@@ -193,6 +200,27 @@ def test_perturbed_coefficient_fails_confluence(monkeypatch):
     assert (a, 1, b) in details["failures"]
     status, details = _schubert_check("termination-random")
     assert status == "fail" and "w" in details["failing_algebras"]
+
+
+@pytest.mark.parametrize("algebra, decomposition, kernel", [
+    ("w", "decomposition-finite", "row-homomorphism-kernel"),
+    ("what", "decomposition-affine-evidence", "two-row-homomorphism-kernel"),
+], ids=["w", "what"])
+def test_perturbed_coefficient_fails_what_rests_on_pbw(monkeypatch, algebra,
+                                                       decomposition, kernel):
+    # the decomposition counts a basis with hilbert_dim, and the kernel check
+    # rests on PBW too: both fail on the perturbation, naming the premise
+    real = sc.presentation
+    mutant = _perturbed(real(algebra))
+    assert sc.rule_failures(mutant) == []
+    monkeypatch.setattr(sc, "presentation", lambda alg: mutant if alg == algebra else real(alg))
+    facts = checks.Facts()
+    suite = {c.claim_id: c.fn for build in (checks.adjoint_checks, checks.frt_checks)
+             for c in build(3, "exact", None, facts)}
+    for claim in (decomposition, kernel):
+        status, details = suite[claim]()
+        assert status == "fail" and "pbw-" + algebra in details["failed_premises"]
+    assert not facts(sc.confluence_check, mutant)["ok"]
 
 
 @pytest.mark.parametrize("seed", [2026, 1, 105])
@@ -328,11 +356,11 @@ def test_twisted_associativity_random():
 
 
 def _twisted_associativity(monkeypatch, twist=sc.twist_factor, pres=WH):
-    # twisted-associativity with passing rule-table and confluence verdicts,
-    # so that only the grading and the twist decide
+    # twisted-associativity with a passing PBW verdict, so that only the
+    # grading and the twist decide
     monkeypatch.setattr(sc, "twist_factor", twist)
     monkeypatch.setattr(sc, "presentation", lambda a: pres)
-    return checks._chk_twisted_associativity(lambda a: [], lambda a: {"ok": True})
+    return checks._chk_twisted_associativity(lambda a: True)
 
 
 @pytest.mark.parametrize("twist, bilinear", [
@@ -368,8 +396,7 @@ def test_twisted_associativity_needs_homogeneous_rules(monkeypatch):
 
 
 def test_twisted_associativity_needs_unique_normal_forms():
-    status, details = checks._chk_twisted_associativity(
-        lambda a: [], lambda a: {"ok": a != "what"})
+    status, details = checks._chk_twisted_associativity(lambda a: a != "what")
     assert status == "fail" and not details["normal_forms_unique"]
 
 
@@ -477,10 +504,7 @@ def test_reduced_rules_keep_the_rule_table_facts(pres):
 def test_mutant_presentation_gets_its_own_reduced_rules():
     # the perturbed coefficient of test_perturbed_coefficient_fails_confluence
     a, b = PAIRS["w"]
-    rules = dict(W.rules)
-    (c0, swap), (c1, word), *rest = rules[(a, b)]
-    rules[(a, b)] = ((c0, swap), (c1 * Q, word), *rest)
-    mutant = sc.AlgebraPresentation("w", W.ngens, W.gen_mask, W.gen_delta, rules)
+    mutant = _perturbed(W)
     table = sc.reduced_rules(mutant)
     assert table is not sc.reduced_rules(W)
     assert table[(a, b)] != sc.reduced_rules(W)[(a, b)]
@@ -504,10 +528,7 @@ def test_compiled_rules_are_the_reduced_rules(pres):
 def test_mutant_presentation_gets_its_own_compiled_rules():
     # the perturbed coefficient of test_perturbed_coefficient_fails_confluence
     a, b = PAIRS["w"]
-    rules = dict(W.rules)
-    (c0, swap), (c1, word), *rest = rules[(a, b)]
-    rules[(a, b)] = ((c0, swap), (c1 * Q, word), *rest)
-    mutant = sc.AlgebraPresentation("w", W.ngens, W.gen_mask, W.gen_delta, rules)
+    mutant = _perturbed(W)
     table = sc.compiled_rules(mutant)
     assert table is not sc.compiled_rules(W)
     assert table[(a, b)] != sc.compiled_rules(W)[(a, b)]

@@ -136,3 +136,20 @@ def test_phi_scalars():
     scal = sp.phi_scalars()
     assert scal[0] == ONE
     assert scal[M([1, 2])] == neg_qpow(1)
+
+
+def test_broken_spin_relation_fails_what_rests_on_it(monkeypatch):
+    # F_2 times q breaks the E_2 F_2 commutator but nothing that
+    # irreducibility_check reads: the certificate and the three braiding
+    # checks fail through their premise, and name it
+    real = sp.chevalley_action
+    f2 = real("F", 2).scale(Q)
+    monkeypatch.setattr(sp, "chevalley_action",
+                        lambda kind, i: f2 if (kind, i) == ("F", 2) else real(kind, i))
+    assert "commutator E2 F2" in sp.relation_failures(sp.generator_matrices())
+    assert sp.irreducibility_check() == (True, [])
+    facts = checks.Facts()
+    suite = {c.claim_id: c.fn for build in (checks.spinrep_checks, checks.rmatrix_checks)
+             for c in build(3, "exact", None, facts)}
+    for claim in ("spin-irreducible", "braid-relation", "module-map", "negative-eigenspace"):
+        assert suite[claim]() == ("fail", {"failed_premises": ["spin-defining-relations"]})
