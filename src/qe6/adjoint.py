@@ -343,9 +343,10 @@ def hw_candidates(algebra, d):
     return out
 
 
-def decompose_degree(algebra, d):
+def decompose_degree(algebra, d, certify):
     """Prove the degree-d module decomposition from exhibited highest-weight
-    vectors and the Weyl dimension count.
+    vectors and the Weyl dimension count.  The caller supplies each factor's
+    certificate as certify(name): hw_certificate, or a verify run's facts.
 
     For either algebra the report proves the decomposition at degree d,
     given the PBW basis; for the affine one it is evidence for the
@@ -356,7 +357,7 @@ def decompose_degree(algebra, d):
     semisimplicity argument in the rootdata docstring the highest-weight
     vectors of weight lambda span a space whose dimension is the
     multiplicity m_lambda of L(lambda) in M.  Each factor of degree
-    <= d is certified once (hw_certificate).  The action is a module-algebra
+    <= d is certified (certify).  The action is a module-algebra
     action (module_algebra_failures), so a nonzero product of certified
     factors is killed by every ad_E, of dominant weight sum r_k
     weight(factor_k): no candidate goes to ad_E.  The candidates of weight
@@ -377,7 +378,7 @@ def decompose_degree(algebra, d):
     # the 7-coordinate weight of each certified factor of degree <= d
     weights = {name: q_degree(vec, pres)
                for name, (vec, entry) in zip(names, map(_factor, names))
-               if entry[2] <= d and hw_certificate(name)["ok"]}
+               if entry[2] <= d and certify(name)["ok"]}
 
     cands = hw_candidates(algebra, d)
     by_mu = {}

@@ -347,10 +347,10 @@ def _chk_dimension_identity():
     return _ok(not bad, {"degrees_checked": 31, "failures": bad})
 
 
-def _chk_decompose(algebra, top):
+def _chk_decompose(algebra, top, facts):
     reports = []
     for d in range(top + 1):
-        rep = aj.decompose_degree(algebra, d)
+        rep = aj.decompose_degree(algebra, d, partial(facts, aj.hw_certificate))
         reports.append({k: rep[k] for k in
                         ("degree", "component_dim", "hw_vector_count",
                          "expected_hw_count", "weyl_dim_total", "verdict")})
@@ -406,12 +406,13 @@ def adjoint_checks(max_degree, mode, rng, facts=None):
               "the 16-generator algebra decomposes degree by degree with one "
               "highest weight vector per allowed parameter pair",
               _given(facts, ("pbw-w",) + _TYPE1,
-                     partial(_chk_decompose, "w", max_degree + 1))),
+                     partial(_chk_decompose, "w", max_degree + 1, facts))),
         Check("decomposition-affine-evidence",
               "highest-weight space dimensions match the conjectured monomial "
-              "count in the affine algebra (bounded-degree evidence only)",
+              "count in the affine algebra (proved at each degree checked, "
+              "given the PBW basis)",
               _given(facts, ("pbw-what",) + _TYPE1,
-                     partial(_chk_decompose, "what", max_degree))),
+                     partial(_chk_decompose, "what", max_degree, facts))),
         Check("omega-linear-dependence",
               "the single conjectured linear dependence among ordered monomials "
               "holds exactly (with the corrected printed coefficient)",
@@ -563,10 +564,9 @@ def _chk_rank_facts():
     return _ok(ok, detail)
 
 
-def _by_template(row_sets, ok, details):
-    """The template's verdict `ok`, shared by each row set whose
-    frt.row_coefficients equal the template's.  Up to five row sets that
-    differ are named, each with its first coefficient that differs."""
+def _template_diffs(row_sets):
+    """The row sets whose frt.row_coefficients differ from the template's,
+    the first of `row_sets`, each with its first coefficient that differs."""
     ref = frt.row_coefficients(row_sets[0])
     bad = []
     for rows in row_sets:
@@ -576,55 +576,62 @@ def _by_template(row_sets, ok, details):
             bad.append({"rows": tuple(map(rd.label, rows)), "coefficient": key,
                         "value": str(table.get(key, 0)),
                         "template_value": str(ref.get(key, 0))})
+    return bad
+
+
+def _by_template(facts, row_sets, ok, details):
+    """The template's verdict `ok`, shared by each row set whose table equals
+    the template's (_template_diffs).  Up to five that differ are named."""
+    bad = facts(_template_diffs, tuple(row_sets))
     details["template"] = tuple(map(rd.label, row_sets[0]))
     if bad:
         details["coefficients_differ"] = bad[:5]
     return _ok(ok and not bad, details)
 
 
-def _chk_row_sweep():
+def _chk_row_sweep(facts):
     rows = [(s,) for s in rd.ALL_MASKS]
     rep = frt.row_presentation(*rows[0])
     if not rep["ok"] or rep["degree2_dim"] != 126:
-        return _by_template(rows, False, {
+        return _by_template(facts, rows, False, {
             "row": rep["row"], "dim": rep["degree2_dim"],
             "blocks_bad": frt.failing_blocks(rep["blocks"])[:3]})
-    return _by_template(rows, True, {"rows": 16, "degree2_dims": [126]})
+    return _by_template(facts, rows, True, {"rows": 16, "degree2_dims": [126]})
 
 
-def _chk_two_row_sweep():
+def _chk_two_row_sweep(facts):
     pairs = frt.admissible_pairs()
     rep = frt.two_row_presentation(*pairs[0])
     bad = [] if rep["ok"] and rep["degree2_dim"] == 498 else [
         {"rows": rep["rows"], "dim": rep["degree2_dim"],
          "blocks_bad": [dict(b, group=g) for g, blocks in rep["groups"].items()
                         for b in frt.failing_blocks(blocks)][:3]}]
-    return _by_template(pairs, not bad, {"pairs": 80, "failures": bad})
+    return _by_template(facts, pairs, not bad, {"pairs": 80, "failures": bad})
 
 
-def _chk_psi_s_sweep():
+def _chk_psi_s_sweep(facts):
     rows = [(s,) for s in rd.ALL_MASKS]
     rep = frt.psi_S_check(*rows[0])
     if not rep["ok"]:
-        return _by_template(rows, False, {"report": rep})
+        return _by_template(facts, rows, False, {"report": rep})
     non_faces = [rd.label(*r) for r in rows if not rd.is_face(r)]
-    degree3 = frt.degree3_quotient_dim("w")
-    return _by_template(rows, not non_faces and degree3 == aj.closed_form_dim(3, 0), {
+    degree3 = facts(frt.degree3_quotient_dim, "w")
+    return _by_template(facts, rows, not non_faces and degree3 == aj.closed_form_dim(3, 0), {
         "rows": 16, "faces": 16 - len(non_faces), "non_faces": non_faces,
         "degree2_quotient": rep["degree2_quotient_dim"],
         "degree3_quotient": degree3})
 
 
-def _chk_psi_st_sweep():
+def _chk_psi_st_sweep(facts):
     pairs = frt.admissible_pairs()
     rep = frt.psi_ST_check(*pairs[0])
     if not rep["ok"]:
-        return _by_template(pairs, False, {"report": rep})
+        return _by_template(facts, pairs, False, {"report": rep})
     non_faces = [tuple(map(rd.label, p)) for p in pairs if not rd.is_face(p)]
-    return _by_template(pairs, not non_faces, {
+    return _by_template(facts, pairs, not non_faces, {
         "pairs": 80, "faces": 80 - len(non_faces), "non_faces": non_faces,
         "kernel_module_rank": rep["kernel_module_rank"],
-        "degree3_quotient": frt.degree3_quotient_dim("what")})
+        "degree3_quotient": facts(frt.degree3_quotient_dim, "what")})
 
 
 def frt_checks(max_degree, mode, rng, facts=None):
@@ -636,23 +643,24 @@ def frt_checks(max_degree, mode, rng, facts=None):
               "with the printed displays", _chk_rank_facts),
         Check("row-presentations",
               "for all 16 rows the computed quadratic relation space equals "
-              "the published single-row relation set", _chk_row_sweep),
+              "the published single-row relation set", partial(_chk_row_sweep, facts)),
         Check("two-row-presentations",
               "for all 80 admissible row pairs the computed relation spaces "
-              "equal the published two-row relation sets", _chk_two_row_sweep),
+              "equal the published two-row relation sets",
+              partial(_chk_two_row_sweep, facts)),
         Check("row-homomorphism-kernel",
               "the row map carries every cell-algebra relation, its kernel "
               "module lands in the relation span, and quotient dimensions "
               "agree at degree 2, so in every degree since each row is a face",
               _given(facts, ("pbw-w",) + _TYPE1 + ("theta-certificate",),
-                     _chk_psi_s_sweep)),
+                     partial(_chk_psi_s_sweep, facts))),
         Check("two-row-homomorphism-kernel",
               "the twisted affine map carries every relation for all 80 pairs, "
               "the three kernel modules land in the relation span, and "
               "dimensions agree at degree 2, so in every degree since each "
               "pair is a face",
               _given(facts, ("pbw-what",) + _TYPE1 + ("omega3-5-certificates",),
-                     _chk_psi_st_sweep)),
+                     partial(_chk_psi_st_sweep, facts))),
     ]
 
 

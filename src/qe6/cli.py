@@ -109,7 +109,7 @@ def cmd_decompose(args):
     if not 0 <= args.degree <= top:
         raise ValueError("--degree must be between 0 and %d for --algebra %s"
                          % (top, args.algebra))
-    rep = aj.decompose_degree(args.algebra, args.degree)
+    rep = aj.decompose_degree(args.algebra, args.degree, aj.hw_certificate)
     sys.stdout.write(rp.dumps(rep))
     return 0 if rep["verdict"] == "pass" else 1
 
@@ -141,9 +141,9 @@ def build_parser():
     p.add_argument("--suite", default="all",
                    choices=("all",) + SUITE_ORDER)
     p.add_argument("--max-degree", type=int, default=3, dest="max_degree")
-    # every suite is exact; the flag stays only because perfbench passes
-    # args.mode to the suite builders
-    p.add_argument("--mode", default="exact", choices=("exact",))
+    # every suite is exact: no --mode flag, but the report header records
+    # the mode and perfbench passes args.mode to the suite builders
+    p.set_defaults(mode="exact")
     p.add_argument("--seed", type=int, default=2026)
     p.add_argument("--timings", action="store_true",
                    help="fill elapsed_ms with wall-clock values (breaks "

@@ -35,7 +35,8 @@ through the braiding coefficients of row_coefficients, one table for all
 16 rows and one for all 80 admissible pairs, so the verify suite decides
 each sweep on a template row set and certifies the others by their tables.
 Their degree-3 cross-check, degree3_quotient_dim, counts the kernel ideal
-on its dominant weights alone (adjoint.semisimple_dim).
+on its dominant weights alone (adjoint.semisimple_dim).  Both are verdicts,
+kept by verify's fact table (checks.Facts) for one run, never cached here.
 """
 
 from functools import cache
@@ -377,9 +378,7 @@ def rank_checks():
     return {
         "octet_matrices_identical": consistent,
         "rank_straightening": rank_a,
-        "rank_straightening_expected": 5,
         "rank_two_row": two_rank,
-        "rank_two_row_expected": 9,
         "two_row_matches_assembled_form": two_row == assembled,
         "two_row_consistent_across_pairs": pairs_consistent,
         "display_diffs": diffs,
@@ -485,7 +484,6 @@ def psi_ST_check(s, t):
     return _kernel_check((s, t), two, two["groups"])
 
 
-@cache
 def degree3_quotient_dim(algebra):
     """Degree-3 dimension of the cell algebra ("w" or "what") modulo the
     ideal of its kernel_module K, from the products of dominant weight only.

@@ -397,7 +397,6 @@ def eigen_split(failures):
           closure_in_kernel and rel_rank == 120 and rel_in_kernel)
     return {
         "kernel_dim": kernel_dim,
-        "expected_kernel_dim": 120,
         "seed_in_kernel": seed_in,
         "closure_dim": closure_dim,
         "closure_in_kernel": closure_in_kernel,

@@ -458,10 +458,10 @@ def test_generator_matrices_are_the_action(monkeypatch):
 
 def test_decompose_finite_low_degrees():
     for d in (0, 1, 2):
-        rep = aj.decompose_degree("w", d)
+        rep = aj.decompose_degree("w", d, aj.hw_certificate)
         assert rep["verdict"] == "pass"
         assert rep["component_dim"] == [1, 16, 136][d]
-    rep = aj.decompose_degree("w", 2)
+    rep = aj.decompose_degree("w", 2, aj.hw_certificate)
     dims = sorted(rd.weyl_dim(rd.pairings(tuple(b["weight"])))
                   for b in rep["blocks"] if b["hw_dim"])
     assert dims == [10, 126]
@@ -469,7 +469,7 @@ def test_decompose_finite_low_degrees():
 
 def test_decompose_affine_evidence_low_degrees():
     for d, hw in ((0, 1), (1, 2), (2, 7)):
-        rep = aj.decompose_degree("what", d)
+        rep = aj.decompose_degree("what", d, aj.hw_certificate)
         assert rep["verdict"] == "pass"
         assert rep["hw_vector_count"] == hw
         assert "evidence" in rep["statement"]
@@ -501,7 +501,7 @@ def _stacked_hw_dims(algebra, d):
 def test_hw_dims_match_the_stacked_rank_reference(algebra, top):
     for d in range(top + 1):
         ref = _stacked_hw_dims(algebra, d)
-        rep = aj.decompose_degree(algebra, d)
+        rep = aj.decompose_degree(algebra, d, aj.hw_certificate)
         got = {tuple(b["weight"]): b["hw_dim"] for b in rep["blocks"]}
         assert set(got) <= set(ref)
         assert {mu: got.get(mu, 0) for mu in ref} == ref
@@ -519,7 +519,7 @@ def test_dropped_candidate_fails_the_dimension_count(monkeypatch):
     # without theta the exhibited vectors span 126 of the 136 dimensions
     _mutated_candidates(monkeypatch, ("w", 2),
                         lambda c: {k: v for k, v in c.items() if k != (0, 1)})
-    rep = aj.decompose_degree("w", 2)
+    rep = aj.decompose_degree("w", 2, aj.hw_certificate)
     assert rep["verdict"] == "fail"
     assert (rep["weyl_dim_total"], rep["component_dim"]) == (126, 136)
     assert rep["mismatched_blocks"] == [] and rep["candidate_failures"] == []
@@ -528,10 +528,10 @@ def test_dropped_candidate_fails_the_dimension_count(monkeypatch):
 
 def test_zero_candidate_fails(monkeypatch):
     _mutated_candidates(monkeypatch, ("w", 2), lambda c: {**c, (0, 1): sc.NCPoly()})
-    rep = aj.decompose_degree("w", 2)
+    rep = aj.decompose_degree("w", 2, aj.hw_certificate)
     assert rep["verdict"] == "fail"
     assert rep["candidate_failures"] == [{"monomial": [0, 1], "reason": "the product is zero"}]
-    status, details = checks._chk_decompose("w", 2)
+    status, details = checks._chk_decompose("w", 2, checks.Facts())
     assert status == "fail"
     assert details["degrees"][-1]["candidate_failures"] == rep["candidate_failures"]
 
@@ -539,11 +539,11 @@ def test_zero_candidate_fails(monkeypatch):
 def _theta_replaced_by(monkeypatch, vec):
     """Patch Theta to `vec`; return the w degree-2 decomposition report."""
     monkeypatch.setattr(aj, "theta", lambda: vec)
-    rep = aj.decompose_degree("w", 2)
+    rep = aj.decompose_degree("w", 2, aj.hw_certificate)
     assert rep["verdict"] == "fail"
     assert rep["candidate_failures"] == [
         {"monomial": [0, 1], "reason": "uses a factor that failed its certificate: theta"}]
-    status, details = checks._chk_decompose("w", 2)
+    status, details = checks._chk_decompose("w", 2, checks.Facts())
     assert status == "fail"
     assert details["degrees"][-1]["candidate_failures"] == rep["candidate_failures"]
     return rep
@@ -574,7 +574,7 @@ def test_duplicated_candidate_is_a_mismatched_block(monkeypatch):
     key = (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0)
     p59 = sc.multiply(aj.build_omega(5), aj.build_omega(9), WH)
     _mutated_candidates(monkeypatch, ("what", 6), lambda c: {**c, key: p59})
-    status, details = checks._chk_decompose("what", 6)
+    status, details = checks._chk_decompose("what", 6, checks.Facts())
     rep = details["degrees"][-1]
     assert status == "fail" and rep["degree"] == 6 and rep["verdict"] == "fail"
     assert rep["weyl_dim_total"] == rep["component_dim"] == 2324784
@@ -594,7 +594,7 @@ def test_decomposition_hands_only_factors_to_ad_E(monkeypatch):
         degrees = [aj._factor(name)[1][2] for name in aj.FACTORS[algebra]]
         for d in range(top + 1):
             seen.clear()
-            assert aj.decompose_degree(algebra, d)["verdict"] == "pass"
+            assert aj.decompose_degree(algebra, d, aj.hw_certificate)["verdict"] == "pass"
             assert len(seen) == 5 * sum(deg <= d for deg in degrees)
             assert all(x in factors for x in seen)
 
@@ -606,7 +606,7 @@ def test_component_dim_is_the_enumerated_word_count(algebra, top):
     pres = sc.presentation(algebra)
     for d in range(top + 1):
         blocks = Counter(pres.weight_of_word(word) for word in _normal_words(pres, d))
-        rep = aj.decompose_degree(algebra, d)
+        rep = aj.decompose_degree(algebra, d, aj.hw_certificate)
         assert sum(blocks.values()) == rep["component_dim"]
         assert all(tuple(b["weight"]) in blocks for b in rep["blocks"])
 
@@ -619,7 +619,7 @@ def test_candidates_pass_the_raising_reference(algebra, top):
     pres = sc.presentation(algebra)
     for d in range(top + 1):
         blocks = {tuple(b["weight"]): b["expected_hw"]
-                  for b in aj.decompose_degree(algebra, d)["blocks"]}
+                  for b in aj.decompose_degree(algebra, d, aj.hw_certificate)["blocks"]}
         weights = Counter()
         for vec in aj.hw_candidates(algebra, d).values():
             ok, lam = aj.is_highest_weight(vec, pres)
@@ -704,7 +704,7 @@ def test_certificate_mutants_fail(monkeypatch, capsys, passing_pbw, mutant):
     # uses it as a factor, and only those
     algebra, _, degree = aj.NAMED_VECTORS[name]
     k = aj.FACTORS[algebra].index(name)
-    rep = aj.decompose_degree(algebra, degree)
+    rep = aj.decompose_degree(algebra, degree, aj.hw_certificate)
     assert rep["verdict"] == "fail"
     assert rep["candidate_failures"] == [
         {"monomial": list(key), "reason": "uses a factor that failed its certificate: %s" % name}

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from qe6 import adjoint as aj, checks, cli, rmatrix as rm, schubert as sc
+from qe6 import adjoint as aj, checks, cli, frt, rmatrix as rm, schubert as sc
 from qe6.cli import main
 
 
@@ -88,10 +88,11 @@ def test_usage_error_exit_2(capsys):
     ("verify", "--mode", "modular"),
     ("decompose", "--algebra", "w", "--degree", "2", "--seed", "1"),
     ("decompose", "--algebra", "w", "--degree", "2", "--mode", "exact"),
+    ("verify", "--mode", "exact"),
 ])
 def test_retired_flags_exit_2(capsys, argv):
     # every suite is exact and decompose draws nothing: these flags are
-    # rejected, never recorded and ignored
+    # rejected, even with their old default values, never recorded and ignored
     code, out, _ = run(capsys, *argv)
     assert code == 2 and out == ""
 
@@ -130,7 +131,9 @@ def test_schubert_report_does_not_depend_on_the_seed(capsys):
 def test_verify_decides_each_shared_fact_once_per_run(monkeypatch, capsys):
     # the facts live for one run: perfbench times verify's rounds in one
     # process, where facts kept across runs would time cache hits.  The
-    # rewriting-heavy facts give way to passing stand-ins: the reads are counted
+    # rewriting-heavy facts give way to passing stand-ins.  Each count is of
+    # computations, so a process cache fails: the fact table is the only
+    # reuse, and a degree-3 quotient is counted by its semisimple_dim call
     calls = Counter()
 
     def counted(module, name, result=None):
@@ -146,12 +149,18 @@ def test_verify_decides_each_shared_fact_once_per_run(monkeypatch, capsys):
     counted(aj, "module_algebra_failures", [])
     counted(rm, "commutant_failures", [])
     counted(rm, "coeff_check")
+    # 14 named vectors and Y_e; 16 row tables and 80 pair tables, each
+    # template's twice; the quotients of w and what
+    counted(aj, "hw_certificate")
+    counted(frt, "row_coefficients")
+    counted(frt, "semisimple_dim")
     for _ in range(2):
         calls.clear()
         assert main(["verify"]) == 0
         assert calls == {"rule_failures": 2, "confluence_check": 2,
                          "module_algebra_failures": 2, "commutant_failures": 1,
-                         "coeff_check": 1}
+                         "coeff_check": 1, "hw_certificate": 15,
+                         "row_coefficients": 98, "semisimple_dim": 2}
     capsys.readouterr()
     # the Hilbert series read the rule tables alone, so that each confluence
     # verdict is first read by its own check
@@ -244,7 +253,7 @@ def test_decompose_rejects_a_degree_above_its_maximum(capsys, monkeypatch, algeb
             top, algebra)
     assert called == []
     assert run(capsys, "decompose", "--algebra", algebra, "--degree", str(top))[0] == 0
-    assert called == [(algebra, top)]
+    assert called == [(algebra, top, aj.hw_certificate)]
 
 
 def test_decompose_cli(capsys):

@@ -231,7 +231,7 @@ def test_row_sweep_failure_detail_is_json(monkeypatch):
         return rep
 
     monkeypatch.setattr(frt, "row_presentation", first_row_bad)
-    status, details = checks._chk_row_sweep()
+    status, details = checks._chk_row_sweep(checks.Facts())
     assert status == "fail"
     assert details["blocks_bad"] == [{"class_head": ("e", "e"), "rank": 0,
                                       "stated_count": 0}]
@@ -440,7 +440,7 @@ def test_two_row_sweep_failure_names_blocks(monkeypatch):
 
     monkeypatch.setattr(frt, "two_row_presentation", first_mixed_bad)
     s, t = frt.admissible_pairs()[0]
-    status, details = checks._chk_two_row_sweep()
+    status, details = checks._chk_two_row_sweep(checks.Facts())
     assert status == "fail"
     (failure,) = details["failures"]
     assert failure["rows"] == (rd.label(s), rd.label(t))
@@ -495,7 +495,7 @@ def test_degree3_quotient_multiplies_only_dominant_weights(monkeypatch):
     monkeypatch.setattr(frt, "multiply", spy)
     for algebra, want, products in (("w", 672, 12), ("what", 5088, 72)):
         weights.clear()
-        assert frt.degree3_quotient_dim.__wrapped__(algebra) == want
+        assert frt.degree3_quotient_dim(algebra) == want
         assert len(weights) == products and min(map(min, weights)) >= 0
 
 
@@ -503,25 +503,21 @@ def test_degree3_quotient_sees_a_dropped_top_vector(monkeypatch):
     # without its top, the rest of the kernel module is no submodule
     real = frt.kernel_module
     monkeypatch.setattr(frt, "kernel_module", lambda algebra: real(algebra)[1:])
-    assert frt.degree3_quotient_dim.__wrapped__("w") == 816
-    assert frt.degree3_quotient_dim.__wrapped__("what") == 5232
+    assert frt.degree3_quotient_dim("w") == 816
+    assert frt.degree3_quotient_dim("what") == 5232
 
 
 def test_degree3_quotient_needs_the_raising_ranks(monkeypatch):
     # h_mu without the ad_E rank counts every dominant vector as a top
     monkeypatch.setattr(aj, "ad_E", lambda i, x, pres: NCPoly())
-    assert frt.degree3_quotient_dim.__wrapped__("w") == 608
-    assert frt.degree3_quotient_dim.__wrapped__("what") == 4704
+    assert frt.degree3_quotient_dim("w") == 608
+    assert frt.degree3_quotient_dim("what") == 4704
 
 
 def test_row_kernel_check_compares_the_degree3_quotient(monkeypatch):
     # without the ad_E rank the quotient reads 608, not the closed form's 672
     monkeypatch.setattr(aj, "ad_E", lambda i, x, pres: NCPoly())
-    frt.degree3_quotient_dim.cache_clear()
-    try:
-        status, details = checks._chk_psi_s_sweep()
-    finally:
-        frt.degree3_quotient_dim.cache_clear()
+    status, details = checks._chk_psi_s_sweep(checks.Facts())
     assert status == "fail" and details["degree3_quotient"] == 608
     assert aj.closed_form_dim(3, 0) == 672
 
@@ -539,7 +535,7 @@ def test_face_certificate():
 def test_row_kernel_check_fails_off_a_face(monkeypatch):
     is_face = rd.is_face
     monkeypatch.setattr(rd, "is_face", lambda rows: rows != (0,) and is_face(rows))
-    status, details = checks._chk_psi_s_sweep()
+    status, details = checks._chk_psi_s_sweep(checks.Facts())
     assert status == "fail"
     assert details["faces"] == 15 and details["non_faces"] == ["e"]
     json.dumps(details)
@@ -794,7 +790,7 @@ def test_sweeps_name_a_row_set_whose_coefficient_differs(monkeypatch, index, row
     else:
         assert not frt.psi_ST_check(*frt.admissible_pairs()[0])["ok"]
     for claim in failing:
-        status, details = _SWEEPS[claim]()
+        status, details = _SWEEPS[claim](checks.Facts())
         assert status == "fail", claim
         named = [d for d in details["coefficients_differ"]
                  if d["rows"] == tuple(map(rd.label, rows))]
@@ -810,7 +806,7 @@ def test_sweeps_fail_on_a_differing_table_alone(monkeypatch, claim):
     tables = frt.row_coefficients
     monkeypatch.setattr(frt, "row_coefficients", lambda rows: (
         {**tables(rows), (0, 0, None, None): Q} if rows == last else tables(rows)))
-    status, details = _SWEEPS[claim]()
+    status, details = _SWEEPS[claim](checks.Facts())
     assert status == "fail"
     assert details["coefficients_differ"] == [
         {"rows": tuple(map(rd.label, last)), "coefficient": (0, 0, None, None),
@@ -859,7 +855,7 @@ def test_sweep_checks_build_one_presentation(monkeypatch, claim):
         build = getattr(frt, name)
         monkeypatch.setattr(frt, name, lambda *rows, build=build: (
             builds.append(rows), build(*rows))[1])
-    status, details = _SWEEPS[claim]()
+    status, details = _SWEEPS[claim](checks.Facts())
     assert status == "pass"
     assert len(builds) == 1
     assert details["template"] == (("e",) if claim.startswith("row") else ("12", "e"))
