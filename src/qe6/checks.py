@@ -57,12 +57,13 @@ def _ok(cond, details=None):
 
 class Facts(dict):
     """One verify run's facts: facts(decide, *args) is decide(*args), decided
-    once and kept for this run only (perfbench times many runs in a process)."""
+    once and kept for this run only (perfbench times many runs in a process).
+    A fact that reads other facts is decided as decide(facts, *args) (reads=True)."""
 
-    def __call__(self, decide, *args):
+    def __call__(self, decide, *args, reads=False):
         key = (decide,) + args
         if key not in self:
-            self[key] = decide(*args)
+            self[key] = decide(self, *args) if reads else decide(*args)
         return self[key]
 
 
@@ -72,7 +73,7 @@ PREMISES = {
     "pbw-w": lambda facts: _pbw(facts, "w"),
     "pbw-what": lambda facts: _pbw(facts, "what"),
     "module-algebra-axiom": lambda facts: facts(_chk_module_algebra)[0] == PASS,
-    "operator-relations": lambda facts: facts(_chk_operator_relations)[0] == PASS,
+    "operator-relations": lambda facts: facts(_chk_operator_relations, reads=True)[0] == PASS,
     "spin-defining-relations": lambda facts: facts(_chk_spin_relations)[0] == PASS,
     "theta-certificate": lambda facts: facts(aj.hw_certificate, "theta")["ok"],
     "omega3-5-certificates": lambda facts: all(
@@ -306,9 +307,9 @@ def _chk_module_algebra():
                            "failures": fails[:5]})
 
 
-def _chk_operator_relations():
-    finite = aj.generator_matrices(sc.presentation("w"))
-    affine = aj.generator_matrices(sc.presentation("what"))
+def _chk_operator_relations(facts):
+    finite = facts(aj.generator_matrices, sc.presentation("w"))
+    affine = facts(aj.generator_matrices, sc.presentation("what"))
     f1 = sp.relation_failures(finite)
     # Each relation is a polynomial identity in the generator matrices, and
     # a block diagonal diag(A, A) satisfies one exactly when A does.  So when
@@ -390,7 +391,7 @@ def adjoint_checks(max_degree, mode, rng, facts=None):
         Check("operator-relations",
               "the acting generators satisfy the rank-5 quantized Serre and "
               "commutator relations on both generator spans",
-              partial(facts, _chk_operator_relations)),
+              partial(facts, _chk_operator_relations, reads=True)),
         Check("highest-weight-vectors",
               "theta and the thirteen conjectured generators are highest weight "
               "vectors with the tabulated weights and degrees",
@@ -433,9 +434,9 @@ def _chk_spin_irreducible():
     return _ok(ok and not wfails, {"failures": (fails + wfails)[:5]})
 
 
-def _chk_phi():
+def _chk_phi(facts):
     pres = sc.presentation("w")
-    ok, fails = sp.phi_check(aj.generator_matrices(pres), pres.gen_mask)
+    ok, fails = sp.phi_check(facts(aj.generator_matrices, pres), pres.gen_mask)
     return _ok(ok, {"failures": fails})
 
 
@@ -463,7 +464,7 @@ def spinrep_checks(max_degree, mode, rng, facts=None):
               _given(facts, _SPIN, _chk_spin_irreducible)),
         Check("module-isomorphism",
               "the signed q-power rescaling intertwines the adjoint generator "
-              "span with the spin module", _chk_phi),
+              "span with the spin module", partial(_chk_phi, facts)),
         Check("root-vector-squares-vanish",
               "every representing root vector squares to zero (q-exponential "
               "truncation hypothesis)", _chk_root_vector_squares),

@@ -191,26 +191,35 @@ class LaurentPoly:
         return {str(e): str(v) for e, v in sorted(self.c.items())}
 
     def __str__(self):
-        if not self.c:
-            return "0"
-        parts = []
-        for e in sorted(self.c, reverse=True):
-            v = self.c[e]
-            sign = "-" if v < 0 else "+"
-            av = abs(v)
-            if e == 0:
-                body = str(av)
-            else:
-                qp = "q" if e == 1 else "q^%d" % e
-                body = qp if av == 1 else "%d*%s" % (av, qp)
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+        return strip_lead(terms_text(self.c)) if self.c else "0"
 
     __repr__ = __str__
+
+
+def terms_text(c, gens=""):
+    """The terms of the sum c*gens, for a LaurentPoly's dict c and gens a
+    printed word or "", as " + a - b ...": highest exponent first, a
+    coefficient 1 printed only without a word.  The one monomial format of
+    LaurentPoly and schubert.format_poly; strip_lead makes it a sum."""
+    tail = "*" + gens if gens else ""
+    out = []
+    for e in sorted(c, reverse=True):
+        v = c[e]
+        if v < 0:
+            sign, v = " - ", -v
+        else:
+            sign = " + "
+        if e:
+            qp = "q" if e == 1 else "q^%d" % e
+            out.append(sign + qp + tail if v == 1 else "%s%d*%s%s" % (sign, v, qp, tail))
+        else:
+            out.append(sign + gens if v == 1 and gens else "%s%d%s" % (sign, v, tail))
+    return "".join(out)
+
+
+def strip_lead(text):
+    """The sum " + a - b ..." as printed, "a - b ..."; " - a ..." gives "-a ..."."""
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 ZERO = LaurentPoly.from_int(0)

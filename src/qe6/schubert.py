@@ -16,7 +16,8 @@ from heapq import heapify, heappop, heappush
 from math import comb
 from itertools import combinations, product
 
-from .qcoeff import LaurentPoly, ONE, QHAT, qpow, neg_qpow, accumulate
+from .qcoeff import (LaurentPoly, ONE, QHAT, qpow, neg_qpow, accumulate,
+                     strip_lead, terms_text)
 from . import rootdata as rd
 
 
@@ -434,36 +435,20 @@ def rule_relation_vectors(pres):
 
 # --- text grammar -----------------------------------------------------------
 
-def format_coeff(c):
-    s = str(c)
-    if len(c.c) > 1:
-        return "(%s)" % s
-    return s
-
-
 def format_poly(x, pres):
     if not x:
         return "0"
-    parts = []
-    for word in sorted(x, key=lambda w: (len(w), w)):
-        c = x[word]
-        if len(c.c) == 1:
-            ((e, v),) = c.c.items()
-            sign = "-" if v < 0 else "+"
-            av = abs(v)
-            coeff = "" if (av == 1 and e == 0) else \
-                ("q" if e == 1 else "q^%d" % e) if av == 1 else \
-                ("%d" % av if e == 0 else "%d*%s" % (av, "q" if e == 1 else "q^%d" % e))
+    label = pres.gen_label.__getitem__
+    terms = []
+    for word in sorted(sorted(x), key=len):      # by length, then by word
+        c = x[word].c
+        gens = "*".join(map(label, word))
+        if len(c) == 1:
+            terms.append(terms_text(c, gens))
         else:
-            sign = "+"
-            coeff = format_coeff(c)
-        gens = "*".join(pres.gen_label[g] for g in word)
-        parts.append((sign, coeff + "*" + gens if coeff and gens else coeff or gens or "1"))
-    sign, body = parts[0]
-    text = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        text += " %s %s" % (sign, body)
-    return text
+            coeff = strip_lead(terms_text(c))
+            terms.append(" + (%s)*%s" % (coeff, gens) if gens else " + (%s)" % coeff)
+    return strip_lead("".join(terms))
 
 
 # a number, a generator label up to the first "]", or any other single
@@ -526,7 +511,7 @@ def _parse_sum(toks, i, pres, depth):
     """Parse `expr` from toks[i]; return ({word: {exponent: int}}, next i).
 
     A term is c*q^e times the product `poly` of its factors up to its last
-    parenthesis, then the generators since (`word`)."""
+    parenthesis (None if it has none), then the generators since (`word`)."""
     n = len(toks)
     index = pres.gen_index
     acc = {}
@@ -536,7 +521,7 @@ def _parse_sum(toks, i, pres, depth):
             if toks[i] == "-":
                 sign = -sign
             i += 1
-        word, e, c, poly = [], 0, sign, {(): {0: 1}}
+        word, e, c, poly = [], 0, sign, None
         want = True                             # a factor must come next
         while True:
             t = toks[i] if i < n else ""        # "" is the end of the text
@@ -568,7 +553,7 @@ def _parse_sum(toks, i, pres, depth):
                 inner, i = _parse_sum(toks, i + 1, pres, depth + 1)
                 if i == n or toks[i] != ")":
                     raise ValueError("missing closing parenthesis")
-                poly = _free_product(poly, tuple(word), inner, {})
+                poly = _free_product(poly or {(): {0: 1}}, tuple(word), inner, {})
                 word = []
             elif len(t) > 1:
                 word.append(_generator(t, pres))
@@ -579,7 +564,11 @@ def _parse_sum(toks, i, pres, depth):
                 break
             want = False
             i += 1
-        _free_product(poly, tuple(word), {(): {e: c}}, acc)
+        if poly:
+            _free_product(poly, tuple(word), {(): {e: c}}, acc)
+        else:
+            dst = acc.setdefault(tuple(word), {})
+            dst[e] = dst.get(e, 0) + c
         if i == n or toks[i] not in ("-", "+"):
             return acc, i
 

@@ -150,8 +150,10 @@ def test_verify_decides_each_shared_fact_once_per_run(monkeypatch, capsys):
     counted(rm, "commutant_failures", [])
     counted(rm, "coeff_check")
     # 14 named vectors and Y_e; 16 row tables and 80 pair tables, each
-    # template's twice; the quotients of w and what
+    # template's twice; the quotients of w and what; the generator matrices
+    # of w and what (operator-relations reads both, module-isomorphism w)
     counted(aj, "hw_certificate")
+    counted(aj, "generator_matrices")
     counted(frt, "row_coefficients")
     counted(frt, "semisimple_dim")
     for _ in range(2):
@@ -160,7 +162,8 @@ def test_verify_decides_each_shared_fact_once_per_run(monkeypatch, capsys):
         assert calls == {"rule_failures": 2, "confluence_check": 2,
                          "module_algebra_failures": 2, "commutant_failures": 1,
                          "coeff_check": 1, "hw_certificate": 15,
-                         "row_coefficients": 98, "semisimple_dim": 2}
+                         "row_coefficients": 98, "semisimple_dim": 2,
+                         "generator_matrices": 2}
     capsys.readouterr()
     # the Hilbert series read the rule tables alone, so that each confluence
     # verdict is first read by its own check

@@ -6,7 +6,9 @@ from itertools import combinations_with_replacement, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qe6 import adjoint as aj
 from qe6 import checks
+from qe6 import rmatrix as rm
 from qe6 import rootdata as rd
 from qe6.qcoeff import ONE, ZERO, Q, QHAT, LaurentPoly, qpow
 from qe6 import schubert as sc
@@ -582,6 +584,90 @@ def normal_forms(draw):
 def test_format_parse_normal_form_round_trip(case):
     nf, pres = case
     assert sc.normal_form(sc.parse_expr(sc.format_poly(nf, pres), pres), pres) == nf
+
+
+# --- the reference printer -----------------------------------------------------
+# The printer format_poly and LaurentPoly.__str__ replaced, kept as the
+# reference: each appends " %s %s" pieces in a loop, and format_poly formats
+# a one-term coefficient inline.
+
+def reference_laurent_str(c):
+    if not c.c:
+        return "0"
+    parts = []
+    for e in sorted(c.c, reverse=True):
+        v = c.c[e]
+        sign = "-" if v < 0 else "+"
+        av = abs(v)
+        if e == 0:
+            body = str(av)
+        else:
+            qp = "q" if e == 1 else "q^%d" % e
+            body = qp if av == 1 else "%d*%s" % (av, qp)
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        out += " %s %s" % (sign, body)
+    return out
+
+
+def reference_format_poly(x, pres):
+    if not x:
+        return "0"
+    parts = []
+    for word in sorted(x, key=lambda w: (len(w), w)):
+        c = x[word]
+        if len(c.c) == 1:
+            ((e, v),) = c.c.items()
+            sign = "-" if v < 0 else "+"
+            av = abs(v)
+            coeff = "" if (av == 1 and e == 0) else \
+                ("q" if e == 1 else "q^%d" % e) if av == 1 else \
+                ("%d" % av if e == 0 else "%d*%s" % (av, "q" if e == 1 else "q^%d" % e))
+        else:
+            sign = "+"
+            coeff = "(%s)" % reference_laurent_str(c)
+        gens = "*".join(pres.gen_label[g] for g in word)
+        parts.append((sign, coeff + "*" + gens if coeff and gens else coeff or gens or "1"))
+    sign, body = parts[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        text += " %s %s" % (sign, body)
+    return text
+
+
+def _seeded_normal_forms(seed, count):
+    """Normal forms of 1-3 random words of degree 0-3, in w and what, with
+    coefficients of 1-4 terms (coefficients +-1, +-2, +-7, exponents -3..3)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pres = rng.choice((W, WH))
+        x = sc.NCPoly()
+        for _ in range(rng.randint(1, 3)):
+            word = tuple(rng.randrange(pres.ngens) for _ in range(rng.randint(0, 3)))
+            coeff = LaurentPoly({rng.randint(-3, 3): rng.choice((-1, 1)) * rng.choice((1, 1, 2, 7))
+                                 for _ in range(rng.randint(1, 4))})
+            x.iadd_term(word, coeff)
+        yield sc.normal_form(x, pres), pres
+
+
+def test_printer_matches_the_reference_on_normal_forms():
+    for x, pres in _seeded_normal_forms(38, 400):
+        assert sc.format_poly(x, pres) == reference_format_poly(x, pres)
+        for c in x.values():
+            assert str(c) == reference_laurent_str(c)
+
+
+def test_printer_matches_the_reference_on_omega_and_the_braiding():
+    for k in range(1, 14):
+        omega = aj.build_omega(k)
+        assert sc.format_poly(omega, WH) == reference_format_poly(omega, WH)
+        for c in omega.values():
+            assert str(c) == reference_laurent_str(c)
+    for c in rm.build_rhat().entries.values():
+        assert str(c) == reference_laurent_str(c)
+        assert str(-c) == reference_laurent_str(-c)
 
 
 # --- the reference parser ------------------------------------------------------
