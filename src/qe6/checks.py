@@ -256,7 +256,7 @@ def _chk_theta_commutes():
 def _chk_laurent_closure():
     bad = [{"algebra": a, "pair": [sc.presentation(a).gen_label[g] for g in head]}
            for a in ("w", "what")
-           for head, terms in sorted(sc.compiled_rules(sc.presentation(a)).items())
+           for head, terms in sorted(sc.reduced_rules(sc.presentation(a)).items())
            if any(v != int(v) for _, items in terms for _, v in items)]
     return _ok(not bad, {"decided_by": "rewriting never divides, and the reduced "
                                        "rules' coefficient values are integers",

@@ -72,10 +72,7 @@ class SparseMat:
         return SparseMat._raw(self.nrows, self.ncols, out)
 
     def sub(self, other):
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            accumulate(out, k, -v)
-        return SparseMat._raw(self.nrows, self.ncols, out)
+        return self.add(other.scale(-1))
 
     def scale(self, s):
         if not s:

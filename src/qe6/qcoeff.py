@@ -79,16 +79,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly.from_int(other)
-        c = dict(self.c)
-        for e, v in other.c.items():
-            w = c.get(e, 0) - v
-            if w:
-                c[e] = w
-            elif e in c:
-                del c[e]
-        return LaurentPoly._raw(c)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -98,18 +89,9 @@ class LaurentPoly:
             if not other:
                 return ZERO
             return LaurentPoly._raw({e: v * other for e, v in self.c.items()})
-        a, b = self.c, other.c
-        if not a or not b:
-            return ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            # a shift and a scale: distinct exponents, no zero product
-            ((ea, va),) = a.items()
-            return LaurentPoly._raw({ea + eb: va * vb for eb, vb in b.items()})
         c = {}
-        for ea, va in a.items():
-            for eb, vb in b.items():
+        for ea, va in self.c.items():
+            for eb, vb in other.c.items():
                 e = ea + eb
                 w = c.get(e, 0) + va * vb
                 if w:

@@ -5,9 +5,9 @@ are presented by straightening rules, one for every generator pair that is
 out of order; rule_failures checks that rewriting terminates, and with
 confluence_check that the normal words are a basis (PBW).  Normal words are
 non-increasing in a fixed total order on generators; in the affine algebra
-every delta-shifted generator precedes every plain one.  Rewriting uses the
-inter-reduced table of reduced_rules, whose confluence decides PBW for the
-published rules (rule_failures).
+every delta-shifted generator precedes every plain one.  Rewriting reads one
+table per presentation, the inter-reduced rules of reduced_rules, whose
+confluence decides PBW for the published rules (rule_failures).
 """
 
 import re
@@ -61,10 +61,7 @@ class NCPoly(dict):
         return out
 
     def __sub__(self, other):
-        out = NCPoly(self)
-        for w, c in other.items():
-            out.iadd_term(w, -c)
-        return out
+        return self + -other
 
     def __neg__(self):
         return NCPoly({w: -c for w, c in self.items()})
@@ -167,37 +164,26 @@ REWRITE_BUDGET = 10 ** 6
 
 @cache
 def reduced_rules(pres):
-    """The inter-reduced rule table: each head (a, b) of pres.rules maps to
-    N(ab), its degree-2 normal form under the published rules, as
-    ((coeff, word), ...) with the swap (b, a) first.  Built on the first
-    rewrite over pres, not with it, so a mutant table that cannot be reduced
-    still reaches rule_failures; why its confluence proves PBW for the
-    published rules is stated there."""
-    published = _compile(pres.rules)
+    """The one rule table rewriting reads, the inter-reduced form of
+    pres.rules: each head (a, b) maps to N(ab), its degree-2 normal form
+    under the published rules, as ((word, coefficient items), ...) with the
+    swap (b, a) first.  Built on the first rewrite over pres, not with it,
+    so a mutant table that cannot be reduced still reaches rule_failures;
+    why its confluence proves PBW for the published rules is stated there."""
+    published = {head: tuple((word, tuple(c.c.items())) for c, word in items)
+                 for head, items in pres.rules.items()}
     out = {}
     for head in pres.rules:
         nf = _rewrite({head: {0: 1}}, published, "left", REWRITE_BUDGET)
         swap = head[::-1]
-        out[head] = tuple(sorted(((c, w) for w, c in nf.items()), key=lambda t: t[1] != swap))
+        out[head] = tuple(sorted(((w, tuple(c.c.items())) for w, c in nf.items()),
+                                 key=lambda t: t[0] != swap))
     return out
 
 
-@cache
-def compiled_rules(pres):
-    """reduced_rules(pres) in the form _rewrite reads, built once per
-    presentation."""
-    return _compile(reduced_rules(pres))
-
-
-def _compile(rules):
-    """A rule table in the form _rewrite reads: each term (coeff, word)
-    becomes (word, the (exponent, value) items of coeff)."""
-    return {head: tuple((word, tuple(c.c.items())) for c, word in items)
-            for head, items in rules.items()}
-
-
 def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
-    """Straighten to the PBW normal form, rewriting with reduced_rules(pres).
+    """Straighten to the PBW normal form, rewriting with the one table
+    reduced_rules(pres).
 
     `strategy` picks which out-of-order pair of a word is rewritten: the
     leftmost ("left") or the rightmost; the result is strategy-independent.
@@ -222,13 +208,13 @@ def normal_form(x, pres, strategy="left", budget=REWRITE_BUDGET):
     for w, c in x.items():
         if c.c:
             pending[w] = dict(c.c)
-    return _rewrite(pending, compiled_rules(pres), strategy, budget)
+    return _rewrite(pending, reduced_rules(pres), strategy, budget)
 
 
 def _rewrite(pending, rules, strategy, budget):
     """normal_form's loop over `pending`, {word: {exponent: int}}, which it
     consumes; a dict may hold zero values and sum to zero.  `rules` maps each
-    out-of-order pair to ((word, coefficient items), ...), as compiled_rules
+    out-of-order pair to ((word, coefficient items), ...), as reduced_rules
     does.  Coefficients follow the raw-accumulate rule of the qcoeff module
     docstring, with the zero-prune done when a word is taken.  The loop reads
     its callables from locals and fills new dicts with plain loops, as a

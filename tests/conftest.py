@@ -17,3 +17,13 @@ def passing_pbw():
     return checks.Facts({(decide, sc.presentation(a)): value for a in ("w", "what")
                          for decide, value in ((sc.rule_failures, []),
                                                (sc.confluence_check, ok))})
+
+
+@pytest.fixture
+def published_form():
+    """A function that turns a table of schubert.reduced_rules' form,
+    {head: ((word, coefficient items), ...)}, into the form of
+    pres.rules, {head: ((coeff, word), ...)}, term order kept."""
+    from qe6.qcoeff import LaurentPoly
+    return lambda table: {head: tuple((LaurentPoly(dict(items)), word) for word, items in terms)
+                          for head, terms in table.items()}

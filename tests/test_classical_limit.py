@@ -56,11 +56,11 @@ def test_a_negated_braiding_entry_moves_off_the_flip():
 
 
 @pytest.mark.parametrize("algebra, count", [("w", 120), ("what", 496)])
-def test_every_rule_at_one_is_a_commutation(algebra, count):
+def test_every_rule_at_one_is_a_commutation(algebra, count, published_form):
     pres = sc.presentation(algebra)
     assert len(pres.rules) == len(sc.reduced_rules(pres)) == count
     assert commutation_failures(pres.rules) == []
-    assert commutation_failures(sc.reduced_rules(pres)) == []
+    assert commutation_failures(published_form(sc.reduced_rules(pres))) == []
 
 
 @pytest.mark.parametrize("algebra", ["w", "what"])
@@ -116,9 +116,9 @@ def test_normal_form_at_one_is_the_sorted_sum(algebra, strategy):
 @pytest.mark.parametrize("algebra", ["w", "what"])
 def test_a_negated_compiled_swap_moves_a_normal_form_at_one(algebra, monkeypatch):
     pres = sc.presentation(algebra)
-    real = sc.compiled_rules(pres)
+    real = sc.reduced_rules(pres)
     head = next(iter(real))
     (swap, items), *rest = real[head]
     mutant = {**real, head: ((swap, tuple((e, -v) for e, v in items)), *rest)}
-    monkeypatch.setattr(sc, "compiled_rules", lambda p: mutant)
+    monkeypatch.setattr(sc, "reduced_rules", lambda p: mutant)
     assert sort_failures(pres, "left", "%s-left" % algebra) != []

@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qe6.linalg import SparseMat
 from qe6.qcoeff import (LaurentPoly, ONE, ZERO, Q, QINV,
                         qpow, neg_qpow, qhat, accumulate)
+from qe6.schubert import NCPoly
 
 # Laurent polynomials with up to four terms, exponents in [-6, 6]
 laurent = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9),
@@ -115,14 +117,68 @@ monomial = st.builds(LaurentPoly.term, st.integers(-9, 9).filter(bool), st.integ
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(laurent, monomial), st.one_of(laurent, monomial))
 def test_products_store_no_zero_and_match_the_reference(a, b):
-    # a one-term factor takes the shift-and-scale path, any other the
-    # general product; both equal the term-by-term product
+    # one-term and longer factors take the same product loop; the monomial
+    # inputs keep the one-term case drawn often
     for p in (a * b, b * a):
         assert all(p.c.values())
         assert p.c == _reference_product(a, b)
     cancelling = (a + b) * (a - b)
     assert all(cancelling.c.values())
     assert cancelling == a * a - b * b
+
+
+def _sharing(data, x, keys, value):
+    """A dict y drawn to share keys with the dict x: each key of x is left
+    out, given x's own value (so that x - y cancels there) or a value drawn
+    by value(x's value), and up to two keys drawn from `keys` are added with
+    value(None)."""
+    y = {}
+    for k, v in x.items():
+        choice = data.draw(st.sampled_from(("absent", "same", "other")))
+        if choice != "absent":
+            y[k] = v if choice == "same" else value(v)
+    for k in data.draw(st.lists(keys, max_size=2)):
+        y.setdefault(k, value(None))
+    return y
+
+
+def _flat(x):
+    """{(key, exponent): value} of a LaurentPoly (key ()), NCPoly or SparseMat."""
+    if isinstance(x, LaurentPoly):
+        return {((), e): v for e, v in x.c.items()}
+    entries = x.entries if isinstance(x, SparseMat) else x
+    return {(k, e): v for k, c in entries.items() for e, v in c.c.items()}
+
+
+exponents = st.integers(-6, 6)
+words = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+cells = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("LaurentPoly", "NCPoly", "SparseMat")), st.data())
+def test_differences_store_no_zero_and_match_the_reference(kind, data):
+    # y shares keys, and inside them exponents, with x, so that some
+    # entries of x - y cancel in part and some in full
+    ints = lambda old: data.draw(st.integers(-9, 9))
+    if kind == "LaurentPoly":
+        x = data.draw(laurent)
+        y = LaurentPoly(_sharing(data, x.c, exponents, ints))
+    else:
+        keys = words if kind == "NCPoly" else cells
+        poly = lambda old: LaurentPoly(_sharing(data, old.c if old else {}, exponents, ints))
+        xd = data.draw(st.dictionaries(keys, laurent, max_size=4))
+        yd = _sharing(data, xd, keys, poly)
+        if kind == "NCPoly":
+            x, y = (NCPoly({k: c for k, c in d.items() if c}) for d in (xd, yd))
+        else:
+            x, y = SparseMat(3, 3, xd), SparseMat(3, 3, yd)
+    diff = x.sub(y) if kind == "SparseMat" else x - y
+    fx, fy = _flat(x), _flat(y)
+    want = {k: fx.get(k, 0) - fy.get(k, 0) for k in fx.keys() | fy.keys()}
+    assert _flat(diff) == {k: v for k, v in want.items() if v}
+    if kind != "LaurentPoly":
+        assert all((diff.entries if kind == "SparseMat" else diff).values())
 
 
 @given(laurent, laurent)
